@@ -135,15 +135,18 @@ def cmd_embed(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from .network import load_model
+
     cfg = _load_run_config(args)
     train_rows = data.load_manifest(args.train_manifest)
     test_rows = data.load_manifest(args.test_manifest)
-    store = scoring.build_prototype_store(
-        train_rows, args.checkpoint, cfg.scoring.scoring_mode,
+    model, _ = load_model(args.checkpoint)
+    store = scoring.cluster_prototypes(
+        train_rows, model, cfg.scoring.scoring_mode,
         cfg.scoring.prototypes, cfg.model.seed)
     if args.store:
         store.save(args.store, run_cfg=cfg)
-    scores, unknown = scoring.score_dataset(test_rows, store, args.checkpoint)
+    scores, unknown = scoring.score_test_rows(test_rows, store, model)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("filename,score\n")
         for path, value in scores:

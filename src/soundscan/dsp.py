@@ -83,9 +83,11 @@ class Spectrum:
 def load_wav(path) -> AudioClip:
     """Load a PCM WAV file as a normalized mono clip at its native rate.
 
-    Multichannel audio is averaged down to mono. Raises FileNotFoundError,
-    wavio.WavFormatError, or wavio.UnsupportedWavError respectively for a
-    missing file, a broken RIFF container, or a non-PCM encoding.
+    Multichannel audio is averaged down to mono. Raises
+    wavio.WavNotFoundError (a FileNotFoundError), wavio.WavFormatError, or
+    wavio.UnsupportedWavError respectively for a missing file, a broken RIFF
+    container, or a non-PCM encoding, and DataError for any other read
+    failure; all of them are DataErrors.
     """
     samples, rate = wavio.read_wav(path)
     if samples.size == 0:

@@ -3,7 +3,12 @@
 A kernel box of size (h, w) slides over an F x T spectrogram on a grid of
 frequency/time anchors and stacks the extracted patches. Anchors either
 follow fixed step sizes or step sizes derived from requested scan counts;
-in both cases a final anchor at the far edge guarantees full coverage.
+in both cases a final anchor at the far edge is appended, so the first and
+last rows and columns are always covered. Cells in between are covered only
+where the step is at most the kernel size along that axis: a step larger
+than the kernel leaves gaps (the default t_step=32 with 16-wide kernels
+leaves cells no patch covers; `soundscan scan-analyze` reports them as
+min_coverage=0).
 """
 
 from __future__ import annotations

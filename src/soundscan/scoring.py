@@ -37,10 +37,32 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / np.where(norms == 0, 1.0, norms)
 
 
-def _kmeans_pp_init(x, k, rng):
+def _row_sq(x: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x, x)
+
+
+def _sq_dist(x2, xc, c2):
+    """Squared distances from dot products: |x|^2 - 2 x.c + |c|^2, clamped at 0.
+
+    `xc` holds the dot products; `x2` and `c2` broadcast against it.
+    """
+    d2 = xc * -2.0
+    d2 += x2
+    d2 += c2
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _cluster_sums(x, labels, k):
+    """Per-cluster row sums (k, D) and counts (k,) through a one-hot matmul."""
+    onehot = np.zeros((k, len(x)))
+    onehot[labels, np.arange(len(x))] = 1.0
+    return onehot @ x, np.bincount(labels, minlength=k).astype(np.float64)
+
+
+def _kmeans_pp_init(x, x2, k, rng):
     first = int(rng.integers(len(x)))
     centroids = [x[first]]
-    d2 = ((x - x[first]) ** 2).sum(axis=1)
+    d2 = _sq_dist(x2, x @ x[first], x2[first])
     for _ in range(1, k):
         total = d2.sum()
         if total <= 0:
@@ -49,76 +71,99 @@ def _kmeans_pp_init(x, k, rng):
         pick = int(np.searchsorted(np.cumsum(d2 / total), rng.uniform()))
         pick = min(pick, len(x) - 1)
         centroids.append(x[pick])
-        d2 = np.minimum(d2, ((x - x[pick]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dist(x2, x @ x[pick], x2[pick]))
     return np.array(centroids)
 
 
-def _lloyd(x, k, rng, max_iter, tol):
-    centroids = _kmeans_pp_init(x, k, rng)
+def _assign(x, x2, centroids):
+    """(M, k) squared distances to the centroids and each row's nearest one."""
+    d2 = _sq_dist(x2[:, None], x @ centroids.T, _row_sq(centroids))
+    return d2, d2.argmin(axis=1)
+
+
+def _lloyd(x, x2, k, rng, max_iter, tol):
+    centroids = _kmeans_pp_init(x, x2, k, rng)
+    rows = np.arange(len(x))
     inertia = np.inf
     for _ in range(max_iter):
-        d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels = d2.argmin(axis=1)
-        new_inertia = float(d2[np.arange(len(x)), labels].sum())
+        d2, labels = _assign(x, x2, centroids)
+        fit = d2[rows, labels]
+        new_inertia = float(fit.sum())
         assert new_inertia <= inertia + 1e-9, "Lloyd inertia increased"
-        for c in range(k):
-            members = labels == c
-            if members.any():
-                centroids[c] = x[members].mean(axis=0)
-            else:
-                # reseed an empty cluster at the worst-fit point
-                centroids[c] = x[d2[np.arange(len(x)), labels].argmax()]
+        sums, counts = _cluster_sums(x, labels, k)
+        centroids = sums / np.maximum(counts, 1.0)[:, None]
+        # reseed empty clusters at the worst-fit point
+        centroids[counts == 0] = x[fit.argmax()]
         if inertia - new_inertia <= tol * max(new_inertia, 1e-30):
-            inertia = new_inertia
             break
         inertia = new_inertia
-    return _single_point_refine(x, centroids, k)
+    return _single_point_refine(x, x2, centroids, k)
 
 
-def _single_point_refine(x, centroids, k, max_sweeps=50):
+def _first_move(x2, labels, counts, dots, sums2, start):
+    """First row at or after `start` whose single move lowers the objective.
+
+    Scores every remaining row against the current clusters at once; the
+    clusters only change at a move, so the rows before the first improving
+    one would not have moved in a row-by-row sweep either. Returns
+    (row, target cluster), or None when no remaining row improves.
+    """
+    safe = np.maximum(counts, 1.0)  # empty clusters sit at the origin; cost 0 below
+    d2 = _sq_dist(x2[start:, None], dots[start:] / safe, sums2 / safe ** 2)
+    own = labels[start:]
+    rows = np.arange(len(own))
+    n_own = counts[own]
+    gain = n_own / np.maximum(n_own - 1, 1.0) * d2[rows, own]
+    costs = counts / (counts + 1) * d2
+    costs[rows, own] = np.inf
+    movable = (n_own > 1) & (costs.min(axis=1) - gain < -1e-12)
+    hits = np.flatnonzero(movable)
+    if not hits.size:
+        return None
+    return start + int(hits[0]), int(costs[hits[0]].argmin())
+
+
+def _single_point_refine(x, x2, centroids, k, max_sweeps=50):
     """Relocate single points while that strictly lowers the objective.
 
     Escapes the Lloyd-local optima that plain assignment/update rounds
     cannot leave; the move gain uses the exact size-corrected formula.
+    Rows are visited in order and the first improving move is taken, as in
+    a row-by-row sweep, but every distance comes from the (M, k) dot
+    products with the cluster sums and the sums' squared norms, which a
+    move updates with one matrix-vector product.
     """
-    d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    labels = d2.argmin(axis=1)
-    counts = np.bincount(labels, minlength=k).astype(np.float64)
-    sums = np.zeros_like(centroids)
-    np.add.at(sums, labels, x)
-
-    def means():
-        safe = np.maximum(counts, 1.0)[:, None]
-        return sums / safe  # empty clusters sit at the origin; cost 0 below
-
+    _, labels = _assign(x, x2, centroids)
     for _ in range(max_sweeps):
+        sums, counts = _cluster_sums(x, labels, k)
+        dots = x @ sums.T
+        sums2 = _row_sq(sums)
         improved = False
-        for i in range(len(x)):
-            a = labels[i]
-            if counts[a] <= 1:
-                continue
-            mus = means()
-            gain = counts[a] / (counts[a] - 1) * ((x[i] - mus[a]) ** 2).sum()
-            costs = counts / (counts + 1) * ((x[i] - mus) ** 2).sum(axis=1)
-            costs[a] = np.inf
-            b = int(costs.argmin())
-            if costs[b] - gain < -1e-12:
-                sums[a] -= x[i]
-                sums[b] += x[i]
-                counts[a] -= 1
-                counts[b] += 1
-                labels[i] = b
-                improved = True
+        start = 0
+        while (move := _first_move(x2, labels, counts, dots, sums2, start)) is not None:
+            j, b = move
+            a = labels[j]
+            sums2[a] += x2[j] - 2.0 * dots[j, a]
+            sums2[b] += x2[j] + 2.0 * dots[j, b]
+            row_dots = x[j + 1:] @ x[j]
+            dots[j + 1:, a] -= row_dots
+            dots[j + 1:, b] += row_dots
+            counts[a] -= 1
+            counts[b] += 1
+            labels[j] = b
+            start = j + 1
+            improved = True
         if not improved:
             break
-    centroids = means()
-    d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    sums, counts = _cluster_sums(x, labels, k)
+    centroids = sums / np.maximum(counts, 1.0)[:, None]
+    d2, nearest = _assign(x, x2, centroids)
     if (counts == 0).any():
-        worst = int(d2.min(axis=1).argmax())
-        for c in np.flatnonzero(counts == 0):
-            centroids[c] = x[worst]
-        d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return centroids, float(d2.min(axis=1).sum())
+        centroids[counts == 0] = x[d2[np.arange(len(x)), nearest].argmax()]
+        _, nearest = _assign(x, x2, centroids)
+    # summed from differences, not the Gram expansion, so that rows sitting
+    # on their centroid add exactly 0 rather than rounding noise
+    return centroids, float(((x - centroids[nearest]) ** 2).sum())
 
 
 def kmeans(embeddings: np.ndarray, prototypes: int, seed,
@@ -136,12 +181,13 @@ def kmeans(embeddings: np.ndarray, prototypes: int, seed,
     if prototypes < 1:
         raise DataError("prototype count must be >= 1")
     x = _normalize_rows(x)
+    x2 = _row_sq(x)
     k = min(prototypes, len(x))
     rng = np.random.default_rng(seed)
     best = None
     best_inertia = np.inf
     for _ in range(n_init):
-        centroids, inertia = _lloyd(x, k, rng, max_iter, tol)
+        centroids, inertia = _lloyd(x, x2, k, rng, max_iter, tol)
         if inertia < best_inertia:
             best, best_inertia = centroids, inertia
     unit = _normalize_rows(best)
@@ -175,9 +221,11 @@ class PrototypeStore:
             raise DataError(f"unknown prototype mode {mode!r}")
         self.mode = mode
         self.sets: dict = {}
+        self._by_group: dict = {}   # group key -> {domain: set}, in self.sets order
 
     def add(self, ps: PrototypeSet) -> None:
         self.sets[(ps.group_key, ps.domain)] = ps
+        self._by_group.setdefault(ps.group_key, {})[ps.domain] = ps
 
     def group_key(self, row) -> str:
         if self.mode == "per-id":
@@ -185,9 +233,7 @@ class PrototypeStore:
         return row.machine_type
 
     def sets_for(self, row):
-        key = self.group_key(row)
-        found = [ps for (k, _), ps in self.sets.items() if k == key]
-        return found
+        return list(self._by_group.get(self.group_key(row), {}).values())
 
     def save(self, path, run_cfg=None, echo: str = "") -> None:
         arrays = {f"proto/{key}\x1f{domain}": ps.centroids
@@ -248,6 +294,12 @@ def build_prototype_store(train_rows, checkpoint_path, mode: str,
     carries domain tags.
     """
     model, _ = load_model(checkpoint_path)
+    return cluster_prototypes(train_rows, model, mode, prototypes, seed)
+
+
+def cluster_prototypes(train_rows, model, mode: str, prototypes: int,
+                       seed) -> PrototypeStore:
+    """build_prototype_store on an already loaded model."""
     rows = [r for r in train_rows if r.split == "train"]
     if not rows:
         raise DataError("no train rows to build prototypes from")
@@ -278,5 +330,9 @@ def score_rows(test_rows, store: PrototypeStore, model):
 def score_dataset(test_rows, store: PrototypeStore, checkpoint_path):
     """Score every test-split row against the store."""
     model, _ = load_model(checkpoint_path)
-    rows = [r for r in test_rows if r.split == "test"]
-    return score_rows(rows, store, model)
+    return score_test_rows(test_rows, store, model)
+
+
+def score_test_rows(test_rows, store: PrototypeStore, model):
+    """score_dataset on an already loaded model."""
+    return score_rows([r for r in test_rows if r.split == "test"], store, model)

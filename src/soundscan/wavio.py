@@ -26,6 +26,10 @@ class UnsupportedWavError(DataError):
     """Well-formed WAV, but an encoding this reader does not handle."""
 
 
+class WavNotFoundError(DataError, FileNotFoundError):
+    """The WAV file does not exist; also a FileNotFoundError."""
+
+
 def read_wav(path):
     """Read a WAV file.
 
@@ -34,8 +38,13 @@ def read_wav(path):
     samples : (n, channels) float64 array in [-1, 1]
     sample_rate : int
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except FileNotFoundError:
+        raise WavNotFoundError(f"{path}: no such WAV file") from None
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read WAV file: {exc.strerror or exc}") from None
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise WavFormatError(f"{path}: not a RIFF/WAVE file")
 

@@ -58,6 +58,46 @@ def test_missing_manifest_is_exit_3(capsys, tmp_path, tiny_checkpoint):
     assert "error: data" in err
 
 
+def test_missing_wav_is_exit_3(capsys, tmp_path, tiny_corpus, tiny_checkpoint):
+    from dataclasses import replace
+
+    from soundscan.data import save_manifest
+
+    rows, _ = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    gone = replace(rows[0], path=str(tmp_path / "gone.wav"))
+    manifest = tmp_path / "manifest.csv"
+    save_manifest([gone] + list(rows[1:3]), manifest)
+    code, _, err = run(capsys, "embed", "--manifest", str(manifest),
+                       "--checkpoint", str(ckpt), "--out", str(tmp_path / "e.bin"))
+    assert code == 3
+    assert "error: data" in err and "gone.wav" in err
+
+
+def test_score_loads_the_checkpoint_once(capsys, tmp_path, tiny_corpus, tiny_checkpoint,
+                                         monkeypatch):
+    from soundscan import network, scoring
+
+    rows, root = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    loads = []
+    original = network.load_model
+
+    def counting_load(path):
+        loads.append(path)
+        return original(path)
+
+    for module in (network, scoring):
+        monkeypatch.setattr(module, "load_model", counting_load)
+    manifest = str(root / "manifest.csv")
+    code, _, _ = run(capsys, "score", "--set", "seed=3", "--set", "prototypes=2",
+                     "--set", "scoring_mode=per-type",
+                     "--train-manifest", manifest, "--test-manifest", manifest,
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "s.csv"))
+    assert code == 0
+    assert loads == [str(ckpt)]
+
+
 def test_bad_checkpoint_is_exit_3(capsys, tmp_path, tiny_corpus):
     rows, root = tiny_corpus
     code, _, err = run(capsys, "embed", "--manifest", str(root / "manifest.csv"),

@@ -55,6 +55,13 @@ def test_load_wav_missing_file(tmp_path):
         dsp.load_wav(tmp_path / "nope.wav")
 
 
+def test_load_wav_unreadable_paths_are_data_errors(tmp_path):
+    with pytest.raises(DataError):
+        dsp.load_wav(tmp_path / "nope.wav")
+    with pytest.raises(DataError, match="cannot read WAV"):
+        dsp.load_wav(tmp_path)  # a directory
+
+
 def test_load_wav_malformed_riff(tmp_path):
     path = tmp_path / "junk.wav"
     path.write_bytes(b"RIFFxxxxJUNKdata")

@@ -74,6 +74,128 @@ def test_kmeans_matches_exhaustive_partition_oracle():
         assert abs(inertia - oracle) < 1e-9, f"seed {seed}: {inertia} vs {oracle}"
 
 
+def reference_refine(x, x2, centroids, k, max_sweeps=50):
+    """The row-by-row single-point refine that the batched one replaced,
+    kept verbatim as a reference (x2 is unused)."""
+    d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    labels = d2.argmin(axis=1)
+    counts = np.bincount(labels, minlength=k).astype(np.float64)
+    sums = np.zeros_like(centroids)
+    np.add.at(sums, labels, x)
+
+    def means():
+        safe = np.maximum(counts, 1.0)[:, None]
+        return sums / safe  # empty clusters sit at the origin; cost 0 below
+
+    for _ in range(max_sweeps):
+        improved = False
+        for i in range(len(x)):
+            a = labels[i]
+            if counts[a] <= 1:
+                continue
+            mus = means()
+            gain = counts[a] / (counts[a] - 1) * ((x[i] - mus[a]) ** 2).sum()
+            costs = counts / (counts + 1) * ((x[i] - mus) ** 2).sum(axis=1)
+            costs[a] = np.inf
+            b = int(costs.argmin())
+            if costs[b] - gain < -1e-12:
+                sums[a] -= x[i]
+                sums[b] += x[i]
+                counts[a] -= 1
+                counts[b] += 1
+                labels[i] = b
+                improved = True
+        if not improved:
+            break
+    centroids = means()
+    d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    if (counts == 0).any():
+        worst = int(d2.min(axis=1).argmax())
+        for c in np.flatnonzero(counts == 0):
+            centroids[c] = x[worst]
+        d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return centroids, float(d2.min(axis=1).sum())
+
+
+def refine_cases():
+    """(name, rows, k): single rows, k >= M, duplicate rows, a 300 x 32
+    group and random small groups."""
+    rng = np.random.default_rng(42)
+    base = rng.standard_normal((4, 5))
+    cases = [("M=1,k=1", rng.standard_normal((1, 3)), 1),
+             ("M=1,k=4", rng.standard_normal((1, 3)), 4),
+             ("k=M", rng.standard_normal((5, 4)), 5),
+             ("k>M", rng.standard_normal((4, 6)), 7),
+             ("duplicates", base[rng.integers(0, 4, 24)], 3),
+             ("duplicates,k>distinct", base[[0, 1, 1, 2, 3, 3, 3]], 6),
+             ("300x32", rng.standard_normal((300, 32)), 8)]
+    for i in range(15):
+        m, d, k = int(rng.integers(2, 60)), int(rng.integers(2, 9)), int(rng.integers(1, 10))
+        cases.append((f"random{i}", rng.standard_normal((m, d)), k))
+    return cases
+
+
+def canonical(centroids):
+    """Rows in lexicographic order: restarts that reach the same partition
+    tie up to rounding, so which one wins may permute the clusters."""
+    return centroids[np.lexsort(centroids.T[::-1])]
+
+
+def test_kmeans_matches_row_by_row_refine(monkeypatch):
+    import soundscan.scoring as scoring
+
+    cases = refine_cases()
+    assert len(cases) >= 20
+    results = [kmeans(x, k, seed=[5, i], return_inertia=True)
+               for i, (_, x, k) in enumerate(cases)]
+    monkeypatch.setattr(scoring, "_single_point_refine", reference_refine)
+    for i, (name, x, k) in enumerate(cases):
+        centroids, inertia = results[i]
+        ref_centroids, ref_inertia = kmeans(x, k, seed=[5, i], return_inertia=True)
+        assert abs(inertia - ref_inertia) < 1e-9, f"{name}: {inertia} vs {ref_inertia}"
+        np.testing.assert_allclose(canonical(centroids), canonical(ref_centroids),
+                                   rtol=0, atol=1e-9, err_msg=name)
+
+
+def sse(points):
+    return ((points - points.mean(axis=0)) ** 2).sum() if len(points) else 0.0
+
+
+def test_kmeans_no_single_row_move_improves(monkeypatch):
+    import soundscan.scoring as scoring
+
+    refine = scoring._single_point_refine
+    restarts = []
+
+    def recording_refine(*args):
+        restarts.append(refine(*args))
+        return restarts[-1]
+
+    monkeypatch.setattr(scoring, "_single_point_refine", recording_refine)
+    for name, raw, k in refine_cases():
+        x = unit_rows(raw)
+        restarts.clear()
+        _, inertia = kmeans(x, k, seed=11, return_inertia=True)
+        # the winning restart's centroids, before kmeans re-normalizes them
+        means, best = restarts[int(np.argmin([r[1] for r in restarts]))]
+        assert best == inertia, name
+        labels = ((x[:, None, :] - means[None]) ** 2).sum(axis=2).argmin(axis=1)
+        assert abs(sum(sse(x[labels == c]) for c in range(k)) - inertia) < 1e-9, name
+        for i in range(len(x)):
+            home = labels == labels[i]
+            left = home.copy()
+            left[i] = False
+            for b in range(k):
+                if b == labels[i]:
+                    continue
+                away = labels == b
+                joined = away.copy()
+                joined[i] = True
+                delta = (sse(x[left]) + sse(x[joined])
+                         - sse(x[home]) - sse(x[away]))
+                assert delta >= -1e-9, f"{name}: moving row {i} to {b} gains {-delta}"
+
+
 def test_kmeans_empty_input_rejected():
     with pytest.raises(DataError):
         kmeans(np.zeros((0, 4)), 2, seed=0)
@@ -157,6 +279,21 @@ def test_store_save_load_round_trip(tmp_path, rng):
     for key in store.sets:
         np.testing.assert_array_equal(loaded.sets[key].centroids,
                                       store.sets[key].centroids)
+
+
+def test_sets_for_follows_add_order_and_replacement(rng):
+    store = PrototypeStore("per-type")
+    sets = {(key, domain): PrototypeSet(key, domain, unit_rows(rng.standard_normal((2, 3))))
+            for key, domain in [("fan", "source"), ("pump", "source"), ("fan", "target")]}
+    for ps in sets.values():
+        store.add(ps)
+    fan = mrow("a.wav", "fan", "id_00", domain="source", split="test")
+    assert store.sets_for(fan) == [sets[("fan", "source")], sets[("fan", "target")]]
+    newer = PrototypeSet("fan", "source", unit_rows(rng.standard_normal((3, 3))))
+    store.add(newer)
+    assert store.sets_for(fan) == [newer, sets[("fan", "target")]]
+    assert store.sets_for(fan) == [ps for (k, _), ps in store.sets.items() if k == "fan"]
+    assert store.sets_for(mrow("b.wav", "valve", "id_00", split="test")) == []
 
 
 def test_build_store_and_score_corpus(tiny_corpus, tiny_checkpoint, tiny_run_cfg):
