@@ -6,6 +6,11 @@ reachable graph in reverse creation order (a topological order, since
 consumers are always created after their inputs), propagating pass-local
 gradients and accumulating them into ``.grad`` (+=). Double precision
 throughout.
+
+Grad mode is one process-wide flag, not one per thread. ``no_grad()``
+belongs to the thread that starts workers: it enters the context once
+around the whole pool, and the workers never enter it themselves, since
+their save and restore of the flag would race.
 """
 
 from __future__ import annotations
@@ -372,11 +377,14 @@ _GATHER_CACHE: dict = {}
 
 
 def _gather_indices(key, builder):
-    if key not in _GATHER_CACHE:
+    # one lookup, then build and store: between a membership test and a read,
+    # another thread may clear the cache
+    value = _GATHER_CACHE.get(key)
+    if value is None:
         if len(_GATHER_CACHE) > 256:
             _GATHER_CACHE.clear()
-        _GATHER_CACHE[key] = builder()
-    return _GATHER_CACHE[key]
+        value = _GATHER_CACHE[key] = builder()
+    return value
 
 
 def _scatter_rows(values: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:

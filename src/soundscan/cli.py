@@ -19,7 +19,9 @@ def _add_common(parser, needs_seed=True):
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key")
     parser.add_argument("--threads", type=int,
-                        help="cap the numerical worker thread count")
+                        help="cap the embedding worker threads (default: one "
+                             "per usable core while BLAS is held to one thread) "
+                             "and, with threadpoolctl, the BLAS threads")
     parser.set_defaults(needs_seed=needs_seed)
 
 
@@ -32,8 +34,8 @@ def _cap_threads(count):
         import threadpoolctl
         threadpoolctl.threadpool_limits(limits=count)
     except ImportError:
-        print("soundscan: warning: threadpoolctl unavailable, --threads ignored",
-              file=sys.stderr)
+        print("soundscan: warning: threadpoolctl unavailable, --threads caps "
+              "the embedding workers only, not BLAS", file=sys.stderr)
 
 
 def _build_parser():
@@ -127,7 +129,7 @@ def cmd_embed(args) -> int:
 
     model, _ = load_model(args.checkpoint)
     rows = data.load_manifest(args.manifest)
-    embeddings = scoring.embed_rows(model, rows)
+    embeddings = scoring.embed_rows(model, rows, args.threads)
     arrays = {f"emb/{row.path}": emb for row, emb in zip(rows, embeddings)}
     checkpoint.save_container(args.out, arrays, f"embed_dim={model.embed_dim}\n")
     print(f"wrote {len(rows)} embeddings to {args.out}")
@@ -143,10 +145,10 @@ def cmd_score(args) -> int:
     model, _ = load_model(args.checkpoint)
     store = scoring.cluster_prototypes(
         train_rows, model, cfg.scoring.scoring_mode,
-        cfg.scoring.prototypes, cfg.model.seed)
+        cfg.scoring.prototypes, cfg.model.seed, args.threads)
     if args.store:
         store.save(args.store, run_cfg=cfg)
-    scores, unknown = scoring.score_test_rows(test_rows, store, model)
+    scores, unknown = scoring.score_test_rows(test_rows, store, model, args.threads)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("filename,score\n")
         for path, value in scores:

@@ -269,19 +269,6 @@ def waveform_features(samples: np.ndarray, cfg: ModelConfig):
     return spec.values, utterance_spectrum(clip).values
 
 
-def embed_batch(model: MultiScaleNet, waveforms: np.ndarray) -> np.ndarray:
-    """Embeddings for a (B, L) waveform batch, inference mode."""
-    specs = []
-    spectra = []
-    for row in waveforms:
-        s, u = waveform_features(row, model.cfg)
-        specs.append(s)
-        spectra.append(u)
-    with ad.no_grad():
-        out = model(np.stack(specs), np.stack(spectra))
-    return out.data
-
-
 def load_model(path) -> tuple[MultiScaleNet, RunConfig]:
     """Rebuild a model from a checkpoint container and its config echo."""
     arrays, echo = load_container(path)

@@ -7,6 +7,10 @@ is the minimum cosine distance to any prototype of its group.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,21 +259,79 @@ class PrototypeStore:
         return store, run_cfg
 
 
-def embed_rows(model, rows, batch_size: int = 32) -> np.ndarray:
-    """Embeddings for manifest rows, in row order."""
-    out = []
-    for start in range(0, len(rows), batch_size):
-        chunk = rows[start:start + batch_size]
-        specs, spectra = [], []
-        for row in chunk:
-            spec, spectrum = clip_features(load_wav(row.path), model.cfg)
-            specs.append(spec)
-            spectra.append(spectrum)
-        with ad.no_grad():
-            emb = model(np.stack(specs), np.stack(spectra))
-        out.append(emb.data)
-    if not out:
+# Rows per forward pass. Fixed, so that a row's embedding depends only on the
+# rows that share its chunk, never on the number of workers.
+EMBED_CHUNK = 16
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Variables that set the BLAS thread count, in the order OpenBLAS and MKL read
+# them; in each chain the first one set wins.
+_BLAS_THREAD_VARS = (("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+                     ("MKL_NUM_THREADS", "OMP_NUM_THREADS"))
+
+
+def _blas_env_single_threaded() -> bool:
+    """True when the environment holds OpenBLAS and MKL to one thread each."""
+    for chain in _BLAS_THREAD_VARS:
+        value = next((os.environ[var] for var in chain if os.environ.get(var)), None)
+        if value is None or value.strip() != "1":
+            return False
+    return True
+
+
+def _embedding_pool(chunks: int, max_workers):
+    """(worker count, context to run the pool in) for `chunks` chunks.
+
+    Each worker's matmuls would start their own BLAS threads on top of the
+    pool, so several workers run only with BLAS held to one thread: by
+    threadpoolctl for the pool's lifetime, or by the environment. Where
+    neither holds it, one worker leaves the cores to BLAS.
+    """
+    workers = min(_usable_cpus(), max_workers or chunks, chunks)
+    if workers == 1:
+        return 1, contextlib.nullcontext()
+    try:
+        import threadpoolctl
+    except ImportError:
+        return (workers if _blas_env_single_threaded() else 1), contextlib.nullcontext()
+    return workers, threadpoolctl.threadpool_limits(limits=1)
+
+
+def _embed_chunk(model, rows) -> np.ndarray:
+    specs, spectra = zip(*(clip_features(load_wav(row.path), model.cfg) for row in rows))
+    return model(np.stack(specs), np.stack(spectra)).data
+
+
+def embed_rows(model, rows, max_workers=None) -> np.ndarray:
+    """Embeddings for manifest rows, in row order.
+
+    The rows go through the eval-mode model in fixed chunks of EMBED_CHUNK,
+    on a pool of one thread per usable core, capped by `max_workers`, while
+    BLAS is held to one thread (see _embedding_pool); numpy releases the
+    interpreter lock inside its kernels. The result is the same for every
+    worker count. The first failing chunk cancels the chunks not yet started.
+    """
+    if model.training:
+        raise ValueError("embed_rows needs an eval-mode model: a training-mode "
+                         "forward updates the BatchNorm buffers")
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    chunks = [rows[i:i + EMBED_CHUNK] for i in range(0, len(rows), EMBED_CHUNK)]
+    if not chunks:
         return np.zeros((0, model.embed_dim))
+    workers, blas_limit = _embedding_pool(len(chunks), max_workers)
+    # grad mode is process-wide: it is switched off here, once, around the
+    # pool; a worker entering no_grad itself would race on the restore.
+    # Executor.map cancels the pending chunks when a result raises.
+    with ad.no_grad(), blas_limit, ThreadPoolExecutor(workers) as pool:
+        out = list(pool.map(functools.partial(_embed_chunk, model), chunks))
     return np.concatenate(out, axis=0)
 
 
@@ -298,13 +360,14 @@ def build_prototype_store(train_rows, checkpoint_path, mode: str,
 
 
 def cluster_prototypes(train_rows, model, mode: str, prototypes: int,
-                       seed) -> PrototypeStore:
-    """build_prototype_store on an already loaded model."""
+                       seed, max_workers=None) -> PrototypeStore:
+    """build_prototype_store on an already loaded model; `max_workers` caps
+    the embedding threads."""
     rows = [r for r in train_rows if r.split == "train"]
     if not rows:
         raise DataError("no train rows to build prototypes from")
     store = PrototypeStore(mode)
-    embeddings = embed_rows(model, rows)
+    embeddings = embed_rows(model, rows, max_workers)
     groups = group_train_rows(rows, mode)
     for gi, (key, domain) in enumerate(sorted(groups)):
         idx = groups[(key, domain)]
@@ -313,11 +376,11 @@ def cluster_prototypes(train_rows, model, mode: str, prototypes: int,
     return store
 
 
-def score_rows(test_rows, store: PrototypeStore, model):
+def score_rows(test_rows, store: PrototypeStore, model, max_workers=None):
     """(path, score) pairs in input order, plus paths with no matching group."""
     scores = []
     unknown = []
-    embeddings = embed_rows(model, list(test_rows))
+    embeddings = embed_rows(model, list(test_rows), max_workers)
     for row, emb in zip(test_rows, embeddings):
         sets = store.sets_for(row)
         if not sets:
@@ -333,6 +396,8 @@ def score_dataset(test_rows, store: PrototypeStore, checkpoint_path):
     return score_test_rows(test_rows, store, model)
 
 
-def score_test_rows(test_rows, store: PrototypeStore, model):
-    """score_dataset on an already loaded model."""
-    return score_rows([r for r in test_rows if r.split == "test"], store, model)
+def score_test_rows(test_rows, store: PrototypeStore, model, max_workers=None):
+    """score_dataset on an already loaded model; `max_workers` caps the
+    embedding threads."""
+    return score_rows([r for r in test_rows if r.split == "test"], store, model,
+                      max_workers)

@@ -3,6 +3,7 @@ and a sub-cluster cosine-softmax head with an adaptive scale."""
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -15,7 +16,7 @@ from .autodiff import Adam, Parameter, Tensor
 from .config import RunConfig, config_text
 from .checkpoint import save_container
 from .dsp import fix_length, load_wav
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .network import MultiScaleNet, waveform_features
 
 
@@ -172,6 +173,34 @@ class _TrainState(nn.Module):
         self.head = head
 
 
+def physical_memory():
+    """Bytes of physical memory, or None where sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_batch_fits(model: MultiScaleNet, batch_clips: int) -> None:
+    """Raise ConfigError when one batch of `batch_clips` clips cannot fit in
+    physical memory.
+
+    The float64 patch stacks of one batch, batch_clips x sum_k N_k*h_k*w_k x 8
+    bytes, are a strict lower bound on a training step's memory: the forward
+    and backward passes hold them and much more besides.
+    """
+    per_clip = sum(plan.patch_count * box.h * box.w
+                   for box, plan in zip(model.kernels, model.plans))
+    need = batch_clips * per_clip * 8
+    have = physical_memory()
+    if have is not None and need > have:
+        raise ConfigError(
+            f"one training batch of {batch_clips} clips needs at least "
+            f"{need / 1e6:,.1f} MB for its patch stacks alone, more than the "
+            f"{have / 1e6:,.1f} MB of physical memory; lower batch_size or scan "
+            f"fewer or smaller patches")
+
+
 def load_training_waves(rows, model_cfg) -> np.ndarray:
     waves = []
     for row in rows:
@@ -209,12 +238,14 @@ def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
     if len(label_space) < 2:
         raise DataError(f"need at least 2 classes to train, got {len(label_space)}")
 
+    model = MultiScaleNet(model_cfg)
+    # the largest batch the loop below takes
+    check_batch_fits(model, min(train_cfg.batch_size, len(train_rows)))
     waves = load_training_waves(train_rows, model_cfg)
     labels = np.array([label_space.class_of(r) for r in train_rows])
     C = len(label_space)
     one_hot = np.eye(C)[labels]
 
-    model = MultiScaleNet(model_cfg)
     head_rng = np.random.default_rng([model_cfg.seed, 1])
     data_rng = np.random.default_rng([model_cfg.seed, 2])
     head = SubClusterHead(C, model_cfg.subclusters, model.embed_dim, head_rng)

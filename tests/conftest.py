@@ -44,3 +44,27 @@ def tiny_checkpoint(tiny_corpus, tiny_run_cfg, tmp_path_factory):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture()
+def fake_threadpoolctl(monkeypatch):
+    """A threadpoolctl stand-in whose BLAS limit is `state["limit"]`: set when a
+    `threadpool_limits` is made, restored when one used as a context exits."""
+    import sys
+    import types
+
+    state = {"limit": None}
+
+    class FakeLimits:
+        def __init__(self, limits=None):
+            self.previous, state["limit"] = state["limit"], limits
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            state["limit"] = self.previous
+
+    monkeypatch.setitem(sys.modules, "threadpoolctl",
+                        types.SimpleNamespace(threadpool_limits=FakeLimits))
+    return state

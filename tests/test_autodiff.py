@@ -329,3 +329,40 @@ def test_seeded_forward_backward_bit_identical():
     assert v1 == v2
     np.testing.assert_array_equal(gx1, gx2)
     np.testing.assert_array_equal(gw1, gw2)
+
+
+def test_gather_cache_lookup_safe_across_threads():
+    # more distinct keys than the cache holds, so threads clear it under
+    # each other; a lookup must still return the value built for its key
+    import sys
+    import threading
+
+    class Key(tuple):
+        # hashing in Python lets a thread switch land inside each dict lookup
+        def __hash__(self):
+            return tuple.__hash__(self)
+
+    failures = []
+
+    def hammer(worker):
+        try:
+            for i in range(4000):
+                key = Key(("stress", worker, i % 300))
+                if ad._gather_indices(key, lambda: key) != key:
+                    failures.append(f"wrong value for {key}")
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion
+            failures.append(repr(exc))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(w,)) for w in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+        ad._GATHER_CACHE.clear()
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []

@@ -74,6 +74,81 @@ def test_missing_wav_is_exit_3(capsys, tmp_path, tiny_corpus, tiny_checkpoint):
     assert "error: data" in err and "gone.wav" in err
 
 
+def test_missing_wav_in_a_pooled_chunk_is_exit_3(capsys, tmp_path, tiny_corpus,
+                                                 tiny_checkpoint, monkeypatch,
+                                                 fake_threadpoolctl):
+    from dataclasses import replace
+
+    from soundscan import scoring
+    from soundscan.data import save_manifest
+
+    rows, _ = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    monkeypatch.setattr(scoring, "_usable_cpus", lambda: 2)
+    broken = list(rows)
+    assert len(broken) == 24  # two chunks, the second on another worker
+    broken[20] = replace(rows[20], path=str(tmp_path / "gone.wav"))
+    manifest = tmp_path / "manifest.csv"
+    save_manifest(broken, manifest)
+    code, _, err = run(capsys, "embed", "--manifest", str(manifest),
+                       "--checkpoint", str(ckpt), "--out", str(tmp_path / "e.bin"))
+    assert code == 3
+    assert "error: data" in err and "gone.wav" in err
+    assert not (tmp_path / "e.bin").exists()
+
+
+def test_threads_caps_embedding_workers_with_blas_at_one_thread(
+        capsys, tmp_path, tiny_corpus, tiny_checkpoint, monkeypatch, fake_threadpoolctl):
+    import shutil
+    import threading
+    from dataclasses import replace
+
+    from soundscan import scoring
+    from soundscan.data import save_manifest
+
+    rows, _ = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    monkeypatch.setattr(scoring, "_usable_cpus", lambda: 8)
+    seen = []
+    original = scoring._embed_chunk
+
+    def recording_chunk(model, chunk):
+        seen.append((threading.get_ident(), fake_threadpoolctl["limit"]))
+        return original(model, chunk)
+
+    monkeypatch.setattr(scoring, "_embed_chunk", recording_chunk)
+    copies = []  # 72 rows with distinct paths: five chunks
+    for i, row in enumerate(list(rows) * 3):
+        path = tmp_path / f"{i:02d}.wav"
+        shutil.copyfile(row.path, path)
+        copies.append(replace(row, path=str(path)))
+    manifest = tmp_path / "manifest.csv"
+    save_manifest(copies, manifest)
+    code, _, _ = run(capsys, "embed", "--manifest", str(manifest), "--threads", "2",
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "e.bin"))
+    assert code == 0
+    assert len(seen) == 5
+    assert len({ident for ident, _ in seen}) <= 2
+    assert {limit for _, limit in seen} == {1}  # BLAS at one thread in the pool
+    assert fake_threadpoolctl["limit"] == 2     # --threads caps BLAS outside it
+
+
+def test_train_batch_beyond_physical_memory_is_exit_2(capsys, tmp_path, tiny_corpus,
+                                                      tiny_run_cfg, monkeypatch):
+    from soundscan import training
+
+    _, root = tiny_corpus
+    monkeypatch.setattr(training, "physical_memory", lambda: 1 << 20)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(config_text(tiny_run_cfg))
+    code, _, err = run(capsys, "train", "--config", str(cfg_path),
+                       "--manifest", str(root / "manifest.csv"),
+                       "--out-checkpoint", str(tmp_path / "m.ckpt"))
+    assert code == 2
+    assert "error: config" in err and "batch of 8 clips" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
 def test_score_loads_the_checkpoint_once(capsys, tmp_path, tiny_corpus, tiny_checkpoint,
                                          monkeypatch):
     from soundscan import network, scoring

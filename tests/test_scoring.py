@@ -338,3 +338,137 @@ def test_kmeans_reduces_p_to_sample_count(rng):
     x = unit_rows(rng.standard_normal((3, 5)))
     centroids = kmeans(x, 16, seed=1)
     assert centroids.shape == (3, 5)
+
+
+# -- embedding over a thread pool ----------------------------------------------------
+
+def _pin_blas_by_environment(monkeypatch):
+    # no threadpoolctl; the environment holds BLAS to one thread
+    import sys
+
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+
+
+def _record_chunk_threads(monkeypatch, scoring):
+    import threading
+
+    threads = []
+    original = scoring._embed_chunk
+
+    def recording_chunk(model, chunk):
+        threads.append(threading.get_ident())
+        return original(model, chunk)
+
+    monkeypatch.setattr(scoring, "_embed_chunk", recording_chunk)
+    return threads
+
+
+def test_embed_rows_same_bytes_for_any_worker_count(tiny_corpus, tiny_checkpoint,
+                                                    monkeypatch):
+    from soundscan import scoring
+    from soundscan.network import load_model
+
+    rows, _ = tiny_corpus
+    rows = list(rows) * 2  # 48 rows: three chunks
+    model, _ = load_model(tiny_checkpoint[0])
+    monkeypatch.setattr(scoring, "_usable_cpus", lambda: 8)
+    _pin_blas_by_environment(monkeypatch)
+    threads = _record_chunk_threads(monkeypatch, scoring)
+    reference = scoring.embed_rows(model, rows, max_workers=1)
+    assert reference.shape == (48, model.embed_dim)
+    assert len(set(threads)) == 1
+    for workers in (2, 3, 3):
+        threads.clear()
+        got = scoring.embed_rows(model, rows, max_workers=workers)
+        assert got.tobytes() == reference.tobytes()
+        assert 1 < len(set(threads)) <= workers
+    # a chunk's rows embed alone exactly as they do inside the whole batch
+    np.testing.assert_array_equal(scoring.embed_rows(model, rows[16:32]),
+                                  reference[16:32])
+
+
+def test_embed_rows_pools_only_with_blas_at_one_thread(tiny_corpus, tiny_checkpoint,
+                                                       monkeypatch):
+    import sys
+
+    from soundscan import scoring
+    from soundscan.network import load_model
+
+    rows, _ = tiny_corpus
+    model, _ = load_model(tiny_checkpoint[0])
+    monkeypatch.setattr(scoring, "_usable_cpus", lambda: 8)
+    threads = _record_chunk_threads(monkeypatch, scoring)
+    # no threadpoolctl, and OpenBLAS is held to one thread but MKL is not
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setenv("OMP_NUM_THREADS", "4")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    scoring.embed_rows(model, list(rows))
+    assert len(set(threads)) == 1
+    threads.clear()
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")
+    scoring.embed_rows(model, list(rows))
+    assert len(set(threads)) == 2
+
+
+def test_embed_rows_failure_cancels_pending_chunks(tiny_corpus, tiny_checkpoint,
+                                                   tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    from soundscan import scoring
+    from soundscan.network import load_model
+    from soundscan.wavio import WavNotFoundError
+
+    rows, _ = tiny_corpus
+    model, _ = load_model(tiny_checkpoint[0])
+    monkeypatch.setattr(scoring, "_usable_cpus", lambda: 2)
+    _pin_blas_by_environment(monkeypatch)
+    threads = _record_chunk_threads(monkeypatch, scoring)
+    broken = list(rows) * 10  # 240 rows: 15 chunks
+    broken[0] = replace(rows[0], path=str(tmp_path / "gone.wav"))
+    with pytest.raises(WavNotFoundError):
+        scoring.embed_rows(model, broken)
+    assert len(threads) < 15
+
+
+def test_embed_rows_leaves_grad_mode_on(tiny_corpus, tiny_checkpoint, tiny_run_cfg,
+                                        tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    from soundscan import autodiff as ad
+    from soundscan import scoring
+    from soundscan.network import MultiScaleNet, clip_features, load_model
+    from soundscan.wavio import WavNotFoundError
+
+    rows, _ = tiny_corpus
+    model, _ = load_model(tiny_checkpoint[0])
+    monkeypatch.setattr(scoring, "_usable_cpus", lambda: 2)
+    _pin_blas_by_environment(monkeypatch)
+    scoring.embed_rows(model, list(rows))
+    assert ad._grad_enabled is True
+    broken = list(rows)
+    broken[20] = replace(rows[20], path=str(tmp_path / "gone.wav"))
+    with pytest.raises(WavNotFoundError):
+        scoring.embed_rows(model, broken)
+    assert ad._grad_enabled is True
+
+    net = MultiScaleNet(tiny_run_cfg.model)
+    spec, spectrum = clip_features(scoring.load_wav(rows[0].path), net.cfg)
+    out = net(np.stack([spec, spec]), np.stack([spectrum, spectrum]))
+    assert out._backward is not None and out._parents
+
+
+def test_embed_rows_rejects_training_mode_and_zero_workers(tiny_corpus, tiny_run_cfg):
+    from soundscan.network import MultiScaleNet
+    from soundscan.scoring import embed_rows
+
+    rows, _ = tiny_corpus
+    model = MultiScaleNet(tiny_run_cfg.model)
+    with pytest.raises(ValueError, match="eval-mode"):
+        embed_rows(model, list(rows))
+    model.eval()
+    with pytest.raises(ValueError, match="max_workers"):
+        embed_rows(model, list(rows), max_workers=0)
+    assert embed_rows(model, []).shape == (0, model.embed_dim)

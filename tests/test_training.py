@@ -8,7 +8,7 @@ import pytest
 
 from soundscan.autodiff import Tensor
 from soundscan.data import ManifestRow
-from soundscan.errors import DataError
+from soundscan.errors import ConfigError, DataError
 from soundscan.network import MultiScaleNet
 from soundscan.training import (SubClusterHead, adacos_loss, build_label_space,
                                 initial_scale, label_smooth, mixup, train)
@@ -242,6 +242,25 @@ def test_training_requires_two_classes(tiny_run_cfg, tmp_path):
         train(rows, cfg, log_stream=io.StringIO())
     with pytest.raises(DataError):
         train([], cfg, log_stream=io.StringIO())
+
+
+def test_training_refuses_a_batch_beyond_physical_memory(tiny_run_cfg, tmp_path,
+                                                         monkeypatch):
+    from soundscan import training
+
+    # micro preset: 0.18 MB of patch stacks per clip, 1.4 MB for a full batch of 8
+    monkeypatch.setattr(training, "physical_memory", lambda: 1 << 20)
+    # the WAVs do not exist: the check must come before any is read
+    rows = [row(str(tmp_path / f"{t}{i}.wav"), t, "id_00")
+            for t in ("fan", "pump") for i in range(5)]
+    with pytest.raises(ConfigError, match=r"batch of 8 clips needs at least 1\.4 MB"):
+        train(rows, tiny_run_cfg, log_stream=io.StringIO())
+    # a corpus smaller than one batch is bounded by its own size: 2 clips fit
+    with pytest.raises(DataError):
+        train(rows[4:6], tiny_run_cfg, log_stream=io.StringIO())
+    monkeypatch.setattr(training, "physical_memory", lambda: 2 << 20)
+    with pytest.raises(DataError):
+        train(rows, tiny_run_cfg, log_stream=io.StringIO())
 
 
 def test_every_branch_receives_gradient(tiny_corpus, tiny_run_cfg):
