@@ -464,6 +464,7 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
     """Batched 1-D cross-correlation, no padding.
 
     x: (B, C_in, L), weight: (C_out, C_in, k); L' = floor((L - k)/stride) + 1.
+    Runs as conv2d over a (B, C_in, 1, L) view with a (C_out, C_in, 1, k) kernel.
     """
     B, C, L = x.data.shape
     c_out, c_in, k = weight.data.shape
@@ -471,33 +472,9 @@ def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 
         raise ValueError(f"conv1d channel mismatch: input {C}, weight {c_in}")
     if k > L:
         raise ValueError(f"conv1d kernel {k} longer than input {L}")
-
-    def build():
-        l_out = (L - k) // stride + 1
-        cell = np.repeat(np.arange(C) * L, k) + np.tile(np.arange(k), C)
-        origin = np.arange(l_out) * stride
-        return origin[:, None] + cell[None, :], l_out
-
-    idx, l_out = _gather_indices(("c1", C, L, k, stride), build)
-    col = np.take(x.data.reshape(B, -1), idx, axis=1).reshape(B * l_out, C * k)
-    w_mat = weight.data.reshape(c_out, -1)
-    out = col @ w_mat.T                                   # (B*L', C_out)
-    if bias is not None:
-        out = out + bias.data
-    data = np.ascontiguousarray(out.reshape(B, l_out, c_out).transpose(0, 2, 1))
-
-    def backward(g):
-        g_mat = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(B * l_out, c_out)
-        gw = (g_mat.T @ col).reshape(weight.shape) if _needs(weight) else None
-        gb = g.sum(axis=(0, 2)) if bias is not None and _needs(bias) else None
-        gx = None
-        if _needs(x):
-            g_col = (g_mat @ w_mat).reshape(B, l_out * C * k)
-            gx = _scatter_rows(g_col, idx, C * L).reshape(B, C, L)
-        return (gx, gw, gb) if bias is not None else (gx, gw)
-
-    parents = (x, weight, bias) if bias is not None else (x, weight)
-    return _record(data, parents, backward)
+    out = conv2d(x.reshape(B, C, 1, L), weight.reshape(c_out, c_in, 1, k), bias,
+                 stride=(1, stride))
+    return out.reshape(B, c_out, out.shape[3])
 
 
 def max_pool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:

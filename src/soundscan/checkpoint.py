@@ -16,6 +16,7 @@ identical bytes.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -46,7 +47,12 @@ def save_container(path, arrays: dict, config_echo: str = "") -> None:
 
 
 def load_container(path):
-    """Returns (arrays: dict[str, ndarray], config_echo: str)."""
+    """Returns (arrays: dict[str, ndarray], config_echo: str).
+
+    Raises CheckpointError for a missing file, a foreign or other-version
+    header, and a container that is cut short, carries bytes past its last
+    array, or holds text that is not UTF-8.
+    """
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -59,29 +65,37 @@ def load_container(path):
     if version != VERSION:
         raise CheckpointError(f"{path}: container version {version}, expected {VERSION}")
 
+    view = memoryview(raw)      # slices without copying the array data
     pos = 8
-    (echo_len,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
-    echo = raw[pos:pos + echo_len].decode("utf-8")
-    pos += echo_len
-    (count,) = struct.unpack_from("<I", raw, pos)
-    pos += 4
+
+    def take(size: int) -> memoryview:
+        nonlocal pos
+        if pos + size > len(raw):
+            raise CheckpointError(f"{path}: truncated container ({size} bytes wanted "
+                                  f"at offset {pos}, {len(raw)} in the file)")
+        pos += size
+        return view[pos - size:pos]
+
+    def text(size: int, what: str) -> str:
+        try:
+            return str(take(size), "utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: {what} is not UTF-8 text") from None
+
+    (echo_len,) = struct.unpack("<I", take(4))
+    echo = text(echo_len, "config echo")
+    (count,) = struct.unpack("<I", take(4))
 
     arrays = {}
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", raw, pos)
-            pos += 2
-            name = raw[pos:pos + name_len].decode("utf-8")
-            pos += name_len
-            (ndim,) = struct.unpack_from("<B", raw, pos)
-            pos += 1
-            shape = struct.unpack_from(f"<{ndim}I", raw, pos) if ndim else ()
-            pos += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            data = np.frombuffer(raw, dtype="<f8", count=size, offset=pos)
-            pos += size * 8
-            arrays[name] = data.reshape(shape).astype(np.float64)
-    except (struct.error, ValueError) as exc:
-        raise CheckpointError(f"{path}: truncated container ({exc})") from None
+    for _ in range(count):
+        (name_len,) = struct.unpack("<H", take(2))
+        name = text(name_len, "array name")
+        (ndim,) = struct.unpack("<B", take(1))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        size = math.prod(shape)
+        data = np.frombuffer(take(8 * size), dtype="<f8")
+        arrays[name] = data.reshape(shape).astype(np.float64)
+    if pos != len(raw):
+        raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes after the "
+                              f"last array")
     return arrays, echo

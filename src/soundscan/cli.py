@@ -221,10 +221,7 @@ def cmd_scan_analyze(args) -> int:
             print(f"warning: kernel {box} larger than {args.F}x{args.T}, skipped",
                   file=sys.stderr)
             continue
-        if m.scan_mode == "steps":
-            plan = scanning.plan_from_steps(args.F, args.T, box, m.f_step, m.t_step)
-        else:
-            plan = scanning.plan_from_counts(args.F, args.T, box, m.n_f, m.n_t)
+        plan = m.scan_plan(args.F, args.T, box)
         cover = scanning.coverage_map(args.F, args.T, box, plan)
         n = plan.patch_count
         print(f"{box},{box.h},{box.w},{plan.n_f},{plan.n_t},{n},"

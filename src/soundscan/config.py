@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
-from .scanning import KernelBox, default_kernel_set
+from .scanning import KernelBox, default_kernel_set, plan_from_counts, plan_from_steps
 
 
 @dataclass
@@ -61,6 +61,13 @@ class ModelConfig:
     @property
     def embed_dim(self) -> int:
         return self.stage_channels[-1] + self.patch_embed_dim + self.spectrum_linear_width
+
+    def scan_plan(self, F: int, T: int, box: KernelBox):
+        """The anchor grid of `box` over an F x T spectrogram, from the fixed
+        steps or from the scan counts, as `scan_mode` says."""
+        if self.scan_mode == "steps":
+            return plan_from_steps(F, T, box, self.f_step, self.t_step)
+        return plan_from_counts(F, T, box, self.n_f, self.n_t)
 
     def validate(self) -> None:
         if self.sample_rate <= 0 or self.clip_seconds <= 0:

@@ -5,6 +5,9 @@ two scans the spectrogram with multi-scale kernel boxes and pushes every
 patch stack through one weight-shared patch encoder; branch three encodes
 the utterance-level spectrum with strided 1-D convolutions. The three
 embeddings are concatenated and L2-normalized.
+
+`load_waves` and `features_for_batch` are the one feature path that both
+training and embedding take from WAV files to the model's inputs.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from . import nn
 from .autodiff import Tensor
 from .checkpoint import load_container
 from .config import ModelConfig, RunConfig, parse_config_text
-from .dsp import AudioClip, fix_length, stft_magnitude, utterance_spectrum
+from .dsp import AudioClip, fix_length, load_wav, stft_magnitude, utterance_spectrum
 from .errors import ConfigError, DataError
-from .scanning import plan_from_counts, plan_from_steps, scan_array, usable_kernels
+from .scanning import scan_array, usable_kernels
 
 
 def conv_out(n: int, k: int, s: int, p: int) -> int:
@@ -200,12 +203,7 @@ class MultiScaleNet(nn.Module):
         if not self.kernels:
             raise ConfigError(f"no kernel from {list(map(str, cfg.kernels))} fits a "
                               f"{F}x{T} spectrogram")
-        if cfg.scan_mode == "steps":
-            self.plans = [plan_from_steps(F, T, k, cfg.f_step, cfg.t_step)
-                          for k in self.kernels]
-        else:
-            self.plans = [plan_from_counts(F, T, k, cfg.n_f, cfg.n_t)
-                          for k in self.kernels]
+        self.plans = [cfg.scan_plan(F, T, k) for k in self.kernels]
 
         rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
         self.spectrogram_encoder = SpectrogramEncoder(
@@ -217,8 +215,7 @@ class MultiScaleNet(nn.Module):
             cfg.spectrum_bins, cfg.spectrum_channels, cfg.spectrum_kernels,
             cfg.spectrum_strides, cfg.spectrum_linear_width,
             cfg.spectrum_linear_count, rng)
-        self.embed_dim = (self.spectrogram_encoder.out_dim
-                          + cfg.patch_embed_dim + self.spectrum_encoder.out_dim)
+        self.embed_dim = cfg.embed_dim
 
     def scan_batch(self, spec_batch: np.ndarray):
         """Per-kernel patch stacks (B, N_k, h, w) from a (B, F, T) batch."""
@@ -251,22 +248,27 @@ class MultiScaleNet(nn.Module):
         }
 
 
-def clip_features(clip: AudioClip, cfg: ModelConfig):
-    """(spectrogram, spectrum) arrays for one clip, after length fixing."""
-    if clip.sample_rate != cfg.sample_rate:
-        raise DataError(f"clip sampled at {clip.sample_rate} Hz, config expects "
-                        f"{cfg.sample_rate} Hz")
-    fixed = fix_length(clip, cfg.clip_seconds)
-    spec = stft_magnitude(fixed, cfg.stft_window, cfg.stft_hop)
-    spectrum = utterance_spectrum(fixed)
-    return spec.values, spectrum.values
+def load_waves(rows, cfg: ModelConfig) -> np.ndarray:
+    """(len(rows), clip_samples) waveforms read from the rows' WAV files and
+    tiled or truncated to the configured clip length."""
+    waves = []
+    for row in rows:
+        clip = load_wav(row.path)
+        if clip.sample_rate != cfg.sample_rate:
+            raise DataError(f"{row.path}: sampled at {clip.sample_rate} Hz, "
+                            f"config expects {cfg.sample_rate} Hz")
+        waves.append(fix_length(clip, cfg.clip_seconds).samples)
+    return np.stack(waves)
 
 
-def waveform_features(samples: np.ndarray, cfg: ModelConfig):
-    """Features for an already length-fixed waveform (training fast path)."""
-    clip = AudioClip(samples, cfg.sample_rate)
-    spec = stft_magnitude(clip, cfg.stft_window, cfg.stft_hop)
-    return spec.values, utterance_spectrum(clip).values
+def features_for_batch(waves: np.ndarray, cfg: ModelConfig):
+    """(spectrograms (B, F, T), spectra (B, bins)) for length-fixed waveforms."""
+    specs, spectra = [], []
+    for samples in waves:
+        clip = AudioClip(samples, cfg.sample_rate)
+        specs.append(stft_magnitude(clip, cfg.stft_window, cfg.stft_hop).values)
+        spectra.append(utterance_spectrum(clip).values)
+    return np.stack(specs), np.stack(spectra)
 
 
 def load_model(path) -> tuple[MultiScaleNet, RunConfig]:

@@ -17,9 +17,9 @@ import numpy as np
 
 from .checkpoint import load_container, save_container
 from .config import config_text, parse_config_text
-from .dsp import load_wav
 from .errors import DataError
-from .network import clip_features, load_model
+from .metrics import group_key_for
+from .network import features_for_batch, load_model, load_waves
 from . import autodiff as ad
 
 
@@ -232,9 +232,7 @@ class PrototypeStore:
         self._by_group.setdefault(ps.group_key, {})[ps.domain] = ps
 
     def group_key(self, row) -> str:
-        if self.mode == "per-id":
-            return f"{row.machine_type}/{row.id_or_attr}"
-        return row.machine_type
+        return group_key_for(row, self.mode)
 
     def sets_for(self, row):
         return list(self._by_group.get(self.group_key(row), {}).values())
@@ -305,8 +303,8 @@ def _embedding_pool(chunks: int, max_workers):
 
 
 def _embed_chunk(model, rows) -> np.ndarray:
-    specs, spectra = zip(*(clip_features(load_wav(row.path), model.cfg) for row in rows))
-    return model(np.stack(specs), np.stack(spectra)).data
+    specs, spectra = features_for_batch(load_waves(rows, model.cfg), model.cfg)
+    return model(specs, spectra).data
 
 
 def embed_rows(model, rows, max_workers=None) -> np.ndarray:
@@ -338,10 +336,9 @@ def embed_rows(model, rows, max_workers=None) -> np.ndarray:
 def group_train_rows(rows, mode: str) -> dict:
     """(group key, domain) -> row indices. per-id keys are type/ID; per-type
     keys are the machine type with source/target kept apart when tagged."""
-    store = PrototypeStore(mode)
     groups: dict = {}
     for i, row in enumerate(rows):
-        key = store.group_key(row)
+        key = group_key_for(row, mode)
         domain = row.domain if (mode == "per-type" and row.domain) else "all"
         groups.setdefault((key, domain), []).append(i)
     return groups

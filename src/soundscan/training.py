@@ -15,9 +15,8 @@ from . import nn
 from .autodiff import Adam, Parameter, Tensor
 from .config import RunConfig, config_text
 from .checkpoint import save_container
-from .dsp import fix_length, load_wav
 from .errors import ConfigError, DataError
-from .network import MultiScaleNet, waveform_features
+from .network import MultiScaleNet, features_for_batch, load_waves
 
 
 # -- label space ---------------------------------------------------------------
@@ -92,7 +91,7 @@ class SubClusterHead(nn.Module):
         centers = rng.standard_normal((n_classes * subclusters, embed_dim))
         centers /= np.linalg.norm(centers, axis=1, keepdims=True)
         self.centers = Parameter(centers)
-        self.s0 = float(np.sqrt(2.0) * np.log(n_classes * subclusters - 1))
+        self.s0 = initial_scale(n_classes, subclusters)
         self.register_buffer("scale", np.array([self.s0]))
 
     def renormalize(self) -> None:
@@ -201,22 +200,6 @@ def check_batch_fits(model: MultiScaleNet, batch_clips: int) -> None:
             f"fewer or smaller patches")
 
 
-def load_training_waves(rows, model_cfg) -> np.ndarray:
-    waves = []
-    for row in rows:
-        clip = load_wav(row.path)
-        if clip.sample_rate != model_cfg.sample_rate:
-            raise DataError(f"{row.path}: sampled at {clip.sample_rate} Hz, "
-                            f"config expects {model_cfg.sample_rate} Hz")
-        waves.append(fix_length(clip, model_cfg.clip_seconds).samples)
-    return np.stack(waves)
-
-
-def features_for_batch(waves: np.ndarray, model_cfg):
-    specs, spectra = zip(*(waveform_features(w, model_cfg) for w in waves))
-    return np.stack(specs), np.stack(spectra)
-
-
 def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
           log_stream=None) -> TrainResult:
     """Train on the manifest's train split; deterministic given the seed.
@@ -241,7 +224,7 @@ def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
     model = MultiScaleNet(model_cfg)
     # the largest batch the loop below takes
     check_batch_fits(model, min(train_cfg.batch_size, len(train_rows)))
-    waves = load_training_waves(train_rows, model_cfg)
+    waves = load_waves(train_rows, model_cfg)
     labels = np.array([label_space.class_of(r) for r in train_rows])
     C = len(label_space)
     one_hot = np.eye(C)[labels]

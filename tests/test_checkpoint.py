@@ -61,3 +61,34 @@ def test_truncated_container_rejected(tmp_path):
 def test_missing_file(tmp_path):
     with pytest.raises(CheckpointError):
         load_container(tmp_path / "absent.bin")
+
+
+def _small_container(path):
+    save_container(path, {"a": np.arange(3.0), "b": np.array(2.5), "c": np.ones((2, 1))},
+                   "seed=1\n")
+    return path.read_bytes()
+
+
+def test_container_cut_at_any_byte_rejected(tmp_path):
+    raw = _small_container(tmp_path / "full.bin")
+    path = tmp_path / "cut.bin"
+    for size in range(len(raw)):
+        path.write_bytes(raw[:size])
+        with pytest.raises(CheckpointError):
+            load_container(path)
+
+
+def test_non_utf8_config_echo_rejected(tmp_path):
+    path = tmp_path / "u.bin"
+    raw = bytearray(_small_container(path))
+    raw[12] = 0xFF  # first byte of the echo text
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="UTF-8"):
+        load_container(path)
+
+
+def test_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "j.bin"
+    path.write_bytes(_small_container(path) + b"\x00")
+    with pytest.raises(CheckpointError, match="trailing"):
+        load_container(path)

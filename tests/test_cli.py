@@ -181,6 +181,36 @@ def test_bad_checkpoint_is_exit_3(capsys, tmp_path, tiny_corpus):
     assert code == 3
 
 
+def test_truncated_checkpoint_is_exit_3(capsys, tmp_path, tiny_corpus, tiny_checkpoint):
+    _, root = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(ckpt.read_bytes()[:20])  # inside the config echo
+    code, _, err = run(capsys, "embed", "--manifest", str(root / "manifest.csv"),
+                       "--checkpoint", str(cut), "--out", str(tmp_path / "e.bin"))
+    assert code == 3
+    assert "truncated" in err
+    assert not (tmp_path / "e.bin").exists()
+
+
+def test_wav_at_another_rate_is_exit_3(capsys, tmp_path, tiny_corpus, tiny_checkpoint):
+    from dataclasses import replace
+
+    from soundscan.data import save_manifest
+    from soundscan.wavio import write_wav
+
+    rows, _ = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    odd = tmp_path / "at_16k.wav"
+    write_wav(odd, np.zeros(16000), 16000)  # the checkpoint expects 8000 Hz
+    manifest = tmp_path / "manifest.csv"
+    save_manifest(list(rows[:3]) + [replace(rows[3], path=str(odd))], manifest)
+    code, _, err = run(capsys, "embed", "--manifest", str(manifest),
+                       "--checkpoint", str(ckpt), "--out", str(tmp_path / "e.bin"))
+    assert code == 3
+    assert "error: data" in err and str(odd) in err and "16000 Hz" in err
+
+
 def test_pipeline_smoke(capsys, tmp_path, tiny_run_cfg):
     """synth -> train -> embed -> score -> eval, all through the CLI."""
     cfg_path = tmp_path / "run.cfg"

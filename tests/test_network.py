@@ -11,7 +11,7 @@ from soundscan.autodiff import Tensor
 from soundscan.config import ModelConfig, micro_preset
 from soundscan.errors import ConfigError
 from soundscan.network import (MultiScaleNet, PatchEncoder, SpectrogramEncoder,
-                               SpectrumEncoder, waveform_features)
+                               SpectrumEncoder, features_for_batch)
 from soundscan.scanning import KernelBox
 
 
@@ -244,9 +244,7 @@ def test_forward_unit_norm_and_determinism():
     model = MultiScaleNet(cfg).eval()
     rng = np.random.default_rng(13)
     waves = rng.uniform(-0.5, 0.5, (3, cfg.clip_samples))
-    feats = [waveform_features(w, cfg) for w in waves]
-    specs = np.stack([f[0] for f in feats])
-    spectra = np.stack([f[1] for f in feats])
+    specs, spectra = features_for_batch(waves, cfg)
     with ad.no_grad():
         out1 = model(specs, spectra)
         out2 = model(specs, spectra)
@@ -265,9 +263,9 @@ def test_waveform_scaling_never_nan():
     embeddings = []
     try:
         for scale in (1e-3, 1.0, 1e3):
-            spec, spectrum = waveform_features(scale * base, cfg)
+            specs, spectra = features_for_batch((scale * base)[None], cfg)
             with ad.no_grad():
-                out = model(spec[None], spectrum[None])
+                out = model(specs, spectra)
             assert np.all(np.isfinite(out.data))
             embeddings.append(out.data[0])
     finally:

@@ -439,7 +439,7 @@ def test_embed_rows_leaves_grad_mode_on(tiny_corpus, tiny_checkpoint, tiny_run_c
 
     from soundscan import autodiff as ad
     from soundscan import scoring
-    from soundscan.network import MultiScaleNet, clip_features, load_model
+    from soundscan.network import MultiScaleNet, features_for_batch, load_model, load_waves
     from soundscan.wavio import WavNotFoundError
 
     rows, _ = tiny_corpus
@@ -455,8 +455,8 @@ def test_embed_rows_leaves_grad_mode_on(tiny_corpus, tiny_checkpoint, tiny_run_c
     assert ad._grad_enabled is True
 
     net = MultiScaleNet(tiny_run_cfg.model)
-    spec, spectrum = clip_features(scoring.load_wav(rows[0].path), net.cfg)
-    out = net(np.stack([spec, spec]), np.stack([spectrum, spectrum]))
+    specs, spectra = features_for_batch(load_waves([rows[0], rows[0]], net.cfg), net.cfg)
+    out = net(specs, spectra)
     assert out._backward is not None and out._parents
 
 

@@ -267,14 +267,14 @@ def test_every_branch_receives_gradient(tiny_corpus, tiny_run_cfg):
     # dead-branch detector: over a few batches, every parameter tensor
     # must accumulate a nonzero gradient somewhere
     import copy
+    from soundscan.network import load_waves
     from soundscan.training import (SubClusterHead, adacos_loss,
-                                    build_label_space, features_for_batch,
-                                    load_training_waves)
+                                    build_label_space, features_for_batch)
     rows, _ = tiny_corpus
     cfg = copy.deepcopy(tiny_run_cfg)
     train_rows = [r for r in rows if r.split == "train"]
     space = build_label_space(train_rows)
-    waves = load_training_waves(train_rows, cfg.model)
+    waves = load_waves(train_rows, cfg.model)
     labels = np.array([space.class_of(r) for r in train_rows])
     one_hot = np.eye(len(space))[labels]
 
