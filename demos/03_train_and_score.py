@@ -10,8 +10,8 @@ acceptance suite pushes held-out AUC to ~1.0.
 import tempfile
 from pathlib import Path
 
-from soundscan import (LabeledScores, aggregate, auc, build_prototype_store,
-                       micro_preset, score_dataset, train)
+from soundscan import (LabeledScores, aggregate, auc, cluster_prototypes,
+                       load_model, micro_preset, score_test_rows, train)
 from soundscan.data import SynthConfig, synth_dataset
 
 workdir = Path(tempfile.mkdtemp(prefix="soundscan_demo_"))
@@ -31,10 +31,11 @@ result = train(rows, run_cfg, out_checkpoint=checkpoint,
 print(f"loss: {result.losses[0]:.3f} -> {result.losses[-1]:.3f}, "
       f"final scale {result.scales[-1]:.2f}")
 
-store = build_prototype_store(rows, checkpoint, mode="per-type",
-                              prototypes=run_cfg.scoring.prototypes,
-                              seed=run_cfg.model.seed)
-scores, _ = score_dataset(rows, store, checkpoint)
+model, _ = load_model(checkpoint)       # loaded once, used by both steps
+store = cluster_prototypes(rows, model, mode="per-type",
+                           prototypes=run_cfg.scoring.prototypes,
+                           seed=run_cfg.model.seed)
+scores, _ = score_test_rows(rows, store, model)
 score_map = dict(scores)
 
 print(f"\n{'machine type':>12} {'AUC':>7}")

@@ -10,7 +10,7 @@ from .dsp import AudioClip, Spectrogram, Spectrum, fix_length, load_wav, stft_ma
 from .metrics import LabeledScores, MetricReport, aggregate, auc, evaluate, pauc
 from .network import MultiScaleNet, load_model
 from .scanning import KernelBox, PatchStack, ScanPlan, coverage_map, default_kernel_set, plan_from_counts, plan_from_steps, scan, steps_from_counts
-from .scoring import PrototypeSet, PrototypeStore, anomaly_score, build_prototype_store, cosine_distance, kmeans, score_dataset
+from .scoring import PrototypeSet, PrototypeStore, anomaly_score, cluster_prototypes, kmeans, score_test_rows
 from .training import LabelSpace, SubClusterHead, adacos_loss, build_label_space, label_smooth, mixup, train
 
 __version__ = "0.1.0"
@@ -25,8 +25,8 @@ __all__ = [
     "MultiScaleNet", "load_model",
     "LabelSpace", "SubClusterHead", "build_label_space", "mixup",
     "label_smooth", "adacos_loss", "train",
-    "PrototypeSet", "PrototypeStore", "kmeans", "cosine_distance",
-    "anomaly_score", "build_prototype_store", "score_dataset",
+    "PrototypeSet", "PrototypeStore", "kmeans", "anomaly_score",
+    "cluster_prototypes", "score_test_rows",
     "LabeledScores", "MetricReport", "auc", "pauc", "aggregate", "evaluate",
     "__version__",
 ]

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import checkpoint, config, data, metrics, scanning, scoring
-from .errors import CheckpointError, ConfigError, DataError
+from .errors import ConfigError, DataError
 
 
 def _add_common(parser, needs_seed=True):
@@ -147,7 +147,7 @@ def cmd_score(args) -> int:
         train_rows, model, cfg.scoring.scoring_mode,
         cfg.scoring.prototypes, cfg.model.seed, args.threads)
     if args.store:
-        store.save(args.store, run_cfg=cfg)
+        store.save(args.store, config.config_text(cfg))
     scores, unknown = scoring.score_test_rows(test_rows, store, model, args.threads)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("filename,score\n")
@@ -247,10 +247,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"soundscan: error: config: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"soundscan: error: data: {exc}", file=sys.stderr)
-        return 3
-    except CheckpointError as exc:
+    except DataError as exc:     # CheckpointError included
         print(f"soundscan: error: data: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # noqa: BLE001 - single-line runtime category

@@ -7,7 +7,7 @@ checkpoints so a model can be rebuilt from its checkpoint alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
 from .scanning import KernelBox, default_kernel_set, plan_from_counts, plan_from_steps
@@ -166,18 +166,6 @@ class RunConfig:
 
 # -- flat key=value codec -----------------------------------------------------
 
-def _parse_int(s):
-    return int(s)
-
-
-def _parse_float(s):
-    return float(s)
-
-
-def _parse_str(s):
-    return s
-
-
 def _parse_int_tuple(s):
     return tuple(int(v) for v in s.split(",") if v != "")
 
@@ -207,59 +195,54 @@ def _show(value):
     return str(value)
 
 
-_SECTIONS = {"model": ModelConfig, "train": TrainConfig,
-             "scoring": ScoringConfig, "synth": SynthSettings}
-
 # config-file key -> (section, dataclass field, parser)
 KEY_TABLE = {
-    "sample_rate": ("model", "sample_rate", _parse_int),
-    "clip_seconds": ("model", "clip_seconds", _parse_float),
-    "stft_window": ("model", "stft_window", _parse_int),
-    "stft_hop": ("model", "stft_hop", _parse_int),
+    "sample_rate": ("model", "sample_rate", int),
+    "clip_seconds": ("model", "clip_seconds", float),
+    "stft_window": ("model", "stft_window", int),
+    "stft_hop": ("model", "stft_hop", int),
     "kernels": ("model", "kernels", _parse_kernels),
-    "scan_mode": ("model", "scan_mode", _parse_str),
-    "f_step": ("model", "f_step", _parse_int),
-    "t_step": ("model", "t_step", _parse_int),
-    "n_f": ("model", "n_f", _parse_int),
-    "n_t": ("model", "n_t", _parse_int),
-    "stem_channels": ("model", "stem_channels", _parse_int),
+    "scan_mode": ("model", "scan_mode", str),
+    "f_step": ("model", "f_step", int),
+    "t_step": ("model", "t_step", int),
+    "n_f": ("model", "n_f", int),
+    "n_t": ("model", "n_t", int),
+    "stem_channels": ("model", "stem_channels", int),
     "stage_channels": ("model", "stage_channels", _parse_int_tuple),
     "patch_channels": ("model", "patch_channels", _parse_int_tuple),
-    "patch_embed_dim": ("model", "patch_embed_dim", _parse_int),
-    "patch_hidden_dim": ("model", "patch_hidden_dim", _parse_int),
+    "patch_embed_dim": ("model", "patch_embed_dim", int),
+    "patch_hidden_dim": ("model", "patch_hidden_dim", int),
     "spectrum_channels": ("model", "spectrum_channels", _parse_int_tuple),
     "spectrum_kernels": ("model", "spectrum_kernels", _parse_int_tuple),
     "spectrum_strides": ("model", "spectrum_strides", _parse_int_tuple),
-    "spectrum_linear_width": ("model", "spectrum_linear_width", _parse_int),
-    "spectrum_linear_count": ("model", "spectrum_linear_count", _parse_int),
-    "se_reduction": ("model", "se_reduction", _parse_int),
-    "subclusters": ("model", "subclusters", _parse_int),
-    "label_schema": ("model", "label_schema", _parse_str),
-    "seed": ("model", "seed", _parse_int),
-    "lr": ("train", "lr", _parse_float),
-    "batch_size": ("train", "batch_size", _parse_int),
-    "epochs": ("train", "epochs", _parse_int),
-    "mixup_alpha": ("train", "mixup_alpha", _parse_float),
-    "smooth_max": ("train", "smooth_max", _parse_float),
-    "mixup_prob": ("train", "mixup_prob", _parse_float),
-    "prototypes": ("scoring", "prototypes", _parse_int),
-    "scoring_mode": ("scoring", "scoring_mode", _parse_str),
-    "aggregate": ("scoring", "aggregate", _parse_str),
-    "synth_classes": ("synth", "classes", _parse_int),
-    "synth_train_clips": ("synth", "train_clips", _parse_int),
-    "synth_test_normal": ("synth", "test_normal", _parse_int),
-    "synth_test_anomaly": ("synth", "test_anomaly", _parse_int),
+    "spectrum_linear_width": ("model", "spectrum_linear_width", int),
+    "spectrum_linear_count": ("model", "spectrum_linear_count", int),
+    "se_reduction": ("model", "se_reduction", int),
+    "subclusters": ("model", "subclusters", int),
+    "label_schema": ("model", "label_schema", str),
+    "seed": ("model", "seed", int),
+    "lr": ("train", "lr", float),
+    "batch_size": ("train", "batch_size", int),
+    "epochs": ("train", "epochs", int),
+    "mixup_alpha": ("train", "mixup_alpha", float),
+    "smooth_max": ("train", "smooth_max", float),
+    "mixup_prob": ("train", "mixup_prob", float),
+    "prototypes": ("scoring", "prototypes", int),
+    "scoring_mode": ("scoring", "scoring_mode", str),
+    "aggregate": ("scoring", "aggregate", str),
+    "synth_classes": ("synth", "classes", int),
+    "synth_train_clips": ("synth", "train_clips", int),
+    "synth_test_normal": ("synth", "test_normal", int),
+    "synth_test_anomaly": ("synth", "test_anomaly", int),
     "synth_base_freqs": ("synth", "base_freqs", _parse_float_tuple),
-    "synth_anomaly": ("synth", "anomaly_kind", _parse_str),
-    "synth_noise": ("synth", "noise_floor", _parse_float),
+    "synth_anomaly": ("synth", "anomaly_kind", str),
+    "synth_noise": ("synth", "noise_floor", float),
 }
 
 
 def apply_overrides(cfg: RunConfig, pairs) -> RunConfig:
     """Apply (key, raw value) overrides on top of a RunConfig."""
-    sections = {"model": cfg.model, "train": cfg.train,
-                "scoring": cfg.scoring, "synth": cfg.synth}
-    updates = {name: {} for name in sections}
+    updates = {f.name: {} for f in fields(RunConfig)}
     for key, raw in pairs:
         if key not in KEY_TABLE:
             raise ConfigError(f"unknown config key {key!r}")
@@ -270,8 +253,8 @@ def apply_overrides(cfg: RunConfig, pairs) -> RunConfig:
             raise
         except Exception as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
-    return RunConfig(**{name: replace(obj, **updates[name])
-                        for name, obj in sections.items()})
+    return RunConfig(**{name: replace(getattr(cfg, name), **changes)
+                        for name, changes in updates.items()})
 
 
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
@@ -298,11 +281,9 @@ def load_config(path) -> RunConfig:
 
 def config_text(cfg: RunConfig) -> str:
     """Serialize a RunConfig to the flat key=value format, fixed key order."""
-    sections = {"model": cfg.model, "train": cfg.train,
-                "scoring": cfg.scoring, "synth": cfg.synth}
     lines = []
     for key, (section, attr, _) in KEY_TABLE.items():
-        value = getattr(sections[section], attr)
+        value = getattr(getattr(cfg, section), attr)
         if value is None:
             continue
         lines.append(f"{key}={_show(value)}")

@@ -17,5 +17,6 @@ class DataError(SoundScanError):
     """Missing, malformed, or mismatched input data."""
 
 
-class CheckpointError(SoundScanError):
-    """Unreadable checkpoint container or version mismatch."""
+class CheckpointError(DataError):
+    """Unreadable checkpoint container, version mismatch, or arrays that do
+    not fit the model."""

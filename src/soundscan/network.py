@@ -20,7 +20,7 @@ from .autodiff import Tensor
 from .checkpoint import load_container
 from .config import ModelConfig, RunConfig, parse_config_text
 from .dsp import AudioClip, fix_length, load_wav, stft_magnitude, utterance_spectrum
-from .errors import ConfigError, DataError
+from .errors import CheckpointError, ConfigError, DataError
 from .scanning import scan_array, usable_kernels
 
 
@@ -285,6 +285,10 @@ def load_model(path) -> tuple[MultiScaleNet, RunConfig]:
             prefix = kind + "model."
             if key.startswith(prefix):
                 state[kind + key[len(prefix):]] = value
-    model.load_state_dict(state)
+    try:
+        model.load_state_dict(state)
+    except (KeyError, ValueError) as exc:
+        raise CheckpointError(f"{path}: does not hold the model its config "
+                              f"describes: {exc.args[0]}") from None
     model.eval()
     return model, run_cfg

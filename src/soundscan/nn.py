@@ -64,13 +64,22 @@ class Module:
         return state
 
     def load_state_dict(self, state: dict) -> None:
+        """Copy the "param/<name>" and "buffer/<name>" arrays into the module.
+
+        Raises KeyError for the first missing array and ValueError for the
+        first one whose shape differs from the module's.
+        """
+        def source(key, shape):
+            if key not in state:
+                raise KeyError(f"no array {key}")
+            if state[key].shape != shape:
+                raise ValueError(f"shape mismatch for {key}: {state[key].shape} vs {shape}")
+            return state[key]
+
         for name, p in self.named_parameters():
-            src = state[f"param/{name}"]
-            if src.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name}: {src.shape} vs {p.data.shape}")
-            p.data = src.copy()
+            p.data = source(f"param/{name}", p.data.shape).copy()
         for name, b in self.named_buffers():
-            b[...] = state[f"buffer/{name}"]
+            b[...] = source(f"buffer/{name}", b.shape)
 
     def __call__(self, *args, **kwargs):
         return self.forward(*args, **kwargs)

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import load_container, save_container
-from .config import config_text, parse_config_text
+from .config import parse_config_text
 from .errors import DataError
 from .metrics import group_key_for
-from .network import features_for_batch, load_model, load_waves
+from .network import features_for_batch, load_waves
 from . import autodiff as ad
 
 
@@ -200,13 +200,9 @@ def kmeans(embeddings: np.ndarray, prototypes: int, seed,
     return unit
 
 
-def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - a.b for unit vectors; range [0, 2]."""
-    return float(1.0 - np.dot(a, b))
-
-
 def anomaly_score(test_embedding: np.ndarray, prototype_sets) -> float:
-    """Minimum cosine distance over every centroid of every supplied set."""
+    """Minimum cosine distance, 1 - e.c for unit vectors (range [0, 2]), over
+    every centroid of every supplied set."""
     sets = [prototype_sets] if isinstance(prototype_sets, PrototypeSet) else list(prototype_sets)
     if not sets:
         raise DataError("no prototype sets supplied")
@@ -231,17 +227,15 @@ class PrototypeStore:
         self.sets[(ps.group_key, ps.domain)] = ps
         self._by_group.setdefault(ps.group_key, {})[ps.domain] = ps
 
-    def group_key(self, row) -> str:
-        return group_key_for(row, self.mode)
-
     def sets_for(self, row):
-        return list(self._by_group.get(self.group_key(row), {}).values())
+        return list(self._by_group.get(group_key_for(row, self.mode), {}).values())
 
-    def save(self, path, run_cfg=None, echo: str = "") -> None:
+    def save(self, path, echo: str = "") -> None:
+        """Write the store; `echo` is the run config text that `load` returns."""
         arrays = {f"proto/{key}\x1f{domain}": ps.centroids
                   for (key, domain), ps in self.sets.items()}
         arrays["meta/mode"] = np.array([1.0 if self.mode == "per-type" else 0.0])
-        save_container(path, arrays, config_text(run_cfg) if run_cfg is not None else echo)
+        save_container(path, arrays, echo)
 
     @classmethod
     def load(cls, path):
@@ -344,22 +338,14 @@ def group_train_rows(rows, mode: str) -> dict:
     return groups
 
 
-def build_prototype_store(train_rows, checkpoint_path, mode: str,
-                          prototypes: int, seed) -> PrototypeStore:
-    """Cluster normal training embeddings per group.
+def cluster_prototypes(train_rows, model, mode: str, prototypes: int,
+                       seed, max_workers=None) -> PrototypeStore:
+    """Cluster the train-split rows' embeddings per group, on a loaded model.
 
     per-id groups by (machine type, ID); per-type groups by machine type
     and keeps separate source/target prototype sets when the manifest
-    carries domain tags.
+    carries domain tags. `max_workers` caps the embedding threads.
     """
-    model, _ = load_model(checkpoint_path)
-    return cluster_prototypes(train_rows, model, mode, prototypes, seed)
-
-
-def cluster_prototypes(train_rows, model, mode: str, prototypes: int,
-                       seed, max_workers=None) -> PrototypeStore:
-    """build_prototype_store on an already loaded model; `max_workers` caps
-    the embedding threads."""
     rows = [r for r in train_rows if r.split == "train"]
     if not rows:
         raise DataError("no train rows to build prototypes from")
@@ -373,28 +359,19 @@ def cluster_prototypes(train_rows, model, mode: str, prototypes: int,
     return store
 
 
-def score_rows(test_rows, store: PrototypeStore, model, max_workers=None):
-    """(path, score) pairs in input order, plus paths with no matching group."""
+def score_test_rows(test_rows, store: PrototypeStore, model, max_workers=None):
+    """Score every test-split row against the store, on a loaded model.
+
+    Returns (path, score) pairs in row order, plus the paths of rows whose
+    group has no prototypes. `max_workers` caps the embedding threads.
+    """
+    rows = [r for r in test_rows if r.split == "test"]
     scores = []
     unknown = []
-    embeddings = embed_rows(model, list(test_rows), max_workers)
-    for row, emb in zip(test_rows, embeddings):
+    for row, emb in zip(rows, embed_rows(model, rows, max_workers)):
         sets = store.sets_for(row)
         if not sets:
             unknown.append(row.path)
             continue
         scores.append((row.path, anomaly_score(emb, sets)))
     return scores, unknown
-
-
-def score_dataset(test_rows, store: PrototypeStore, checkpoint_path):
-    """Score every test-split row against the store."""
-    model, _ = load_model(checkpoint_path)
-    return score_test_rows(test_rows, store, model)
-
-
-def score_test_rows(test_rows, store: PrototypeStore, model, max_workers=None):
-    """score_dataset on an already loaded model; `max_workers` caps the
-    embedding threads."""
-    return score_rows([r for r in test_rows if r.split == "test"], store, model,
-                      max_workers)

@@ -209,9 +209,7 @@ def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
     checkpoint container when `out_checkpoint` is given.
     """
     model_cfg, train_cfg = run_cfg.model, run_cfg.train
-    run_cfg.validate(require_seed=False)
-    if model_cfg.seed is None:
-        raise DataError("training requires a seed in the config")
+    run_cfg.validate(require_seed=True)
     stream = sys.stdout if log_stream is None else log_stream
 
     train_rows = [r for r in rows if r.split == "train"]

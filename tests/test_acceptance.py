@@ -19,9 +19,9 @@ from soundscan.config import ModelConfig, micro_preset
 from soundscan.data import SynthConfig, synth_dataset
 from soundscan.errors import DataError
 from soundscan.metrics import LabeledScores, aggregate, auc, pauc
-from soundscan.network import MultiScaleNet
+from soundscan.network import MultiScaleNet, load_model
 from soundscan.scanning import KernelBox, coverage_map, default_kernel_set, plan_from_steps, scan
-from soundscan.scoring import build_prototype_store, kmeans, score_dataset
+from soundscan.scoring import cluster_prototypes, kmeans, score_test_rows
 from soundscan.training import SubClusterHead, adacos_loss, train
 
 from gradcheck import numeric_gradient, max_rel_error
@@ -292,9 +292,10 @@ def _mean_test_auc(rows, score_map):
 def _train_and_score(rows, run_cfg, workdir, tag):
     ckpt = workdir / f"{tag}.ckpt"
     result = train(rows, run_cfg, out_checkpoint=ckpt, log_stream=io.StringIO())
-    store = build_prototype_store(rows, ckpt, run_cfg.scoring.scoring_mode,
-                                  run_cfg.scoring.prototypes, run_cfg.model.seed)
-    scores, unknown = score_dataset(rows, store, ckpt)
+    model, _ = load_model(ckpt)
+    store = cluster_prototypes(rows, model, run_cfg.scoring.scoring_mode,
+                               run_cfg.scoring.prototypes, run_cfg.model.seed)
+    scores, unknown = score_test_rows(rows, store, model)
     assert not unknown
     return dict(scores), result, ckpt
 
@@ -361,9 +362,10 @@ def test_criterion_7_determinism_and_persistence(tiny_corpus, tiny_run_cfg, tmp_
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
     def score_csv(ckpt):
-        store = build_prototype_store(rows, ckpt, cfg.scoring.scoring_mode,
-                                      cfg.scoring.prototypes, cfg.model.seed)
-        scores, _ = score_dataset(rows, store, ckpt)
+        model, _ = load_model(ckpt)
+        store = cluster_prototypes(rows, model, cfg.scoring.scoring_mode,
+                                   cfg.scoring.prototypes, cfg.model.seed)
+        scores, _ = score_test_rows(rows, store, model)
         return "".join(f"{p},{s:.6f}\n" for p, s in scores).encode()
 
     assert score_csv(tmp_path / "a.ckpt") == score_csv(tmp_path / "b.ckpt")

@@ -1,5 +1,6 @@
 """Binary container: round trips, byte stability, version handling."""
 
+import re
 import struct
 
 import numpy as np
@@ -92,3 +93,27 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(_small_container(path) + b"\x00")
     with pytest.raises(CheckpointError, match="trailing"):
         load_container(path)
+
+
+def test_arrays_that_do_not_fit_the_model_are_checkpoint_errors(tmp_path, tiny_checkpoint):
+    """A missing array, one of another shape and a buffer that would only
+    broadcast each raise CheckpointError naming the array, not KeyError or
+    ValueError, and never load silently."""
+    from soundscan.network import load_model
+
+    ckpt, _ = tiny_checkpoint
+    arrays, echo = load_container(ckpt)
+    param = next(k for k in sorted(arrays) if k.startswith("param/model."))
+    buffer = next(k for k in sorted(arrays)
+                  if k.startswith("buffer/model.") and arrays[k].size > 1)
+    cases = [
+        ({k: v for k, v in arrays.items() if k != param}, param),
+        ({**arrays, param: np.zeros(arrays[param].shape + (1,))}, param),
+        ({**arrays, buffer: np.zeros(1)}, buffer),
+    ]
+    path = tmp_path / "broken.ckpt"
+    for broken, key in cases:
+        save_container(path, broken, echo)
+        model_key = key.replace("model.", "", 1)
+        with pytest.raises(CheckpointError, match=re.escape(model_key)):
+            load_model(path)

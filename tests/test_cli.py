@@ -162,8 +162,9 @@ def test_score_loads_the_checkpoint_once(capsys, tmp_path, tiny_corpus, tiny_che
         loads.append(path)
         return original(path)
 
-    for module in (network, scoring):
-        monkeypatch.setattr(module, "load_model", counting_load)
+    # scoring takes a loaded model and has no loader of its own to call
+    assert not hasattr(scoring, "load_model")
+    monkeypatch.setattr(network, "load_model", counting_load)
     manifest = str(root / "manifest.csv")
     code, _, _ = run(capsys, "score", "--set", "seed=3", "--set", "prototypes=2",
                      "--set", "scoring_mode=per-type",
@@ -179,6 +180,27 @@ def test_bad_checkpoint_is_exit_3(capsys, tmp_path, tiny_corpus):
                        "--checkpoint", str(tmp_path / "no.ckpt"),
                        "--out", str(tmp_path / "e.bin"))
     assert code == 3
+
+
+def test_store_file_as_checkpoint_is_exit_3(capsys, tmp_path, tiny_corpus,
+                                            tiny_checkpoint):
+    """A prototype store carries a run config echo but none of the model's
+    arrays; loading it as a checkpoint names the first missing array."""
+    _, root = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    manifest = str(root / "manifest.csv")
+    store = tmp_path / "store.bin"
+    code, _, _ = run(capsys, "score", "--set", "seed=3", "--set", "prototypes=2",
+                     "--set", "scoring_mode=per-type",
+                     "--train-manifest", manifest, "--test-manifest", manifest,
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "s.csv"),
+                     "--store", str(store))
+    assert code == 0
+    code, _, err = run(capsys, "embed", "--manifest", manifest,
+                       "--checkpoint", str(store), "--out", str(tmp_path / "e.bin"))
+    assert code == 3
+    assert "error: data" in err and str(store) in err and "param/" in err
+    assert not (tmp_path / "e.bin").exists()
 
 
 def test_truncated_checkpoint_is_exit_3(capsys, tmp_path, tiny_corpus, tiny_checkpoint):
@@ -249,6 +271,21 @@ def test_pipeline_smoke(capsys, tmp_path, tiny_run_cfg):
                        "--checkpoint", str(ckpt), "--out", str(scores_csv),
                        "--store", str(tmp_path / "protos.bin"))
     assert code == 0
+    # the CLI store is cluster_prototypes + save on one loaded model, and
+    # carries the run config
+    from soundscan.config import load_config
+    from soundscan.data import load_manifest
+    from soundscan.network import load_model
+    from soundscan.scoring import PrototypeStore, cluster_prototypes
+    run_cfg = load_config(cfg_path)
+    model, _ = load_model(ckpt)
+    store = cluster_prototypes(load_manifest(manifest), model,
+                               run_cfg.scoring.scoring_mode,
+                               run_cfg.scoring.prototypes, run_cfg.model.seed)
+    store.save(tmp_path / "lib_protos.bin", config_text(run_cfg))
+    assert (tmp_path / "protos.bin").read_bytes() == \
+        (tmp_path / "lib_protos.bin").read_bytes()
+    assert PrototypeStore.load(tmp_path / "protos.bin")[1] == run_cfg
     score_lines = scores_csv.read_text().splitlines()
     assert score_lines[0] == "filename,score"
     assert len(score_lines) == 1 + 26  # 2 classes x (10 normal + 3 anomaly)

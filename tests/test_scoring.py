@@ -8,9 +8,10 @@ import pytest
 
 from soundscan.data import ManifestRow
 from soundscan.errors import DataError
+from soundscan.network import load_model
 from soundscan.scoring import (PrototypeSet, PrototypeStore, anomaly_score,
-                               build_prototype_store, cosine_distance,
-                               group_train_rows, kmeans, score_dataset)
+                               cluster_prototypes, embed_rows, group_train_rows,
+                               kmeans, score_test_rows)
 
 
 def best_two_partition_inertia(points):
@@ -212,11 +213,13 @@ def test_kmeans_deterministic_per_seed():
 # -- cosine scores --------------------------------------------------------------------
 
 def test_cosine_distance_reference_points():
+    # cosine distance to a one-centroid set at e1: 0 at e1, 1 at e2, 2 at -e1
     e1 = np.array([1.0, 0.0])
     e2 = np.array([0.0, 1.0])
-    assert cosine_distance(e1, e1) == 0.0
-    assert cosine_distance(e1, e2) == 1.0
-    assert cosine_distance(e1, -e1) == 2.0
+    at_e1 = PrototypeSet("g", "all", e1[None, :])
+    assert anomaly_score(e1, at_e1) == 0.0
+    assert anomaly_score(e2, at_e1) == 1.0
+    assert anomaly_score(-e1, at_e1) == 2.0
 
 
 def test_anomaly_score_hand_values():
@@ -299,25 +302,25 @@ def test_sets_for_follows_add_order_and_replacement(rng):
 def test_build_store_and_score_corpus(tiny_corpus, tiny_checkpoint, tiny_run_cfg):
     rows, _ = tiny_corpus
     ckpt, _ = tiny_checkpoint
-    store = build_prototype_store(rows, ckpt, "per-type",
-                                  tiny_run_cfg.scoring.prototypes, seed=0)
+    model, _ = load_model(ckpt)
+    store = cluster_prototypes(rows, model, "per-type",
+                               tiny_run_cfg.scoring.prototypes, seed=0)
     assert set(store.sets) == {("machine00", "all"), ("machine01", "all")}
     # 6 training clips with P=4 requested: full prototype count available
     assert store.sets[("machine00", "all")].count == 4
 
-    scores, unknown = score_dataset(rows, store, ckpt)
+    scores, unknown = score_test_rows(rows, store, model)
     test_rows = [r for r in rows if r.split == "test"]
     assert not unknown
     assert [p for p, _ in scores] == [r.path for r in test_rows]
     assert all(0.0 <= s <= 2.0 for _, s in scores)
 
     # normal training clips sit closer to their own prototypes than anomalies
-    from soundscan.network import load_model
-    from soundscan.scoring import score_rows
-    model, _ = load_model(ckpt)
-    train_scores, _ = score_rows([r for r in rows if r.split == "train"], store, model)
+    train_rows = [r for r in rows if r.split == "train"]
+    train_scores = [anomaly_score(emb, store.sets_for(row))
+                    for row, emb in zip(train_rows, embed_rows(model, train_rows))]
     score_map = dict(scores)
-    train_median = np.median([s for _, s in train_scores])
+    train_median = np.median(train_scores)
     anomaly_median = np.median([score_map[r.path] for r in test_rows
                                 if r.label == "anomaly"])
     assert train_median <= anomaly_median
@@ -326,10 +329,11 @@ def test_build_store_and_score_corpus(tiny_corpus, tiny_checkpoint, tiny_run_cfg
 def test_score_unknown_group_listed_not_fatal(tiny_corpus, tiny_checkpoint, tiny_run_cfg):
     rows, _ = tiny_corpus
     ckpt, _ = tiny_checkpoint
-    store = build_prototype_store(rows, ckpt, "per-type",
-                                  tiny_run_cfg.scoring.prototypes, seed=0)
+    model, _ = load_model(ckpt)
+    store = cluster_prototypes(rows, model, "per-type",
+                               tiny_run_cfg.scoring.prototypes, seed=0)
     stranger = ManifestRow(rows[0].path, "mystery", "id_09", "", "test", "normal")
-    scores, unknown = score_dataset(list(rows) + [stranger], store, ckpt)
+    scores, unknown = score_test_rows(list(rows) + [stranger], store, model)
     assert unknown == [stranger.path]
     assert len(scores) == sum(r.split == "test" for r in rows)
 

@@ -263,6 +263,18 @@ def test_training_refuses_a_batch_beyond_physical_memory(tiny_run_cfg, tmp_path,
         train(rows, tiny_run_cfg, log_stream=io.StringIO())
 
 
+def test_training_without_a_seed_is_config_error(tiny_run_cfg, tmp_path):
+    import copy
+
+    cfg = copy.deepcopy(tiny_run_cfg)
+    cfg.model.seed = None
+    # the WAVs do not exist: the seed check must come before any is read
+    rows = [row(str(tmp_path / f"{t}{i}.wav"), t, "id_00")
+            for t in ("fan", "pump") for i in range(3)]
+    with pytest.raises(ConfigError, match="seed"):
+        train(rows, cfg, log_stream=io.StringIO())
+
+
 def test_every_branch_receives_gradient(tiny_corpus, tiny_run_cfg):
     # dead-branch detector: over a few batches, every parameter tensor
     # must accumulate a nonzero gradient somewhere
