@@ -7,6 +7,11 @@ consumers are always created after their inputs), propagating pass-local
 gradients and accumulating them into ``.grad`` (+=). Double precision
 throughout.
 
+Image tensors are channels-last: (B, H, W, C) for the 2-D ops and
+(B, L, C) for conv1d, so a conv's (B*P, C_out) matmul output is already
+the next layer's input. Conv weights keep the stored (C_out, C_in, kh, kw)
+and (C_out, C_in, k) shapes.
+
 Grad mode is one process-wide flag, not one per thread. ``no_grad()``
 belongs to the thread that starts workers: it enters the context once
 around the whole pool, and the workers never enter it themselves, since
@@ -400,29 +405,61 @@ def _scatter_rows(values: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _conv2d_index(C, H, W, kh, kw, sh, sw):
-    """Flat gather index (positions, C*kh*kw) into a (C, H, W) array."""
+def _channel_sum(a: np.ndarray, C: int) -> np.ndarray:
+    """Per-channel sums of a channels-last array, as one matrix-vector product:
+    numpy's own reduction over the long leading axis crawls when C is small."""
+    flat = a.reshape(-1, C)
+    return np.ones(flat.shape[0]) @ flat
+
+
+def _channel_row(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A per-channel vector tiled to the width of a (B, H*W*C) view, so that
+    broadcasting it runs over whole rows instead of C-long runs."""
+    return np.tile(v, rows.shape[1] // v.size)
+
+
+def _conv2d_index(H, W, kh, kw, sh, sw):
+    """Flat spatial gather index (positions, kh*kw) into an H*W grid."""
     def build():
         h_out = (H - kh) // sh + 1
         w_out = (W - kw) // sw + 1
-        cell = (np.repeat(np.arange(C) * H * W, kh * kw)
-                + np.tile(np.repeat(np.arange(kh) * W, kw), C)
-                + np.tile(np.arange(kw), kh * C))
+        cell = np.repeat(np.arange(kh) * W, kw) + np.tile(np.arange(kw), kh)
         origin = (np.repeat(np.arange(h_out) * sh * W, w_out)
                   + np.tile(np.arange(w_out) * sw, h_out))
         return origin[:, None] + cell[None, :], h_out, w_out
 
-    return _gather_indices(("c2", C, H, W, kh, kw, sh, sw), build)
+    return _gather_indices(("c2", H, W, kh, kw, sh, sw), build)
+
+
+def _conv2d_scatter_index(C, H, W, kh, kw, sh, sw):
+    """The spatial index widened to (position, channel): (positions, kh*kw*C)
+    flat offsets into an (H, W, C) array, in the column order of the gather."""
+    def build():
+        idx = _conv2d_index(H, W, kh, kw, sh, sw)[0]
+        return (idx[:, :, None] * C + np.arange(C)).reshape(idx.shape[0], -1)
+
+    return _gather_indices(("c2s", C, H, W, kh, kw, sh, sw), build)
+
+
+def _padded(x: np.ndarray, ph: int, pw: int, fill: float) -> np.ndarray:
+    """(B, H, W, C) with a fill-valued border of ph rows and pw columns."""
+    if not (ph or pw):
+        return x
+    B, H, W, C = x.shape
+    shape = (B, H + 2 * ph, W + 2 * pw, C)
+    xp = np.full(shape, fill) if fill else np.zeros(shape)
+    xp[:, ph:ph + H, pw:pw + W] = x
+    return xp
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride=(1, 1), padding=(0, 0)) -> Tensor:
-    """Batched 2-D cross-correlation.
+    """Batched 2-D cross-correlation, channels-last.
 
-    x: (B, C_in, H, W), weight: (C_out, C_in, kh, kw); output spatial size
-    H' = floor((H + 2*ph - kh)/sh) + 1 and likewise for W'.
+    x: (B, H, W, C_in), weight: (C_out, C_in, kh, kw) -> (B, H', W', C_out)
+    with H' = floor((H + 2*ph - kh)/sh) + 1 and likewise for W'.
     """
-    B, C, H, W = x.data.shape
+    B, H, W, C = x.data.shape
     c_out, c_in, kh, kw = weight.data.shape
     if c_in != C:
         raise ValueError(f"conv2d channel mismatch: input {C}, weight {c_in}")
@@ -431,29 +468,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if H + 2 * ph < kh or W + 2 * pw < kw:
         raise ValueError("conv2d kernel larger than padded input")
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else x.data
-    Hp, Wp = xp.shape[2], xp.shape[3]
-    idx, h_out, w_out = _conv2d_index(C, Hp, Wp, kh, kw, sh, sw)
-    P = h_out * w_out
+    Hp, Wp = H + 2 * ph, W + 2 * pw
+    xp = _padded(x.data, ph, pw, 0.0)
+    idx, h_out, w_out = _conv2d_index(Hp, Wp, kh, kw, sh, sw)
+    P, K = h_out * w_out, kh * kw * C
 
-    col = np.take(xp.reshape(B, -1), idx, axis=1).reshape(B * P, C * kh * kw)
-    w_mat = weight.data.reshape(c_out, -1)
+    # each spatial index copies one C-long run: columns are (kh, kw, C)
+    col = np.take(xp.reshape(B, Hp * Wp, C), idx, axis=1).reshape(B * P, K)
+    w_mat = weight.data.transpose(0, 2, 3, 1).reshape(c_out, K)
     out = col @ w_mat.T                                    # (B*P, C_out)
     if bias is not None:
-        out = out + bias.data
-    data = np.ascontiguousarray(
-        out.reshape(B, P, c_out).transpose(0, 2, 1)).reshape(B, c_out, h_out, w_out)
+        rows = out.reshape(B, P * c_out)
+        rows += _channel_row(bias.data, rows)
+    data = out.reshape(B, h_out, w_out, c_out)
 
     def backward(g):
-        g_mat = np.ascontiguousarray(
-            g.reshape(B, c_out, P).transpose(0, 2, 1)).reshape(B * P, c_out)
-        gw = (g_mat.T @ col).reshape(weight.shape) if _needs(weight) else None
-        gb = g.sum(axis=(0, 2, 3)) if bias is not None and _needs(bias) else None
+        g_mat = g.reshape(B * P, c_out)
+        gw = None
+        if _needs(weight):
+            gw = (g_mat.T @ col).reshape(c_out, kh, kw, C).transpose(0, 3, 1, 2)
+        gb = _channel_sum(g_mat, c_out) if bias is not None and _needs(bias) else None
         gx = None
         if _needs(x):
-            g_col = (g_mat @ w_mat).reshape(B, P * C * kh * kw)
-            acc = _scatter_rows(g_col, idx, C * Hp * Wp).reshape(B, C, Hp, Wp)
-            gx = acc[:, :, ph:Hp - ph or None, pw:Wp - pw or None]
+            g_col = (g_mat @ w_mat).reshape(B, P * K)
+            scatter = _conv2d_scatter_index(C, Hp, Wp, kh, kw, sh, sw)
+            acc = _scatter_rows(g_col, scatter, Hp * Wp * C).reshape(B, Hp, Wp, C)
+            gx = acc[:, ph:Hp - ph or None, pw:Wp - pw or None]
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
     parents = (x, weight, bias) if bias is not None else (x, weight)
@@ -461,24 +501,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None = None, stride: int = 1) -> Tensor:
-    """Batched 1-D cross-correlation, no padding.
+    """Batched 1-D cross-correlation, channels-last, no padding.
 
-    x: (B, C_in, L), weight: (C_out, C_in, k); L' = floor((L - k)/stride) + 1.
-    Runs as conv2d over a (B, C_in, 1, L) view with a (C_out, C_in, 1, k) kernel.
+    x: (B, L, C_in), weight: (C_out, C_in, k) -> (B, L', C_out) with
+    L' = floor((L - k)/stride) + 1. Runs as conv2d over a (B, 1, L, C_in)
+    view with a (C_out, C_in, 1, k) kernel.
     """
-    B, C, L = x.data.shape
+    B, L, C = x.data.shape
     c_out, c_in, k = weight.data.shape
     if c_in != C:
         raise ValueError(f"conv1d channel mismatch: input {C}, weight {c_in}")
     if k > L:
         raise ValueError(f"conv1d kernel {k} longer than input {L}")
-    out = conv2d(x.reshape(B, C, 1, L), weight.reshape(c_out, c_in, 1, k), bias,
+    out = conv2d(x.reshape(B, 1, L, C), weight.reshape(c_out, c_in, 1, k), bias,
                  stride=(1, stride))
-    return out.reshape(B, c_out, out.shape[3])
+    return out.reshape(B, out.shape[2], c_out)
 
 
 def max_pool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
-    """Max pooling; gradients route to the (first) argmax of each window.
+    """Max pooling over a (B, H, W, C) tensor; gradients route to the (first)
+    argmax of each window.
 
     Padded cells are -inf and can never win. kernel == spatial extent with
     zero padding gives global pooling.
@@ -486,32 +528,25 @@ def max_pool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
     kh, kw = kernel
     sh, sw = stride if stride is not None else kernel
     ph, pw = padding
-    B, C, H, W = x.data.shape
+    B, H, W, C = x.data.shape
     if H + 2 * ph < kh or W + 2 * pw < kw:
         raise ValueError("max_pool2d kernel larger than padded input")
 
-    if ph or pw:
-        xp = np.full((B, C, H + 2 * ph, W + 2 * pw), -np.inf)
-        xp[:, :, ph:ph + H, pw:pw + W] = x.data
-    else:
-        xp = x.data
-    Hp, Wp = xp.shape[2], xp.shape[3]
-    idx, h_out, w_out = _conv2d_index(1, Hp, Wp, kh, kw, sh, sw)
-
-    flat = xp.reshape(B * C, -1)
-    windows = flat[:, idx]                                 # (B*C, P, kh*kw)
-    arg = windows.argmax(axis=2)
-    data = np.take_along_axis(windows, arg[:, :, None], axis=2)[:, :, 0]
-    data = data.reshape(B, C, h_out, w_out)
+    Hp, Wp = H + 2 * ph, W + 2 * pw
+    xp = _padded(x.data, ph, pw, -np.inf)
+    idx, h_out, w_out = _conv2d_index(Hp, Wp, kh, kw, sh, sw)
+    windows = np.take(xp.reshape(B, Hp * Wp, C), idx, axis=1)    # (B, P, kh*kw, C)
+    data = windows.max(axis=2).reshape(B, h_out, w_out, C)
 
     def backward(g):
         if not _needs(x):
             return (None,)
-        winner = idx[np.arange(idx.shape[0])[None, :], arg]            # (B*C, P)
-        winner = winner + (np.arange(B * C) * (Hp * Wp))[:, None]
-        acc = np.bincount(winner.ravel(), weights=g.reshape(B * C, -1).ravel(),
-                          minlength=B * C * Hp * Wp).reshape(B, C, Hp, Wp)
-        return (acc[:, :, ph:Hp - ph or None, pw:Wp - pw or None],)
+        arg = windows.argmax(axis=2)                               # (B, P, C)
+        winner = idx[np.arange(idx.shape[0])[None, :, None], arg]  # spatial cell
+        winner = (winner + (np.arange(B) * (Hp * Wp))[:, None, None]) * C + np.arange(C)
+        acc = np.bincount(winner.ravel(), weights=g.reshape(-1),
+                          minlength=B * Hp * Wp * C).reshape(B, Hp, Wp, C)
+        return (acc[:, ph:Hp - ph or None, pw:Wp - pw or None],)
 
     return _record(data, (x,), backward)
 
@@ -519,66 +554,66 @@ def max_pool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                  running_mean: np.ndarray, running_var: np.ndarray,
                  training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
-    """Per-channel normalization over (B, H, W).
+    """Per-channel normalization of a (B, H, W, C) tensor over (B, H, W).
 
     Training mode normalizes by batch statistics and folds them into the
     running buffers in place; eval mode normalizes by the running buffers.
     """
-    B, C, H, W = x.data.shape
+    C = x.data.shape[-1]
+    rows = x.data.reshape(x.data.shape[0], -1)
+    n = rows.size // C
     if training:
-        mean = x.data.mean(axis=(0, 2, 3))
-        centered = x.data - mean[None, :, None, None]
-        var = np.einsum("bchw,bchw->c", centered, centered) / (B * H * W)
+        mean = _channel_sum(rows, C) / n
+        centered = rows - _channel_row(mean, rows)
+        var = _channel_sum(centered * centered, C) / n
         running_mean *= (1.0 - momentum)
         running_mean += momentum * mean
         running_var *= (1.0 - momentum)
         running_var += momentum * var
         inv_std = 1.0 / np.sqrt(var + eps)
-        x_hat = centered * inv_std[None, :, None, None]
+        x_hat = centered * _channel_row(inv_std, rows)
     else:
-        mean = running_mean
-        var = running_var
-        inv_std = 1.0 / np.sqrt(var + eps)
-        x_hat = (x.data - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    data = gamma.data[None, :, None, None] * x_hat + beta.data[None, :, None, None]
+        inv_std = 1.0 / np.sqrt(running_var + eps)
+        x_hat = (rows - _channel_row(running_mean, rows)) * _channel_row(inv_std, rows)
+    data = (x_hat * _channel_row(gamma.data, rows)
+            + _channel_row(beta.data, rows)).reshape(x.shape)
 
     def backward(g):
-        gg = np.einsum("bchw,bchw->c", g, x_hat) if _needs(gamma) else None
-        gb = g.sum(axis=(0, 2, 3)) if _needs(beta) else None
+        g = g.reshape(rows.shape)
+        gg = _channel_sum(g * x_hat, C) if _needs(gamma) else None
+        gb = _channel_sum(g, C) if _needs(beta) else None
         gx = None
         if _needs(x):
+            coef = _channel_row(gamma.data * inv_std, rows)
             if training:
-                n = B * H * W
-                sum_g = gb if gb is not None else g.sum(axis=(0, 2, 3))
-                sum_g_xhat = gg if gg is not None else np.einsum("bchw,bchw->c", g, x_hat)
-                coef = gamma.data * inv_std
-                gx = coef[None, :, None, None] * (
-                    g
-                    - (sum_g / n)[None, :, None, None]
-                    - x_hat * (sum_g_xhat / n)[None, :, None, None]
-                )
+                sum_g = gb if gb is not None else _channel_sum(g, C)
+                sum_g_xhat = gg if gg is not None else _channel_sum(g * x_hat, C)
+                gx = coef * (g - _channel_row(sum_g / n, rows)
+                             - x_hat * _channel_row(sum_g_xhat / n, rows))
             else:
-                gx = g * (gamma.data * inv_std)[None, :, None, None]
+                gx = g * coef
+            gx = gx.reshape(x.shape)
         return (gx, gg, gb)
 
     return _record(data, (x, gamma, beta), backward)
 
 
 def stats_pool(x: Tensor, eps: float = 1e-5) -> Tensor:
-    """Channel-wise mean and standard deviation over all trailing axes.
+    """Channel-wise mean and standard deviation over every axis between the
+    first and the last.
 
-    x: (B, C, ...) -> (B, 2C): means first, then stds. The variance is
+    x: (B, ..., C) -> (B, 2C): means first, then stds. The variance is
     floored at eps inside the square root so constant channels stay
     differentiable.
     """
-    B, C = x.data.shape[0], x.data.shape[1]
-    flat = x.data.reshape(B, C, -1)
-    n = flat.shape[2]
+    B, C = x.data.shape[0], x.data.shape[-1]
+    flat = x.data.reshape(B, -1, C)
+    n = flat.shape[1]
     if n < 1:
         raise ValueError("stats_pool requires at least one pooled position")
-    mean = flat.mean(axis=2)
-    centered = flat - mean[:, :, None]
-    var = (centered ** 2).mean(axis=2)
+    mean = flat.mean(axis=1)
+    centered = flat - mean[:, None, :]
+    var = (centered ** 2).mean(axis=1)
     clipped = np.maximum(var, eps)
     std = np.sqrt(clipped)
     data = np.concatenate([mean, std], axis=1)
@@ -588,9 +623,9 @@ def stats_pool(x: Tensor, eps: float = 1e-5) -> Tensor:
             return (None,)
         g_mean = g[:, :C]
         g_std = g[:, C:]
-        gx = np.broadcast_to(g_mean[:, :, None] / n, flat.shape).copy()
+        gx = np.broadcast_to(g_mean[:, None, :] / n, flat.shape).copy()
         active = (var > eps).astype(np.float64)
-        gx += (g_std * active / (n * std))[:, :, None] * centered
+        gx += (g_std * active / (n * std))[:, None, :] * centered
         return (gx.reshape(x.shape),)
 
     return _record(data, (x,), backward)

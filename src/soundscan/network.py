@@ -29,7 +29,8 @@ def conv_out(n: int, k: int, s: int, p: int) -> int:
 
 
 class SpectrogramEncoder(nn.Module):
-    """Gated residual stack over the full spectrogram; global max pool."""
+    """Gated residual stack over the full spectrogram, given as a (B, F, T, 1)
+    tensor; global max pool."""
 
     def __init__(self, F, T, stem_channels, stage_channels, reduction, rng):
         super().__init__()
@@ -61,7 +62,7 @@ class SpectrogramEncoder(nn.Module):
 
     def forward(self, x: Tensor) -> Tensor:
         x = self.se_in(x)
-        x = self.stem_bn(self.stem(x)).relu()
+        x = nn.conv_bn(self.stem, self.stem_bn, x).relu()
         x = ad.max_pool2d(x, (3, 3), (2, 2), (1, 1))
         x = self.se_stem(x)
         x = self.blocks(x)
@@ -92,9 +93,9 @@ class SpectrogramEncoder(nn.Module):
 class PatchEncoder(nn.Module):
     """Weight-shared encoder mapping any (N, h, w) patch stack to one embedding.
 
-    Patches run through the residual stack as independent 1-channel images;
-    statistics pooling over all patches and spatial positions absorbs the
-    varying N, h, w.
+    Patches run through the residual stack as independent 1-channel images,
+    a (B*N, h, w, 1) view of the (B, N, h, w) stack; statistics pooling
+    over all patches and spatial positions absorbs the varying N, h, w.
     """
 
     def __init__(self, channels, embed_dim, hidden_dim, rng):
@@ -111,11 +112,9 @@ class PatchEncoder(nn.Module):
 
     def forward(self, stack: Tensor) -> Tensor:
         B, N, h, w = stack.shape
-        x = stack.reshape(B * N, 1, h, w)
+        x = stack.reshape(B * N, h, w, 1)
         x = self.block3(self.block2(self.block1(x)))
-        _, C, hp, wp = x.shape
-        x = x.reshape(B, N, C, hp, wp).transpose((0, 2, 1, 3, 4))
-        x = ad.stats_pool(x)
+        x = ad.stats_pool(x.reshape(B, -1, self.out_channels))
         return self.fc2(self.fc1(x).relu())
 
     def describe(self):
@@ -173,10 +172,11 @@ class SpectrumEncoder(nn.Module):
 
     def forward(self, x: Tensor) -> Tensor:
         B = x.shape[0]
-        x = x.reshape(B, 1, x.shape[1])
+        x = x.reshape(B, x.shape[1], 1)
         for conv in self.convs.layers:
             x = conv(x).relu()
-        x = x.reshape(B, self.flat_dim)
+        # (C, L) order: the order the first linear layer was trained on
+        x = x.transpose((0, 2, 1)).reshape(B, self.flat_dim)
         for i, lin in enumerate(self.linears.layers):
             x = lin(x)
             if i < len(self.linears.layers) - 1:
@@ -233,7 +233,7 @@ class MultiScaleNet(nn.Module):
         if (F, T) != (self.cfg.freq_bins, self.cfg.frames):
             raise DataError(f"spectrogram batch is {F}x{T}, model expects "
                             f"{self.cfg.freq_bins}x{self.cfg.frames}")
-        e_spec = self.spectrogram_encoder(Tensor(spec_batch.reshape(B, 1, F, T)))
+        e_spec = self.spectrogram_encoder(Tensor(spec_batch.reshape(B, F, T, 1)))
         e_patch = self.patch_branch(self.scan_batch(spec_batch))
         e_spectrum = self.spectrum_encoder(Tensor(spectrum_batch))
         joined = ad.concat([e_spec, e_patch, e_spectrum], axis=1)
@@ -274,9 +274,13 @@ def features_for_batch(waves: np.ndarray, cfg: ModelConfig):
 def load_model(path) -> tuple[MultiScaleNet, RunConfig]:
     """Rebuild a model from a checkpoint container and its config echo."""
     arrays, echo = load_container(path)
+    # the echo is part of the file: an empty or unparsable one is a bad file
     if not echo.strip():
-        raise ConfigError(f"{path}: checkpoint carries no config echo")
-    run_cfg = parse_config_text(echo)
+        raise CheckpointError(f"{path}: checkpoint carries no config echo")
+    try:
+        run_cfg = parse_config_text(echo)
+    except ConfigError as exc:
+        raise CheckpointError(f"{path}: config echo is not a model config: {exc}") from None
     model = MultiScaleNet(run_cfg.model)
     # checkpoints store the joint training state; keep the model subtree
     state = {}

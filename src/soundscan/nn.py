@@ -151,6 +151,22 @@ class BatchNorm2d(Module):
                                self.running_var, self.training, self.momentum, self.eps)
 
 
+def conv_bn(conv: Conv2d, bn: BatchNorm2d, x):
+    """bn(conv(x)) for a bias-free conv; in eval mode, one conv with the norm
+    folded into it.
+
+    The folded weight is w·γ/√(var+ε) and the folded bias β − mean·γ/√(var+ε).
+    Both are composed on the tape, so gradients still reach w, γ and β.
+    Training mode normalizes by batch statistics as usual.
+    """
+    if bn.training:
+        return bn(conv(x))
+    scale = bn.gamma * ad.Tensor(1.0 / np.sqrt(bn.running_var + bn.eps))
+    weight = conv.weight * scale.reshape(-1, 1, 1, 1)
+    bias = bn.beta - ad.Tensor(bn.running_mean) * scale
+    return ad.conv2d(x, weight, bias, conv.stride, conv.padding)
+
+
 class ResBlock2d(Module):
     """conv3x3 -> norm -> relu -> conv3x3 -> norm, projection shortcut on
     stride or channel change, relu after the addition."""
@@ -169,8 +185,8 @@ class ResBlock2d(Module):
             self.proj = None
 
     def forward(self, x):
-        out = self.bn2(self.conv2(self.bn1(self.conv1(x)).relu()))
-        shortcut = self.proj_bn(self.proj(x)) if self.proj is not None else x
+        out = conv_bn(self.conv2, self.bn2, conv_bn(self.conv1, self.bn1, x).relu())
+        shortcut = conv_bn(self.proj, self.proj_bn, x) if self.proj is not None else x
         return (out + shortcut).relu()
 
 
@@ -194,7 +210,8 @@ class AxisGate(Module):
 
 
 class MultiAxisSE(Module):
-    """Squeeze-and-excitation along channel, frequency, and time axes.
+    """Squeeze-and-excitation along channel, frequency, and time axes of a
+    (B, H, W, C) tensor: the last axis, then the first and second spatial axes.
 
     Gates are applied sequentially: each one is computed from the tensor the
     previous gate already scaled.
@@ -207,10 +224,10 @@ class MultiAxisSE(Module):
         self.time_gate = AxisGate(width, reduction, rng)
 
     def forward(self, x):
-        B, C, H, W = x.shape
-        g = self.channel_gate(x.mean(axis=(2, 3)))
-        x = x * g.reshape(B, C, 1, 1)
-        g = self.freq_gate(x.mean(axis=(1, 3)))
-        x = x * g.reshape(B, 1, H, 1)
-        g = self.time_gate(x.mean(axis=(1, 2)))
-        return x * g.reshape(B, 1, 1, W)
+        B, H, W, C = x.shape
+        g = self.channel_gate(x.mean(axis=(1, 2)))
+        x = x * g.reshape(B, 1, 1, C)
+        g = self.freq_gate(x.mean(axis=(2, 3)))
+        x = x * g.reshape(B, H, 1, 1)
+        g = self.time_gate(x.mean(axis=(1, 3)))
+        return x * g.reshape(B, 1, W, 1)

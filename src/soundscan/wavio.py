@@ -55,6 +55,9 @@ def read_wav(path):
         cid = raw[pos:pos + 4]
         (size,) = struct.unpack_from("<I", raw, pos + 4)
         body = raw[pos + 8:pos + 8 + size]
+        if cid in (b"fmt ", b"data") and len(body) < size:
+            raise WavFormatError(f"{path}: {cid.decode().strip()} chunk claims {size} "
+                                 f"bytes, file holds {len(body)}")
         if cid == b"fmt ":
             if size < 16:
                 raise WavFormatError(f"{path}: fmt chunk too short")

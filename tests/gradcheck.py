@@ -33,6 +33,12 @@ def numeric_gradient(f, arrays, eps=EPS):
     return grads
 
 
+def channels_last(a):
+    """A (B, C, ...) array with its channel axis moved last, made contiguous so
+    that the in-place nudges of `numeric_gradient` reach the data."""
+    return np.ascontiguousarray(np.moveaxis(a, 1, -1))
+
+
 def max_rel_error(analytic, numeric):
     """Worst elementwise |a - n| / max(|a|, |n|, 1)."""
     worst = 0.0

@@ -24,7 +24,7 @@ from soundscan.scanning import KernelBox, coverage_map, default_kernel_set, plan
 from soundscan.scoring import cluster_prototypes, kmeans, score_test_rows
 from soundscan.training import SubClusterHead, adacos_loss, train
 
-from gradcheck import numeric_gradient, max_rel_error
+from gradcheck import channels_last, numeric_gradient, max_rel_error
 
 
 def report(criterion, label, detail, started):
@@ -47,7 +47,7 @@ def _grad_cases():
         kh, kw = int(rng.integers(1, min(3, H) + 1)), int(rng.integers(1, min(3, W) + 1))
         s = (int(rng.integers(1, 3)), int(rng.integers(1, 3)))
         p = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-        x = Tensor(rng.standard_normal((B, Ci, H, W)), requires_grad=True)
+        x = Tensor(channels_last(rng.standard_normal((B, Ci, H, W))), requires_grad=True)
         w = Tensor(rng.standard_normal((Co, Ci, kh, kw)) * 0.5, requires_grad=True)
         b = Tensor(rng.standard_normal(Co), requires_grad=True)
         return lambda: (ad.conv2d(x, w, b, s, p) ** 2).sum(), [x, w, b]
@@ -57,7 +57,7 @@ def _grad_cases():
         L = int(rng.integers(6, 16))
         k = int(rng.integers(1, 5))
         s = int(rng.integers(1, 4))
-        x = Tensor(rng.standard_normal((B, Ci, L)), requires_grad=True)
+        x = Tensor(channels_last(rng.standard_normal((B, Ci, L))), requires_grad=True)
         w = Tensor(rng.standard_normal((Co, Ci, k)) * 0.5, requires_grad=True)
         b = Tensor(rng.standard_normal(Co), requires_grad=True)
         return lambda: (ad.conv1d(x, w, b, s) ** 2).sum(), [x, w, b]
@@ -83,14 +83,14 @@ def _grad_cases():
         H = int(rng.integers(4, 8))
         W = int(rng.integers(4, 8))
         vals = rng.permutation(B * C * H * W).astype(float) * 0.01
-        x = Tensor(vals.reshape(B, C, H, W), requires_grad=True)
+        x = Tensor(channels_last(vals.reshape(B, C, H, W)), requires_grad=True)
         k = (int(rng.integers(2, 4)), int(rng.integers(2, 4)))
         return lambda: (ad.max_pool2d(x, k, (2, 2), (1, 1)) ** 2).sum(), [x]
 
     def batch_norm_case(rng):
         B, C = int(rng.integers(2, 5)), int(rng.integers(1, 4))
         H, W = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-        x = Tensor(rng.standard_normal((B, C, H, W)), requires_grad=True)
+        x = Tensor(channels_last(rng.standard_normal((B, C, H, W))), requires_grad=True)
         gamma = Tensor(rng.uniform(0.5, 1.5, C), requires_grad=True)
         beta = Tensor(rng.standard_normal(C), requires_grad=True)
         loss = lambda: (ad.batch_norm2d(x, gamma, beta, np.zeros(C), np.ones(C),
@@ -100,13 +100,13 @@ def _grad_cases():
     def stats_pool_case(rng):
         B, C = int(rng.integers(1, 3)), int(rng.integers(1, 4))
         n = int(rng.integers(2, 6))
-        x = Tensor(rng.standard_normal((B, C, n, 2)), requires_grad=True)
+        x = Tensor(channels_last(rng.standard_normal((B, C, n, 2))), requires_grad=True)
         return lambda: (ad.stats_pool(x) ** 2).sum(), [x]
 
     def se_case(rng):
         C, H, W = int(rng.integers(1, 4)), int(rng.integers(2, 5)), int(rng.integers(2, 5))
         se = nn.MultiAxisSE(C, H, W, reduction=2, rng=rng)
-        x = Tensor(rng.standard_normal((2, C, H, W)), requires_grad=True)
+        x = Tensor(channels_last(rng.standard_normal((2, C, H, W))), requires_grad=True)
         return lambda: (se(x) ** 2).sum(), [x] + se.parameters()
 
     def adacos_case(rng):

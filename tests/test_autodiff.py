@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gradcheck import check_gradients
+from gradcheck import channels_last, check_gradients
 
 from soundscan import autodiff as ad
 from soundscan.autodiff import Adam, Parameter, Tensor
@@ -13,21 +13,26 @@ def leaf(rng, shape, scale=1.0):
     return Tensor(rng.standard_normal(shape) * scale, requires_grad=True)
 
 
+def image_leaf(rng, shape):
+    """A leaf drawn as (B, C, ...) values and laid out channels-last."""
+    return Tensor(channels_last(rng.standard_normal(shape)), requires_grad=True)
+
+
 # -- forward identities -------------------------------------------------------
 
 def test_conv2d_identity_kernel():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.uniform(-1, 1, (1, 1, 4, 4)))
+    x = Tensor(channels_last(rng.uniform(-1, 1, (1, 1, 4, 4))))
     w = Tensor(np.ones((1, 1, 1, 1)))
     out = ad.conv2d(x, w, stride=(1, 1), padding=(0, 0))
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_conv2d_ones_counting():
-    x = Tensor(np.ones((1, 1, 4, 4)))
+    x = Tensor(np.ones((1, 4, 4, 1)))
     w = Tensor(np.ones((1, 1, 3, 3)))
     out = ad.conv2d(x, w)
-    assert out.shape == (1, 1, 2, 2)
+    assert out.shape == (1, 2, 2, 1)
     assert np.all(out.data == 9.0)
 
 
@@ -42,21 +47,21 @@ def test_conv2d_output_shape_formula():
         sw = int(rng.integers(1, 4))
         ph = int(rng.integers(0, 3))
         pw = int(rng.integers(0, 3))
-        x = Tensor(rng.standard_normal((2, 3, H, W)))
+        x = Tensor(channels_last(rng.standard_normal((2, 3, H, W))))
         w = Tensor(rng.standard_normal((4, 3, kh, kw)))
         out = ad.conv2d(x, w, stride=(sh, sw), padding=(ph, pw))
-        assert out.shape == (2, 4, (H + 2 * ph - kh) // sh + 1, (W + 2 * pw - kw) // sw + 1)
+        assert out.shape == (2, (H + 2 * ph - kh) // sh + 1, (W + 2 * pw - kw) // sw + 1, 4)
 
 
 def test_conv1d_length_formula():
-    x = Tensor(np.zeros((1, 1, 80001)))
+    x = Tensor(np.zeros((1, 80001, 1)))
     w = Tensor(np.zeros((2, 1, 256)))
     out = ad.conv1d(x, w, stride=64)
-    assert out.shape == (1, 2, 1247)
+    assert out.shape == (1, 1247, 2)
 
 
 def test_conv1d_kernel_equals_length():
-    x = Tensor(np.arange(8.0).reshape(1, 1, 8))
+    x = Tensor(np.arange(8.0).reshape(1, 8, 1))
     w = Tensor(np.ones((1, 1, 8)))
     out = ad.conv1d(x, w, stride=1)
     assert out.shape == (1, 1, 1)
@@ -80,58 +85,58 @@ def test_relu_and_sigmoid_points():
 
 
 def test_max_pool_constant_and_hot_cell():
-    x = Tensor(np.full((1, 1, 4, 4), 3.25))
+    x = Tensor(np.full((1, 4, 4, 1), 3.25))
     out = ad.max_pool2d(x, (2, 2))
     assert np.all(out.data == 3.25)
 
-    hot = np.zeros((1, 1, 4, 4))
-    hot[0, 0, 1, 2] = 7.0
+    hot = np.zeros((1, 4, 4, 1))
+    hot[0, 1, 2, 0] = 7.0
     out = ad.max_pool2d(Tensor(hot), (2, 2))
-    np.testing.assert_array_equal(out.data[0, 0], [[0.0, 7.0], [0.0, 0.0]])
+    np.testing.assert_array_equal(out.data[0, :, :, 0], [[0.0, 7.0], [0.0, 0.0]])
 
 
 def test_max_pool_global_mode():
     rng = np.random.default_rng(2)
-    x = Tensor(rng.standard_normal((2, 3, 5, 7)))
-    out = ad.max_pool2d(x, (5, 7))
-    assert out.shape == (2, 3, 1, 1)
-    np.testing.assert_allclose(out.data[:, :, 0, 0], x.data.max(axis=(2, 3)))
+    values = rng.standard_normal((2, 3, 5, 7))
+    out = ad.max_pool2d(Tensor(channels_last(values)), (5, 7))
+    assert out.shape == (2, 1, 1, 3)
+    np.testing.assert_allclose(out.data[:, 0, 0, :], values.max(axis=(2, 3)))
 
 
 def test_batch_norm_unit_stats_passthrough():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((8, 2, 3, 3))
     x = (x - x.mean(axis=(0, 2, 3), keepdims=True)) / x.std(axis=(0, 2, 3), keepdims=True)
-    t = Tensor(x)
+    t = Tensor(channels_last(x))
     gamma = Tensor(np.ones(2))
     beta = Tensor(np.zeros(2))
     out = ad.batch_norm2d(t, gamma, beta, np.zeros(2), np.ones(2), training=True)
-    np.testing.assert_allclose(out.data, x, atol=1e-4)  # within the eps=1e-5 shrink
+    np.testing.assert_allclose(out.data, channels_last(x), atol=1e-4)  # within the eps=1e-5 shrink
 
 
 def test_batch_norm_beta_shifts_mean():
     rng = np.random.default_rng(4)
-    x = Tensor(rng.standard_normal((4, 3, 2, 2)))
+    x = Tensor(channels_last(rng.standard_normal((4, 3, 2, 2))))
     gamma = Tensor(np.ones(3))
     beta = Tensor(np.array([1.0, -2.0, 0.5]))
     out = ad.batch_norm2d(x, gamma, beta, np.zeros(3), np.ones(3), training=True)
-    np.testing.assert_allclose(out.data.mean(axis=(0, 2, 3)), beta.data, atol=1e-9)
+    np.testing.assert_allclose(out.data.mean(axis=(0, 1, 2)), beta.data, atol=1e-9)
 
 
 def test_batch_norm_eval_uses_running_stats():
-    x = Tensor(np.full((2, 1, 2, 2), 10.0))
+    x = Tensor(np.full((2, 2, 2, 1), 10.0))
     out = ad.batch_norm2d(x, Tensor(np.ones(1)), Tensor(np.zeros(1)),
                           np.array([10.0]), np.array([4.0]), training=False)
     np.testing.assert_allclose(out.data, 0.0, atol=1e-9)
 
 
 def test_stats_pool_values():
-    x = Tensor(np.array([[[1.0, 3.0]]]))  # B=1, C=1, two positions
+    x = Tensor(np.array([[[1.0], [3.0]]]))  # B=1, two positions, C=1
     out = ad.stats_pool(x)
     assert out.data[0, 0] == pytest.approx(2.0)
     assert out.data[0, 1] == pytest.approx(1.0)
 
-    const = Tensor(np.full((1, 2, 5), 4.0))
+    const = Tensor(np.full((1, 5, 2), 4.0))
     out = ad.stats_pool(const)
     np.testing.assert_allclose(out.data[0, :2], 4.0)
     # floored std: a constant channel reports sqrt(eps), not exactly 0
@@ -225,7 +230,7 @@ def test_grad_transpose_concat_mean():
 
 def test_grad_conv2d():
     rng = np.random.default_rng(10)
-    x = leaf(rng, (1, 2, 5, 5))
+    x = image_leaf(rng, (1, 2, 5, 5))
     w = leaf(rng, (3, 2, 3, 3), scale=0.5)
     b = leaf(rng, (3,))
     check_gradients(
@@ -235,7 +240,7 @@ def test_grad_conv2d():
 
 def test_grad_conv1d():
     rng = np.random.default_rng(11)
-    x = leaf(rng, (2, 2, 11))
+    x = image_leaf(rng, (2, 2, 11))
     w = leaf(rng, (3, 2, 4), scale=0.5)
     b = leaf(rng, (3,))
     check_gradients(lambda: (ad.conv1d(x, w, b, stride=3) ** 2).sum(), [x, w, b])
@@ -252,13 +257,13 @@ def test_grad_linear():
 def test_grad_max_pool_tie_free():
     rng = np.random.default_rng(13)
     vals = rng.permutation(2 * 2 * 6 * 6).astype(float) * 0.01
-    x = Tensor(vals.reshape(2, 2, 6, 6), requires_grad=True)
+    x = Tensor(channels_last(vals.reshape(2, 2, 6, 6)), requires_grad=True)
     check_gradients(lambda: (ad.max_pool2d(x, (3, 3), (2, 2), (1, 1)) ** 2).sum(), [x])
 
 
 def test_grad_batch_norm_train_mode():
     rng = np.random.default_rng(14)
-    x = leaf(rng, (4, 3, 2, 2))
+    x = image_leaf(rng, (4, 3, 2, 2))
     gamma = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
     beta = leaf(rng, (3,))
 
@@ -271,7 +276,7 @@ def test_grad_batch_norm_train_mode():
 
 def test_grad_stats_pool():
     rng = np.random.default_rng(15)
-    x = leaf(rng, (2, 3, 4, 5))
+    x = image_leaf(rng, (2, 3, 4, 5))
     check_gradients(lambda: (ad.stats_pool(x) ** 2).sum(), [x])
 
 
@@ -318,7 +323,7 @@ def test_adam_opposite_gradients_symmetric_moments():
 def test_seeded_forward_backward_bit_identical():
     def run():
         rng = np.random.default_rng(99)
-        x = Tensor(rng.standard_normal((2, 1, 6, 6)), requires_grad=True)
+        x = Tensor(channels_last(rng.standard_normal((2, 1, 6, 6))), requires_grad=True)
         w = Tensor(rng.standard_normal((2, 1, 3, 3)), requires_grad=True)
         out = (ad.conv2d(x, w, padding=(1, 1)).relu() ** 2).sum()
         out.backward()

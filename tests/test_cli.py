@@ -203,6 +203,40 @@ def test_store_file_as_checkpoint_is_exit_3(capsys, tmp_path, tiny_corpus,
     assert not (tmp_path / "e.bin").exists()
 
 
+def test_embeddings_file_as_checkpoint_is_exit_3(capsys, tmp_path, tiny_corpus,
+                                                 tiny_checkpoint):
+    """The container `embed` writes echoes `embed_dim=...`, not a run config;
+    loading it as a checkpoint is a bad file (exit 3), not a bad config."""
+    _, root = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    manifest = str(root / "manifest.csv")
+    emb = tmp_path / "emb.bin"
+    code, _, _ = run(capsys, "embed", "--manifest", manifest,
+                     "--checkpoint", str(ckpt), "--out", str(emb))
+    assert code == 0
+    code, _, err = run(capsys, "embed", "--manifest", manifest,
+                       "--checkpoint", str(emb), "--out", str(tmp_path / "e.bin"))
+    assert code == 3
+    assert "error: data" in err and str(emb) in err and "embed_dim" in err
+    assert not (tmp_path / "e.bin").exists()
+
+
+def test_checkpoint_without_config_echo_is_exit_3(capsys, tmp_path, tiny_corpus,
+                                                  tiny_checkpoint):
+    from soundscan.checkpoint import load_container, save_container
+
+    _, root = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    arrays, _ = load_container(ckpt)
+    bare = tmp_path / "bare.ckpt"
+    save_container(bare, arrays, "")
+    code, _, err = run(capsys, "embed", "--manifest", str(root / "manifest.csv"),
+                       "--checkpoint", str(bare), "--out", str(tmp_path / "e.bin"))
+    assert code == 3
+    assert "error: data" in err and str(bare) in err and "no config echo" in err
+    assert not (tmp_path / "e.bin").exists()
+
+
 def test_truncated_checkpoint_is_exit_3(capsys, tmp_path, tiny_corpus, tiny_checkpoint):
     _, root = tiny_corpus
     ckpt, _ = tiny_checkpoint
@@ -212,6 +246,24 @@ def test_truncated_checkpoint_is_exit_3(capsys, tmp_path, tiny_corpus, tiny_chec
                        "--checkpoint", str(cut), "--out", str(tmp_path / "e.bin"))
     assert code == 3
     assert "truncated" in err
+    assert not (tmp_path / "e.bin").exists()
+
+
+def test_truncated_wav_is_exit_3(capsys, tmp_path, tiny_corpus, tiny_checkpoint):
+    from dataclasses import replace
+
+    from soundscan.data import save_manifest
+
+    rows, _ = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    cut = tmp_path / "cut.wav"
+    cut.write_bytes(open(rows[3].path, "rb").read()[:-100])  # inside the data chunk
+    manifest = tmp_path / "manifest.csv"
+    save_manifest(list(rows[:3]) + [replace(rows[3], path=str(cut))], manifest)
+    code, _, err = run(capsys, "embed", "--manifest", str(manifest),
+                       "--checkpoint", str(ckpt), "--out", str(tmp_path / "e.bin"))
+    assert code == 3
+    assert "error: data" in err and str(cut) in err and "data chunk" in err
     assert not (tmp_path / "e.bin").exists()
 
 

@@ -84,6 +84,18 @@ def test_load_wav_non_pcm_rejected(tmp_path):
         dsp.load_wav(path)
 
 
+def test_read_wav_chunk_cut_short_rejected(tmp_path):
+    whole = tmp_path / "whole.wav"
+    wavio.write_wav(whole, np.linspace(-0.5, 0.5, 400), 8000)
+    raw = whole.read_bytes()
+    # 44-byte header: the fmt body is bytes 20-36, the data body 44 onwards
+    for chunk, cut in (("data", len(raw) - 100), ("fmt", 30)):
+        path = tmp_path / f"cut_{chunk}.wav"
+        path.write_bytes(raw[:cut])
+        with pytest.raises(wavio.WavFormatError, match=f"{chunk} chunk claims"):
+            wavio.read_wav(path)
+
+
 def test_read_wav_float32_and_24bit(tmp_path):
     import struct
     x = np.linspace(-0.9, 0.9, 33)

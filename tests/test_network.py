@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gradcheck import check_gradients
+from gradcheck import channels_last, check_gradients
 
 from soundscan import autodiff as ad
 from soundscan import nn
@@ -38,21 +38,21 @@ def test_se_saturated_gates_pass_through():
     for gate in (se.channel_gate, se.freq_gate, se.time_gate):
         gate.fc2.weight.data[:] = 0.0
         gate.fc2.bias.data[:] = 40.0  # sigmoid(40) == 1 to double precision
-    x = rng.standard_normal((2, 3, 5, 4))
+    x = channels_last(rng.standard_normal((2, 3, 5, 4)))
     out = se(Tensor(x))
     np.testing.assert_allclose(out.data, x, rtol=1e-12)
 
 
 def test_se_zero_input_zero_output():
     se = nn.MultiAxisSE(2, 4, 4, reduction=8, rng=np.random.default_rng(1))
-    out = se(Tensor(np.zeros((1, 2, 4, 4))))
+    out = se(Tensor(np.zeros((1, 4, 4, 2))))
     np.testing.assert_array_equal(out.data, 0.0)
 
 
 def test_se_gradient_all_three_gates():
     rng = np.random.default_rng(2)
     se = nn.MultiAxisSE(2, 3, 3, reduction=2, rng=rng)
-    x = Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
+    x = Tensor(channels_last(rng.standard_normal((2, 2, 3, 3))), requires_grad=True)
     leaves = [x] + se.parameters()
     check_gradients(lambda: (se(x) ** 2).sum(), leaves)
 
@@ -60,8 +60,8 @@ def test_se_gradient_all_three_gates():
 def test_se_bottleneck_floors_at_one_unit():
     se = nn.MultiAxisSE(1, 2, 2, reduction=8, rng=np.random.default_rng(3))
     assert se.channel_gate.fc1.weight.shape == (1, 1)
-    out = se(Tensor(np.ones((1, 1, 2, 2))))
-    assert out.shape == (1, 1, 2, 2)
+    out = se(Tensor(np.ones((1, 2, 2, 1))))
+    assert out.shape == (1, 2, 2, 1)
 
 
 # -- spectrogram encoder -------------------------------------------------------------
@@ -77,7 +77,7 @@ def test_spectrogram_encoder_stage_trace_default_dims():
 def test_spectrogram_encoder_full_size_forward():
     rng = np.random.default_rng(1)
     enc = SpectrogramEncoder(513, 311, 4, (4, 8, 8, 16), 8, rng)
-    out = enc(Tensor(rng.uniform(0, 1, (1, 1, 513, 311))))
+    out = enc(Tensor(rng.uniform(0, 1, (1, 513, 311, 1))))
     assert out.shape == (1, 16)
     assert np.all(np.isfinite(out.data))
 
@@ -123,6 +123,72 @@ def test_describe_matches_architecture_tables():
     assert spectrum_rows[2] == ("conv1d", 1, 128, 32, 4)
     assert spectrum_rows[3][0] == "flatten"
     assert spectrum_rows[4] == ("linear", 5, 128, "-", "-")
+
+
+# -- batch-norm folding ----------------------------------------------------------------
+
+def _give_norms_state(module, rng):
+    """Running statistics and affine parameters far from the identity, so
+    that folding them into the conv has something to get wrong."""
+    for name, child in module._modules.items():
+        if isinstance(child, nn.BatchNorm2d):
+            child.gamma.data = rng.uniform(0.5, 1.5, child.gamma.shape)
+            child.beta.data = rng.standard_normal(child.beta.shape)
+            child.running_mean[:] = rng.standard_normal(child.running_mean.shape)
+            child.running_var[:] = rng.uniform(0.5, 2.0, child.running_var.shape)
+        else:
+            _give_norms_state(child, rng)
+
+
+def _unfused(conv, bn, x):
+    return ad.batch_norm2d(ad.conv2d(x, conv.weight, conv.bias, conv.stride, conv.padding),
+                           bn.gamma, bn.beta, bn.running_mean, bn.running_var,
+                           training=False, eps=bn.eps)
+
+
+@pytest.mark.parametrize("c_in, c_out, stride", [(3, 3, 1), (2, 4, 2)])
+def test_folded_res_block_matches_unfused(c_in, c_out, stride):
+    rng = np.random.default_rng(20)
+    block = nn.ResBlock2d(c_in, c_out, stride, rng)
+    assert (block.proj is None) == (c_in == c_out and stride == 1)
+    _give_norms_state(block, rng)
+    block.eval()
+    x = Tensor(channels_last(rng.standard_normal((3, c_in, 7, 6))))
+    with ad.no_grad():
+        folded = block(x)
+        out = _unfused(block.conv2, block.bn2, _unfused(block.conv1, block.bn1, x).relu())
+        shortcut = _unfused(block.proj, block.proj_bn, x) if block.proj is not None else x
+        expect = (out + shortcut).relu()
+    np.testing.assert_allclose(folded.data, expect.data, rtol=0, atol=1e-12)
+
+
+def test_folded_stem_matches_unfused(monkeypatch):
+    # the whole encoder, stem included, against itself with folding swapped out
+    rng = np.random.default_rng(21)
+    enc = SpectrogramEncoder(40, 24, 2, (2, 4, 4, 8), 8, rng)
+    _give_norms_state(enc, rng)
+    enc.eval()
+    x = Tensor(rng.uniform(0, 1, (2, 40, 24, 1)))
+    with ad.no_grad():
+        stem = nn.conv_bn(enc.stem, enc.stem_bn, x)
+        folded = enc(x)
+        monkeypatch.setattr(nn, "conv_bn", _unfused)
+        stem_expect = _unfused(enc.stem, enc.stem_bn, x)
+        expect = enc(x)
+    np.testing.assert_allclose(stem.data, stem_expect.data, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(folded.data, expect.data, rtol=0, atol=1e-12)
+
+
+def test_folded_block_gradients_reach_weight_gamma_beta():
+    rng = np.random.default_rng(22)
+    block = nn.ResBlock2d(2, 3, 2, rng)
+    _give_norms_state(block, rng)
+    block.eval()
+    x = Tensor(channels_last(rng.standard_normal((2, 2, 5, 5))), requires_grad=True)
+    leaves = [x] + block.parameters()
+    check_gradients(lambda: (block(x) ** 2).sum(), leaves)
+    for name, p in block.named_parameters():
+        assert np.any(p.grad != 0), f"no gradient reached {name}"
 
 
 # -- patch encoder --------------------------------------------------------------------
