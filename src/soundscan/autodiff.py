@@ -7,6 +7,14 @@ consumers are always created after their inputs), propagating pass-local
 gradients and accumulating them into ``.grad`` (+=). Double precision
 throughout.
 
+The tape keeps, per op, its input and output tensors plus the arrays its
+backward reads that it cannot cheaply rebuild, for example batch norm's
+normalized input and max pooling's windows. conv2d keeps no im2col block:
+its backward re-gathers the block from the input, which costs one gather
+and saves a block kh*kw times the input's size. ``backward()`` frees
+nothing, so a graph may be backpropagated more than once; the graph is
+freed when its output goes out of scope.
+
 Image tensors are channels-last: (B, H, W, C) for the 2-D ops and
 (B, L, C) for conv1d, so a conv's (B*P, C_out) matmul output is already
 the next layer's input. Conv weights keep the stored (C_out, C_in, kh, kw)
@@ -469,14 +477,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ValueError("conv2d kernel larger than padded input")
 
     Hp, Wp = H + 2 * ph, W + 2 * pw
-    xp = _padded(x.data, ph, pw, 0.0)
     idx, h_out, w_out = _conv2d_index(Hp, Wp, kh, kw, sh, sw)
     P, K = h_out * w_out, kh * kw * C
 
-    # each spatial index copies one C-long run: columns are (kh, kw, C)
-    col = np.take(xp.reshape(B, Hp * Wp, C), idx, axis=1).reshape(B * P, K)
+    def im2col():
+        # each spatial index copies one C-long run: columns are (kh, kw, C)
+        xp = _padded(x.data, ph, pw, 0.0)
+        return np.take(xp.reshape(B, Hp * Wp, C), idx, axis=1).reshape(B * P, K)
+
     w_mat = weight.data.transpose(0, 2, 3, 1).reshape(c_out, K)
-    out = col @ w_mat.T                                    # (B*P, C_out)
+    out = im2col() @ w_mat.T                               # (B*P, C_out)
     if bias is not None:
         rows = out.reshape(B, P * c_out)
         rows += _channel_row(bias.data, rows)
@@ -486,7 +496,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         g_mat = g.reshape(B * P, c_out)
         gw = None
         if _needs(weight):
-            gw = (g_mat.T @ col).reshape(c_out, kh, kw, C).transpose(0, 3, 1, 2)
+            # re-gathered, not kept: the block is kh*kw times the input
+            gw = (g_mat.T @ im2col()).reshape(c_out, kh, kw, C).transpose(0, 3, 1, 2)
         gb = _channel_sum(g_mat, c_out) if bias is not None and _needs(bias) else None
         gx = None
         if _needs(x):

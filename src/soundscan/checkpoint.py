@@ -17,6 +17,7 @@ identical bytes.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
@@ -28,8 +29,27 @@ VERSION = 1
 
 
 def save_container(path, arrays: dict, config_echo: str = "") -> None:
+    """Write the container atomically: into a temp file in the target's
+    directory, then renamed onto the target. A write that fails partway
+    leaves the old file as it was and no temp file behind."""
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        _write_container(tmp, arrays, config_echo)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise
+
+
+def _write_container(path, arrays: dict, config_echo: str) -> None:
     echo = config_echo.encode("utf-8")
-    with open(path, "wb") as fh:
+    # exclusive create: never write through a file another writer made
+    with open(path, "xb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(echo)))

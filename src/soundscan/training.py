@@ -186,7 +186,9 @@ def check_batch_fits(model: MultiScaleNet, batch_clips: int) -> None:
 
     The float64 patch stacks of one batch, batch_clips x sum_k N_k*h_k*w_k x 8
     bytes, are a strict lower bound on a training step's memory: the forward
-    and backward passes hold them and much more besides.
+    and backward passes hold them and much more besides. On the micro preset
+    the tape of one training forward holds 10.2 MB per clip (163 MB for a
+    16-clip batch, traced with tracemalloc), against 0.18 MB of patch stacks.
     """
     per_clip = sum(plan.patch_count * box.h * box.w
                    for box, plan in zip(model.kernels, model.plans))
@@ -198,6 +200,19 @@ def check_batch_fits(model: MultiScaleNet, batch_clips: int) -> None:
             f"{need / 1e6:,.1f} MB for its patch stacks alone, more than the "
             f"{have / 1e6:,.1f} MB of physical memory; lower batch_size or scan "
             f"fewer or smaller patches")
+
+
+def _train_step(model, head, optimizer, waves, targets, model_cfg) -> float:
+    """One forward, backward and update; returns the loss. The step's graph
+    dies with this frame, so it never overlaps the next step's."""
+    specs, spectra = features_for_batch(waves, model_cfg)
+    embeddings = model(specs, spectra)
+    loss = adacos_loss(embeddings, targets, head)
+    loss.backward()
+    optimizer.step()
+    optimizer.zero_grad()
+    head.renormalize()
+    return loss.item()
 
 
 def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
@@ -255,14 +270,8 @@ def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
                 eps = data_rng.uniform(0.0, train_cfg.smooth_max, len(chunk))
                 batch_targets = label_smooth(batch_targets, eps)
 
-            specs, spectra = features_for_batch(batch_waves, model_cfg)
-            embeddings = model(specs, spectra)
-            loss = adacos_loss(embeddings, batch_targets, head)
-            loss.backward()
-            optimizer.step()
-            optimizer.zero_grad()
-            head.renormalize()
-            epoch_losses.append(loss.item())
+            epoch_losses.append(_train_step(model, head, optimizer, batch_waves,
+                                            batch_targets, model_cfg))
 
         mean_loss = float(np.mean(epoch_losses))
         scale = float(head.scale[0])

@@ -336,6 +336,32 @@ def test_seeded_forward_backward_bit_identical():
     np.testing.assert_array_equal(gw1, gw2)
 
 
+def test_conv2d_tape_keeps_no_im2col_block():
+    # what a recorded conv holds for backward beyond its input and output
+    # must be far less than its im2col block: backward re-gathers it. The
+    # block is B*P*kh*kw*C*8 bytes, nine times the input here; the bound is
+    # the input's size.
+    import tracemalloc
+
+    rng = np.random.default_rng(12)
+    x = image_leaf(rng, (64, 16, 8, 8))
+    w = Tensor(rng.standard_normal((16, 16, 3, 3)), requires_grad=True)
+    with ad.no_grad():
+        ad.conv2d(x, w, padding=(1, 1))          # builds the cached gather index
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = ad.conv2d(x, w, padding=(1, 1))
+        retained = tracemalloc.get_traced_memory()[0] - base - out.data.nbytes
+    finally:
+        tracemalloc.stop()
+    assert retained < x.data.nbytes, retained
+
+    (out ** 2).sum().backward()
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
 def test_gather_cache_lookup_safe_across_threads():
     # more distinct keys than the cache holds, so threads clear it under
     # each other; a lookup must still return the value built for its key

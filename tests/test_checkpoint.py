@@ -64,6 +64,22 @@ def test_missing_file(tmp_path):
         load_container(tmp_path / "absent.bin")
 
 
+def test_failed_save_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "keep.bin"
+    save_container(path, {"a": np.arange(4.0)}, "seed=1\n")
+    before = path.read_bytes()
+    # "a" is written first; the lone surrogate in "b\udcff" cannot be encoded,
+    # so the write fails partway through the file
+    with pytest.raises(UnicodeEncodeError):
+        save_container(path, {"a": np.ones(4), "b\udcff": np.ones(2)}, "seed=2\n")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.bin"]
+    # a save that succeeds replaces the file and leaves nothing else either
+    save_container(path, {"b": np.ones(2)}, "seed=3\n")
+    assert load_container(path)[1] == "seed=3\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.bin"]
+
+
 def _small_container(path):
     save_container(path, {"a": np.arange(3.0), "b": np.array(2.5), "c": np.ones((2, 1))},
                    "seed=1\n")

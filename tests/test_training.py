@@ -217,6 +217,35 @@ def test_training_deterministic_checkpoints(tiny_corpus, tiny_run_cfg, tmp_path)
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
+def test_training_releases_each_step_graph(tiny_corpus, tiny_run_cfg, monkeypatch):
+    # when step k+1 starts, nothing of step k's graph may be alive: only
+    # one step's tape is ever held
+    import copy
+    import weakref
+
+    from soundscan import training
+
+    rows, _ = tiny_corpus
+    cfg = copy.deepcopy(tiny_run_cfg)
+    cfg.train.epochs = 1
+    # Tensor has no __weakref__ slot; its data lives as long as the graph does
+    embeddings = []
+    alive_at_start = []
+
+    def features_for_batch(waves, model_cfg, inner=training.features_for_batch):
+        alive_at_start.append([ref() is not None for ref in embeddings])
+        return inner(waves, model_cfg)
+
+    def adacos_loss(emb, targets, head, inner=training.adacos_loss, **kwargs):
+        embeddings.append(weakref.ref(emb.data))
+        return inner(emb, targets, head, **kwargs)
+
+    monkeypatch.setattr(training, "features_for_batch", features_for_batch)
+    monkeypatch.setattr(training, "adacos_loss", adacos_loss)
+    train(rows, cfg, log_stream=io.StringIO())
+    assert alive_at_start == [[], [False]]
+
+
 def test_training_zero_lr_freezes_parameters(tiny_corpus, tiny_run_cfg):
     import copy
     rows, _ = tiny_corpus
