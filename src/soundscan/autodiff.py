@@ -92,9 +92,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -684,9 +681,3 @@ class Adam:
             out[f"adam/m/{p.name}"] = m
             out[f"adam/v/{p.name}"] = v
         return out
-
-    def load_state_arrays(self, arrays: dict) -> None:
-        self.t = int(arrays["adam/t"][0])
-        for i, p in enumerate(self.params):
-            self.m[i] = arrays[f"adam/m/{p.name}"].copy()
-            self.v[i] = arrays[f"adam/v/{p.name}"].copy()

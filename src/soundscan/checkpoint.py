@@ -1,4 +1,5 @@
-"""Binary container for checkpoints, prototype stores, and embeddings.
+"""Binary container for checkpoints, prototype stores, and embeddings, and
+`atomic_write`, which writes every artifact but the synthetic WAVs.
 
 Layout (all integers little-endian):
 
@@ -16,6 +17,7 @@ identical bytes.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -28,15 +30,19 @@ MAGIC = b"SSCX"
 VERSION = 1
 
 
-def save_container(path, arrays: dict, config_echo: str = "") -> None:
-    """Write the container atomically: into a temp file in the target's
-    directory, then renamed onto the target. A write that fails partway
-    leaves the old file as it was and no temp file behind."""
+@contextlib.contextmanager
+def atomic_write(path, binary: bool = False):
+    """Open a new temp file in `path`'s directory for writing (UTF-8 text, or
+    bytes), and rename it onto `path` when the block ends. A write that fails
+    partway leaves the old file as it was and no temp file behind."""
     path = os.fspath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
-        _write_container(tmp, arrays, config_echo)
+        # exclusive create: never write through a file another writer made
+        with (open(tmp, "xb") if binary
+              else open(tmp, "x", encoding="utf-8", newline="")) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -46,10 +52,10 @@ def save_container(path, arrays: dict, config_echo: str = "") -> None:
         raise
 
 
-def _write_container(path, arrays: dict, config_echo: str) -> None:
+def save_container(path, arrays: dict, config_echo: str = "") -> None:
+    """Write the container atomically (see `atomic_write`)."""
     echo = config_echo.encode("utf-8")
-    # exclusive create: never write through a file another writer made
-    with open(path, "xb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", VERSION))
         fh.write(struct.pack("<I", len(echo)))

@@ -149,7 +149,7 @@ def cmd_score(args) -> int:
     if args.store:
         store.save(args.store, config.config_text(cfg))
     scores, unknown = scoring.score_test_rows(test_rows, store, model, args.threads)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with checkpoint.atomic_write(args.out) as fh:
         fh.write("filename,score\n")
         for path, value in scores:
             fh.write(f"{path},{value:.6f}\n")
@@ -203,7 +203,7 @@ def cmd_eval(args) -> int:
         print(f"{key:<{width}}  {a:>8.4f}  {pa:>8.4f}")
     print(f"{f'aggregate ({report.kind})':<{width}}  {report.aggregate:>8.4f}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with checkpoint.atomic_write(args.out) as fh:
             fh.write(csv_text)
     else:
         print()

@@ -39,7 +39,6 @@ class ModelConfig:
     spectrum_linear_count: int = 5
     se_reduction: int = 8
     subclusters: int = 16
-    label_schema: str = "type_id"       # "type_id" or "type_attr"
     seed: int | None = None
 
     @property
@@ -78,8 +77,6 @@ class ModelConfig:
             raise ConfigError("clip shorter than the STFT window")
         if self.scan_mode not in ("steps", "counts"):
             raise ConfigError(f"scan_mode must be steps or counts, got {self.scan_mode!r}")
-        if self.label_schema not in ("type_id", "type_attr"):
-            raise ConfigError(f"unknown label_schema {self.label_schema!r}")
         if not self.kernels:
             raise ConfigError("kernel list is empty")
         if self.subclusters < 1 or self.se_reduction < 1:
@@ -219,7 +216,6 @@ KEY_TABLE = {
     "spectrum_linear_count": ("model", "spectrum_linear_count", int),
     "se_reduction": ("model", "se_reduction", int),
     "subclusters": ("model", "subclusters", int),
-    "label_schema": ("model", "label_schema", str),
     "seed": ("model", "seed", int),
     "lr": ("train", "lr", float),
     "batch_size": ("train", "batch_size", int),
@@ -267,6 +263,8 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = stripped.partition("=")
+        if key.strip() == "label_schema":   # retired; older checkpoint echoes carry it
+            continue
         pairs.append((key.strip(), value.strip()))
     return apply_overrides(cfg, pairs)
 

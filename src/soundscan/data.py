@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import wavio
-from .errors import DataError
+from .checkpoint import atomic_write
+from .errors import ConfigError, DataError
 
 MANIFEST_COLUMNS = ["path", "type", "id_or_attr", "domain", "split", "label"]
 LABELS = ("normal", "anomaly", "unknown")
@@ -47,7 +48,7 @@ def _check_rows(rows) -> None:
 def save_manifest(rows, path) -> None:
     rows = list(rows)
     _check_rows(rows)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_COLUMNS)
         for r in rows:
@@ -166,15 +167,15 @@ class SynthConfig:
 
     def validate(self) -> None:
         if self.classes < 1 or self.train_clips < 1:
-            raise DataError("synth counts must be positive")
+            raise ConfigError("synth counts must be positive")
         if len(self.base_freqs) < self.classes:
-            raise DataError("need a base frequency per class")
+            raise ConfigError("need a base frequency per class")
         if self.anomaly_kind not in ("detune", "transient", "band-noise"):
-            raise DataError(f"unknown anomaly kind {self.anomaly_kind!r}")
+            raise ConfigError(f"unknown anomaly kind {self.anomaly_kind!r}")
         nyquist = self.sample_rate / 2
         top = max(self.base_freqs[:self.classes]) * len(self.HARMONIC_AMPS) * self.DETUNE_FACTOR
         if top >= nyquist:
-            raise DataError(f"harmonics reach {top:.0f} Hz, above Nyquist {nyquist:.0f} Hz")
+            raise ConfigError(f"harmonics reach {top:.0f} Hz, above Nyquist {nyquist:.0f} Hz")
 
 
 def _harmonic_clip(cfg: SynthConfig, f0: float, rng, detune: bool) -> np.ndarray:

@@ -58,7 +58,6 @@ class SpectrogramEncoder(nn.Module):
         self.out_dim = stage_channels[-1]
         self.final_hw = (h, w)
         self.spatial_trace = tuple(trace)
-        self._config = (stem_channels, tuple(stage_channels))
 
     def forward(self, x: Tensor) -> Tensor:
         x = self.se_in(x)
@@ -68,26 +67,6 @@ class SpectrogramEncoder(nn.Module):
         x = self.blocks(x)
         x = ad.max_pool2d(x, self.final_hw)
         return x.reshape(x.shape[0], self.out_dim)
-
-    def describe(self):
-        stem_channels, stage_channels = self._config
-        rows = [
-            ("multi_axis_se", "-", "-", "-", "-"),
-            ("conv2d", 1, stem_channels, (7, 7), (2, 2)),
-            ("max_pool", "-", "-", (3, 3), (2, 2)),
-            ("multi_axis_se", "-", "-", "-", "-"),
-            ("res_block", 1, stem_channels, (3, 3), (1, 1)),
-            ("multi_axis_se", "-", "-", "-", "-"),
-            ("res_block", 1, stem_channels, (3, 3), (1, 1)),
-        ]
-        for c in stage_channels:
-            rows += [
-                ("res_block", 1, c, (3, 3), (2, 2)),
-                ("multi_axis_se", "-", "-", "-", "-"),
-                ("res_block", 1, c, (3, 3), (1, 1)),
-            ]
-        rows.append(("global_max_pool", "-", "-", self.final_hw, self.final_hw))
-        return rows
 
 
 class PatchEncoder(nn.Module):
@@ -108,7 +87,6 @@ class PatchEncoder(nn.Module):
         self.fc2 = nn.Linear(hidden_dim, embed_dim, rng)
         self.out_channels = c3
         self.embed_dim = embed_dim
-        self._config = (tuple(channels), hidden_dim, embed_dim)
 
     def forward(self, stack: Tensor) -> Tensor:
         B, N, h, w = stack.shape
@@ -116,16 +94,6 @@ class PatchEncoder(nn.Module):
         x = self.block3(self.block2(self.block1(x)))
         x = ad.stats_pool(x.reshape(B, -1, self.out_channels))
         return self.fc2(self.fc1(x).relu())
-
-    def describe(self):
-        (c1, c2, c3), hidden, embed = self._config
-        return [
-            ("res_block", 2, (c1, c2), (3, 3), (2, 2)),
-            ("res_block", 1, c3, (3, 3), (1, 1)),
-            ("stats_pool", 1, "-", "-", "-"),
-            ("linear", 1, hidden, "-", "-"),
-            ("linear", 1, embed, "-", "-"),
-        ]
 
 
 class MultiScaleBranch(nn.Module):
@@ -167,8 +135,6 @@ class SpectrumEncoder(nn.Module):
                     for _ in range(linear_count - 1)]
         self.linears = nn.Sequential(*linears)
         self.out_dim = linear_width
-        self._config = (tuple(channels), tuple(kernels), tuple(strides),
-                        linear_width, linear_count)
 
     def forward(self, x: Tensor) -> Tensor:
         B = x.shape[0]
@@ -182,13 +148,6 @@ class SpectrumEncoder(nn.Module):
             if i < len(self.linears.layers) - 1:
                 x = x.relu()
         return x
-
-    def describe(self):
-        channels, kernels, strides, width, count = self._config
-        rows = [("conv1d", 1, c, k, s) for c, k, s in zip(channels, kernels, strides)]
-        rows.append(("flatten", "-", "-", "-", "-"))
-        rows.append(("linear", count, width, "-", "-"))
-        return rows
 
 
 class MultiScaleNet(nn.Module):
@@ -239,13 +198,6 @@ class MultiScaleNet(nn.Module):
         joined = ad.concat([e_spec, e_patch, e_spectrum], axis=1)
         norms = ((joined * joined).sum(axis=1, keepdims=True) + 1e-24) ** 0.5
         return ad.div(joined, norms)
-
-    def describe(self):
-        return {
-            "spectrogram_encoder": self.spectrogram_encoder.describe(),
-            "patch_encoder": self.patch_branch.encoder.describe(),
-            "spectrum_encoder": self.spectrum_encoder.describe(),
-        }
 
 
 def load_waves(rows, cfg: ModelConfig) -> np.ndarray:

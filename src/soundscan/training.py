@@ -14,7 +14,7 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Adam, Parameter, Tensor
 from .config import RunConfig, config_text
-from .checkpoint import save_container
+from .checkpoint import atomic_write, save_container
 from .errors import ConfigError, DataError
 from .network import MultiScaleNet, features_for_batch, load_waves
 
@@ -36,9 +36,6 @@ class LabelSpace:
 
     def class_of(self, row) -> int:
         return self.index[(row.machine_type, row.id_or_attr)]
-
-    def names(self):
-        return [f"{t}/{a}" if a else t for t, a in self.classes]
 
 
 def build_label_space(rows) -> LabelSpace:
@@ -283,7 +280,7 @@ def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
               f"seconds {seconds:.2f}", file=stream)
 
     if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
+        with atomic_write(log_path) as fh:
             fh.write("epoch,mean_loss,adacos_scale,seconds\n")
             for epoch, mean_loss, scale, seconds in log_rows:
                 fh.write(f"{epoch},{mean_loss:.10f},{scale:.10f},{seconds:.3f}\n")

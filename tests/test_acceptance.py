@@ -307,6 +307,7 @@ def default_corpus(tmp_path_factory):
     return rows, root
 
 
+@pytest.mark.slow
 def test_criterion_5_end_to_end_separation(default_corpus, tmp_path):
     started = time.perf_counter()
     rows, _ = default_corpus
@@ -324,6 +325,7 @@ def test_criterion_5_end_to_end_separation(default_corpus, tmp_path):
            f"{[round(float(a), 3) for a in per_class]}", started)
 
 
+@pytest.mark.slow
 def test_criterion_6_multiscale_ablation_direction(default_corpus, tmp_path):
     started = time.perf_counter()
     rows, _ = default_corpus

@@ -133,3 +133,27 @@ def test_arrays_that_do_not_fit_the_model_are_checkpoint_errors(tmp_path, tiny_c
         model_key = key.replace("model.", "", 1)
         with pytest.raises(CheckpointError, match=re.escape(model_key)):
             load_model(path)
+
+
+def test_checkpoint_echo_with_retired_label_schema_loads(tmp_path, tiny_corpus,
+                                                         tiny_checkpoint, tiny_run_cfg):
+    """Checkpoints written before `label_schema` was retired echo
+    `label_schema=type_id` after `subclusters=`; they load and embed the same
+    bytes as the same arrays without that line."""
+    from soundscan.config import config_text
+    from soundscan.network import load_model
+    from soundscan.scoring import embed_rows
+
+    rows, _ = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    arrays, echo = load_container(ckpt)
+    assert "label_schema" not in echo and "label_schema" not in config_text(tiny_run_cfg)
+    old_echo = re.sub(r"(?m)^(subclusters=.*\n)", r"\1label_schema=type_id\n", echo)
+    assert "\nlabel_schema=type_id\n" in old_echo
+    embedded = []
+    for name, text in (("old.ckpt", old_echo), ("new.ckpt", echo)):
+        save_container(tmp_path / name, arrays, text)
+        model, run_cfg = load_model(tmp_path / name)
+        assert config_text(run_cfg) == echo
+        embedded.append(embed_rows(model, rows[:4], 1).tobytes())
+    assert embedded[0] == embedded[1]

@@ -44,6 +44,22 @@ def test_unknown_config_key_is_exit_2(capsys):
     assert "error: config" in err
 
 
+def test_retired_label_schema_key_is_exit_2(capsys):
+    code, _, err = run(capsys, "scan-analyze", "--F", "64", "--T", "64",
+                       "--set", "label_schema=type_id")
+    assert code == 2
+    assert "unknown config key 'label_schema'" in err
+
+
+def test_synth_above_nyquist_is_exit_2(capsys, tmp_path):
+    out = tmp_path / "d"
+    code, _, err = run(capsys, "synth", "--set", "seed=0", "--set", "sample_rate=4000",
+                       "--out", str(out))
+    assert code == 2
+    assert "error: config" in err and "Nyquist" in err
+    assert not out.exists()
+
+
 def test_missing_seed_is_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "synth", "--out", str(tmp_path / "c"))
     assert code == 2

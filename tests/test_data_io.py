@@ -6,7 +6,7 @@ import pytest
 from soundscan import dsp
 from soundscan.data import (ManifestRow, SynthConfig, load_manifest,
                             save_manifest, scan_dcase_layout, synth_dataset)
-from soundscan.errors import DataError
+from soundscan.errors import ConfigError, DataError
 
 
 def test_manifest_round_trip(tmp_path, rng):
@@ -160,7 +160,21 @@ def test_synth_separable_by_spectral_peak_oracle(tmp_path):
     assert correct / len(test_rows) >= 0.95
 
 
+def test_failed_manifest_save_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "keep.csv"
+    save_manifest([ManifestRow("old.wav", "fan", "id_00", "", "train", "normal")], path)
+    before = path.read_bytes()
+    # the lone surrogate in the second row's path cannot be encoded as UTF-8,
+    # so the write fails after the first row
+    bad = [ManifestRow(name, "fan", "id_00", "", "train", "normal")
+           for name in ("a.wav", "b\udcff.wav")]
+    with pytest.raises(UnicodeEncodeError):
+        save_manifest(bad, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv"]
+
+
 def test_synth_validates_nyquist():
     cfg = SynthConfig(classes=1, base_freqs=(3000.0,), sample_rate=8000)
-    with pytest.raises(DataError, match="Nyquist"):
+    with pytest.raises(ConfigError, match="Nyquist"):
         cfg.validate()

@@ -95,34 +95,47 @@ def test_spectrogram_encoder_conv_params_input_invariant():
     assert a == b
 
 
-def test_describe_matches_architecture_tables():
-    cfg = ModelConfig()
-    model = MultiScaleNet(cfg)
-    rows = model.describe()
+def _conv_facts(conv):
+    """(stored weight shape, stride) of a Conv2d or Conv1d."""
+    return conv.weight.shape, conv.stride
 
-    spec_rows = rows["spectrogram_encoder"]
-    assert spec_rows[0][0] == "multi_axis_se"
-    assert spec_rows[1] == ("conv2d", 1, 16, (7, 7), (2, 2))
-    assert spec_rows[2] == ("max_pool", "-", "-", (3, 3), (2, 2))
-    assert spec_rows[4] == ("res_block", 1, 16, (3, 3), (1, 1))
-    staged = [r for r in spec_rows if r[0] == "res_block" and r[2] != 16]
-    assert [r[2] for r in staged] == [32, 32, 64, 64, 128, 128, 256, 256]
-    assert {r[4] for r in staged} == {(2, 2), (1, 1)}
-    assert spec_rows[-1][0] == "global_max_pool"
 
-    patch_rows = rows["patch_encoder"]
-    assert patch_rows[0] == ("res_block", 2, (32, 64), (3, 3), (2, 2))
-    assert patch_rows[1] == ("res_block", 1, 64, (3, 3), (1, 1))
-    assert patch_rows[2][0] == "stats_pool"
-    assert patch_rows[3] == ("linear", 1, 1024, "-", "-")
-    assert patch_rows[4] == ("linear", 1, 256, "-", "-")
+def test_default_model_matches_architecture_tables():
+    model = MultiScaleNet(ModelConfig())
 
-    spectrum_rows = rows["spectrum_encoder"]
-    assert spectrum_rows[0] == ("conv1d", 1, 128, 256, 64)
-    assert spectrum_rows[1] == ("conv1d", 1, 128, 64, 32)
-    assert spectrum_rows[2] == ("conv1d", 1, 128, 32, 4)
-    assert spectrum_rows[3][0] == "flatten"
-    assert spectrum_rows[4] == ("linear", 5, 128, "-", "-")
+    spec = model.spectrogram_encoder
+    assert isinstance(spec.se_in, nn.MultiAxisSE)
+    assert isinstance(spec.se_stem, nn.MultiAxisSE)
+    assert _conv_facts(spec.stem) == ((16, 1, 7, 7), (2, 2))
+    # 513x311 spectrogram: 7x7/2 stem, then the 3x3/2 max pool
+    assert spec.spatial_trace[:2] == ((257, 156), (129, 78))
+    layers = spec.blocks.layers
+    # five stages of residual block, gate, residual block
+    assert [type(m) for m in layers] == [nn.ResBlock2d, nn.MultiAxisSE, nn.ResBlock2d] * 5
+    res = [(m.conv1.weight.shape[0], m.conv1.weight.shape[2:], m.conv1.stride)
+           for m in layers if isinstance(m, nn.ResBlock2d)]
+    assert res == [(16, (3, 3), (1, 1)), (16, (3, 3), (1, 1)),
+                   (32, (3, 3), (2, 2)), (32, (3, 3), (1, 1)),
+                   (64, (3, 3), (2, 2)), (64, (3, 3), (1, 1)),
+                   (128, (3, 3), (2, 2)), (128, (3, 3), (1, 1)),
+                   (256, (3, 3), (2, 2)), (256, (3, 3), (1, 1))]
+    # the global max pool spans the last stage's whole map
+    assert spec.final_hw == spec.spatial_trace[-1] == (9, 5)
+    assert len(spec.spatial_trace) == 6
+
+    patch = model.patch_branch.encoder
+    blocks = [patch.block1, patch.block2, patch.block3]
+    assert [_conv_facts(b.conv1) for b in blocks] == [
+        ((32, 1, 3, 3), (2, 2)), ((64, 32, 3, 3), (2, 2)), ((64, 64, 3, 3), (1, 1))]
+    assert patch.fc1.weight.shape == (1024, 128)
+    assert patch.fc2.weight.shape == (256, 1024)
+
+    spectrum = model.spectrum_encoder
+    assert [_conv_facts(c) for c in spectrum.convs.layers] == [
+        ((128, 1, 256), 64), ((128, 128, 64), 32), ((128, 128, 32), 4)]
+    linears = spectrum.linears.layers
+    assert len(linears) == 5
+    assert [lin.weight.shape[0] for lin in linears] == [128] * 5
 
 
 # -- batch-norm folding ----------------------------------------------------------------
