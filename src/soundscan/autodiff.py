@@ -9,9 +9,13 @@ throughout.
 
 The tape keeps, per op, its input and output tensors plus the arrays its
 backward reads that it cannot cheaply rebuild, for example batch norm's
-normalized input and max pooling's windows. conv2d keeps no im2col block:
-its backward re-gathers the block from the input, which costs one gather
-and saves a block kh*kw times the input's size. ``backward()`` frees
+normalized input and max pooling's windows. conv2d keeps no im2col block,
+which would be kh*kw times the input's size. A stride-1 conv whose
+padding is below its kernel backpropagates through one gather of the
+padded output gradient: that block times the flipped kernel is the input
+gradient, and the input times it is the weight gradient. Other convs
+re-gather the block from the input for the weight gradient and scatter
+the column gradient back onto the input. ``backward()`` frees
 nothing, so a graph may be backpropagated more than once; the graph is
 freed when its output goes out of scope.
 
@@ -489,19 +493,44 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         rows += _channel_row(bias.data, rows)
     data = out.reshape(B, h_out, w_out, c_out)
 
-    def backward(g):
-        g_mat = g.reshape(B * P, c_out)
+    def backward_gathered(g):
+        # stride 1: the input gradient is a stride-1 conv of the gradient,
+        # padded by (kh-1-ph, kw-1-pw), with the flipped kernel; the same
+        # gathered block gives the weight gradient against the unpadded x
+        qh, qw = kh - 1 - ph, kw - 1 - pw
+        Hg, Wg = H + kh - 1, W + kw - 1
+        g_idx = _conv2d_index(Hg, Wg, kh, kw, 1, 1)[0]
+        col = np.take(_padded(g, qh, qw, 0.0).reshape(B, Hg * Wg, c_out), g_idx, axis=1)
+        col = col.reshape(B * H * W, kh * kw * c_out)       # columns (kh', kw', C_out)
+        gx = gw = None
+        if _needs(x):
+            w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(C, -1)
+            gx = (col @ w_flip.T).reshape(B, H, W, C)
+        if _needs(weight):
+            gw_flip = (x.data.reshape(B * H * W, C).T @ col).reshape(C, kh, kw, c_out)
+            gw = gw_flip[:, ::-1, ::-1].transpose(3, 0, 1, 2)
+        return gx, gw
+
+    def backward_scattered(g_mat):
         gw = None
         if _needs(weight):
             # re-gathered, not kept: the block is kh*kw times the input
             gw = (g_mat.T @ im2col()).reshape(c_out, kh, kw, C).transpose(0, 3, 1, 2)
-        gb = _channel_sum(g_mat, c_out) if bias is not None and _needs(bias) else None
         gx = None
         if _needs(x):
             g_col = (g_mat @ w_mat).reshape(B, P * K)
             scatter = _conv2d_scatter_index(C, Hp, Wp, kh, kw, sh, sw)
             acc = _scatter_rows(g_col, scatter, Hp * Wp * C).reshape(B, Hp, Wp, C)
             gx = acc[:, ph:Hp - ph or None, pw:Wp - pw or None]
+        return gx, gw
+
+    # the gradient's padding, kh-1-ph and kw-1-pw, must not be negative
+    gathered = (sh, sw) == (1, 1) and ph < kh and pw < kw
+
+    def backward(g):
+        g_mat = g.reshape(B * P, c_out)
+        gx, gw = backward_gathered(g) if gathered else backward_scattered(g_mat)
+        gb = _channel_sum(g_mat, c_out) if bias is not None and _needs(bias) else None
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
     parents = (x, weight, bias) if bias is not None else (x, weight)
@@ -570,34 +599,44 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     C = x.data.shape[-1]
     rows = x.data.reshape(x.data.shape[0], -1)
     n = rows.size // C
+    # x_hat is built in place in the centred buffer and the output buffer
+    # first holds the squares for the variance: two full-size arrays, not four
     if training:
         mean = _channel_sum(rows, C) / n
-        centered = rows - _channel_row(mean, rows)
-        var = _channel_sum(centered * centered, C) / n
+        x_hat = rows - _channel_row(mean, rows)
+        out = np.multiply(x_hat, x_hat)
+        var = _channel_sum(out, C) / n
         running_mean *= (1.0 - momentum)
         running_mean += momentum * mean
         running_var *= (1.0 - momentum)
         running_var += momentum * var
         inv_std = 1.0 / np.sqrt(var + eps)
-        x_hat = centered * _channel_row(inv_std, rows)
     else:
         inv_std = 1.0 / np.sqrt(running_var + eps)
-        x_hat = (rows - _channel_row(running_mean, rows)) * _channel_row(inv_std, rows)
-    data = (x_hat * _channel_row(gamma.data, rows)
-            + _channel_row(beta.data, rows)).reshape(x.shape)
+        x_hat = rows - _channel_row(running_mean, rows)
+        out = np.empty_like(x_hat)
+    x_hat *= _channel_row(inv_std, rows)
+    np.multiply(x_hat, _channel_row(gamma.data, rows), out=out)
+    out += _channel_row(beta.data, rows)
+    data = out.reshape(x.shape)
 
     def backward(g):
         g = g.reshape(rows.shape)
-        gg = _channel_sum(g * x_hat, C) if _needs(gamma) else None
+        need_g_xhat = _needs(gamma) or (training and _needs(x))
+        g_xhat = np.multiply(g, x_hat) if need_g_xhat else None
+        gg = _channel_sum(g_xhat, C) if _needs(gamma) else None
         gb = _channel_sum(g, C) if _needs(beta) else None
         gx = None
         if _needs(x):
             coef = _channel_row(gamma.data * inv_std, rows)
             if training:
                 sum_g = gb if gb is not None else _channel_sum(g, C)
-                sum_g_xhat = gg if gg is not None else _channel_sum(g * x_hat, C)
-                gx = coef * (g - _channel_row(sum_g / n, rows)
-                             - x_hat * _channel_row(sum_g_xhat / n, rows))
+                sum_g_xhat = gg if gg is not None else _channel_sum(g_xhat, C)
+                # gx = ((g - A) - x_hat * B) * coef, with x_hat * B in g_xhat's buffer
+                np.multiply(x_hat, _channel_row(sum_g_xhat / n, rows), out=g_xhat)
+                gx = g - _channel_row(sum_g / n, rows)
+                gx -= g_xhat
+                gx *= coef
             else:
                 gx = g * coef
             gx = gx.reshape(x.shape)

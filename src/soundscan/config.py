@@ -263,10 +263,20 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         key, _, value = stripped.partition("=")
-        if key.strip() == "label_schema":   # retired; older checkpoint echoes carry it
-            continue
         pairs.append((key.strip(), value.strip()))
     return apply_overrides(cfg, pairs)
+
+
+def parse_echo_text(echo: str) -> RunConfig:
+    """Parse the config echo that an artifact carries.
+
+    Echoes written before `label_schema` was retired carry a
+    `label_schema=` line; it is blanked here, and only here, so that a
+    config file or `--set` naming the key is still an unknown key.
+    """
+    lines = ["" if line.split("#", 1)[0].partition("=")[0].strip() == "label_schema"
+             else line for line in echo.splitlines()]
+    return parse_config_text("\n".join(lines))
 
 
 def load_config(path) -> RunConfig:

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
 from .checkpoint import load_container
-from .config import ModelConfig, RunConfig, parse_config_text
+from .config import ModelConfig, RunConfig, parse_echo_text
 from .dsp import AudioClip, fix_length, load_wav, stft_magnitude, utterance_spectrum
 from .errors import CheckpointError, ConfigError, DataError
 from .scanning import scan_array, usable_kernels
@@ -86,7 +86,6 @@ class PatchEncoder(nn.Module):
         self.fc1 = nn.Linear(2 * c3, hidden_dim, rng)
         self.fc2 = nn.Linear(hidden_dim, embed_dim, rng)
         self.out_channels = c3
-        self.embed_dim = embed_dim
 
     def forward(self, stack: Tensor) -> Tensor:
         B, N, h, w = stack.shape
@@ -134,7 +133,6 @@ class SpectrumEncoder(nn.Module):
         linears += [nn.Linear(linear_width, linear_width, rng)
                     for _ in range(linear_count - 1)]
         self.linears = nn.Sequential(*linears)
-        self.out_dim = linear_width
 
     def forward(self, x: Tensor) -> Tensor:
         B = x.shape[0]
@@ -230,7 +228,7 @@ def load_model(path) -> tuple[MultiScaleNet, RunConfig]:
     if not echo.strip():
         raise CheckpointError(f"{path}: checkpoint carries no config echo")
     try:
-        run_cfg = parse_config_text(echo)
+        run_cfg = parse_echo_text(echo)
     except ConfigError as exc:
         raise CheckpointError(f"{path}: config echo is not a model config: {exc}") from None
     model = MultiScaleNet(run_cfg.model)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import load_container, save_container
-from .config import parse_config_text
+from .config import parse_echo_text
 from .errors import DataError
 from .metrics import group_key_for
 from .network import features_for_batch, load_waves
@@ -247,7 +247,7 @@ class PrototypeStore:
                 continue
             key, _, domain = name[len("proto/"):].partition("\x1f")
             store.add(PrototypeSet(key, domain, centroids))
-        run_cfg = parse_config_text(echo) if echo.strip() else None
+        run_cfg = parse_echo_text(echo) if echo.strip() else None
         return store, run_cfg
 
 

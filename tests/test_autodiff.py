@@ -228,22 +228,65 @@ def test_grad_transpose_concat_mean():
         lambda: (ad.concat([a.T, b.T], axis=1).mean(axis=1) ** 2).sum(), [a, b])
 
 
-def test_grad_conv2d():
+# (x as (B, C, H, W), weight, stride, padding, bias). Stride-1 convs with
+# padding below the kernel backpropagate through a gather of the gradient;
+# the rest re-gather the input and scatter.
+CONV2D_GRAD_CASES = {
+    "strided": ((1, 2, 5, 5), (3, 2, 3, 3), (2, 1), (1, 1), True),
+    "s1_pad0": ((2, 2, 5, 4), (3, 2, 3, 3), (1, 1), (0, 0), True),
+    "s1_pad1_no_bias": ((1, 2, 5, 5), (3, 2, 3, 3), (1, 1), (1, 1), False),
+    "s1_pad2x1": ((1, 2, 5, 5), (2, 2, 3, 3), (1, 1), (2, 1), True),
+    "s1_kernel2x3": ((1, 3, 4, 5), (2, 3, 2, 3), (1, 1), (1, 1), True),
+    "s1_kernel1x1": ((2, 3, 3, 4), (4, 3, 1, 1), (1, 1), (0, 0), False),
+    "s1_same_channels": ((1, 3, 4, 4), (3, 3, 3, 3), (1, 1), (1, 1), True),
+    "s1_kernel1x1_pad1": ((1, 2, 3, 3), (3, 2, 1, 1), (1, 1), (1, 1), True),
+}
+
+
+@pytest.mark.parametrize("case", list(CONV2D_GRAD_CASES))
+def test_grad_conv2d(case):
+    x_shape, w_shape, stride, padding, with_bias = CONV2D_GRAD_CASES[case]
     rng = np.random.default_rng(10)
-    x = image_leaf(rng, (1, 2, 5, 5))
-    w = leaf(rng, (3, 2, 3, 3), scale=0.5)
-    b = leaf(rng, (3,))
+    x = image_leaf(rng, x_shape)
+    w = leaf(rng, w_shape, scale=0.5)
+    b = leaf(rng, (w_shape[0],)) if with_bias else None
     check_gradients(
-        lambda: (ad.conv2d(x, w, b, stride=(2, 1), padding=(1, 1)) ** 2).sum(),
-        [x, w, b])
+        lambda: (ad.conv2d(x, w, b, stride=stride, padding=padding) ** 2).sum(),
+        [x, w] + ([b] if with_bias else []))
 
 
-def test_grad_conv1d():
+@pytest.mark.parametrize("stride", [3, 1])
+def test_grad_conv1d(stride):
     rng = np.random.default_rng(11)
     x = image_leaf(rng, (2, 2, 11))
     w = leaf(rng, (3, 2, 4), scale=0.5)
     b = leaf(rng, (3,))
-    check_gradients(lambda: (ad.conv1d(x, w, b, stride=3) ** 2).sum(), [x, w, b])
+    check_gradients(lambda: (ad.conv1d(x, w, b, stride=stride) ** 2).sum(), [x, w, b])
+
+
+def test_conv2d_backward_scatters_only_when_strided_or_overpadded(monkeypatch):
+    calls = []
+    scatter = ad._scatter_rows
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return scatter(*args)
+
+    monkeypatch.setattr(ad, "_scatter_rows", counted)
+    rng = np.random.default_rng(13)
+    for case, expected in (("s1_pad0", 0), ("s1_pad2x1", 0), ("s1_kernel2x3", 0),
+                           ("s1_kernel1x1", 0), ("strided", 1), ("s1_kernel1x1_pad1", 1)):
+        x_shape, w_shape, stride, padding, _ = CONV2D_GRAD_CASES[case]
+        x = image_leaf(rng, x_shape)
+        w = leaf(rng, w_shape)
+        calls.clear()
+        (ad.conv2d(x, w, stride=stride, padding=padding) ** 2).sum().backward()
+        assert len(calls) == expected, case
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+    calls.clear()
+    x = image_leaf(rng, (2, 2, 11))
+    (ad.conv1d(x, leaf(rng, (3, 2, 4))) ** 2).sum().backward()
+    assert calls == []
 
 
 def test_grad_linear():

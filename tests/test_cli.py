@@ -51,6 +51,16 @@ def test_retired_label_schema_key_is_exit_2(capsys):
     assert "unknown config key 'label_schema'" in err
 
 
+def test_retired_label_schema_in_config_file_is_exit_2(capsys, tmp_path):
+    # only an artifact's echo may carry the retired key
+    path = tmp_path / "run.cfg"
+    path.write_text("seed=1\nlabel_schema=bogus\n")
+    code, _, err = run(capsys, "scan-analyze", "--config", str(path), "--F", "64",
+                       "--T", "64", "--set", "kernels=16x8")
+    assert code == 2
+    assert "unknown config key 'label_schema'" in err
+
+
 def test_synth_above_nyquist_is_exit_2(capsys, tmp_path):
     out = tmp_path / "d"
     code, _, err = run(capsys, "synth", "--set", "seed=0", "--set", "sample_rate=4000",

@@ -284,6 +284,18 @@ def test_store_save_load_round_trip(tmp_path, rng):
                                       store.sets[key].centroids)
 
 
+def test_store_echo_with_retired_label_schema_loads(tmp_path, rng):
+    from soundscan.config import config_text, micro_preset
+
+    cfg = micro_preset(seed=3)
+    echo = config_text(cfg)
+    store = PrototypeStore("per-type")
+    store.add(PrototypeSet("fan", "source", unit_rows(rng.standard_normal((4, 6)))))
+    path = tmp_path / "store.bin"
+    store.save(path, echo=echo + "label_schema=type_id\n")
+    assert PrototypeStore.load(path)[1] == cfg
+
+
 def test_sets_for_follows_add_order_and_replacement(rng):
     store = PrototypeStore("per-type")
     sets = {(key, domain): PrototypeSet(key, domain, unit_rows(rng.standard_normal((2, 3))))
