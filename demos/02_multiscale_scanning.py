@@ -20,11 +20,10 @@ print(f"{'kernel':>8} {'n_f':>5} {'n_t':>4} {'patches':>8} {'coverage':>9} {'MB'
 total = 0
 for box in default_kernel_set():
     plan = plan_from_steps(F, T, box, F_STEP, T_STEP)
-    cover = coverage_map(F, T, box, plan)
-    n = plan.patch_count
-    total += n
-    mb = n * box.h * box.w * 8 / 1e6
-    print(f"{str(box):>8} {plan.n_f:>5} {plan.n_t:>4} {n:>8} "
+    cover = coverage_map(F, T, plan)
+    total += plan.patch_count
+    mb = plan.patch_cells * 8 / 1e6
+    print(f"{str(box):>8} {plan.n_f:>5} {plan.n_t:>4} {plan.patch_count:>8} "
           f"{cover.min():>4}..{cover.max():<4} {mb:>7.1f}")
 print(f"total patches per clip: {total}")
 print("(a kernel narrower than T_step leaves time gaps, hence min coverage 0;"
@@ -34,7 +33,7 @@ print("(a kernel narrower than T_step leaves time gaps, hence min coverage 0;"
 marker = Spectrogram(np.tile(np.arange(F, dtype=float)[:, None], (1, T)))
 box = default_kernel_set()[0]
 plan = plan_from_steps(F, T, box, F_STEP, T_STEP)
-stack = scan(marker, box, plan)
+stack = scan(marker, plan)
 anchor = plan.f_positions[3]
 patch = stack.patches[3 * plan.n_t]  # row-major: (f anchor 3, t anchor 0)
 print(f"\npatch at frequency anchor {anchor}: rows run "

@@ -101,13 +101,9 @@ def _load_run_config(args) -> config.RunConfig:
 
 def cmd_synth(args) -> int:
     cfg = _load_run_config(args)
-    s = cfg.synth
     synth_cfg = data.SynthConfig(
-        classes=s.classes, train_clips=s.train_clips, test_normal=s.test_normal,
-        test_anomaly=s.test_anomaly, duration_seconds=cfg.model.clip_seconds,
-        sample_rate=cfg.model.sample_rate, base_freqs=s.base_freqs,
-        anomaly_kind=s.anomaly_kind, noise_floor=s.noise_floor,
-        seed=cfg.model.seed)
+        **vars(cfg.synth), duration_seconds=cfg.model.clip_seconds,
+        sample_rate=cfg.model.sample_rate, seed=cfg.model.seed)
     rows = data.synth_dataset(synth_cfg, args.out)
     print(f"wrote {len(rows)} clips under {args.out} "
           f"({sum(r.split == 'train' for r in rows)} train)")
@@ -222,10 +218,9 @@ def cmd_scan_analyze(args) -> int:
                   file=sys.stderr)
             continue
         plan = m.scan_plan(args.F, args.T, box)
-        cover = scanning.coverage_map(args.F, args.T, box, plan)
-        n = plan.patch_count
-        print(f"{box},{box.h},{box.w},{plan.n_f},{plan.n_t},{n},"
-              f"{cover.min()},{cover.max()},{n * box.h * box.w * 8}")
+        cover = scanning.coverage_map(args.F, args.T, plan)
+        print(f"{box},{box.h},{box.w},{plan.n_f},{plan.n_t},{plan.patch_count},"
+              f"{cover.min()},{cover.max()},{plan.patch_cells * 8}")
     return 0
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import wavio
 from .checkpoint import atomic_write
+from .config import SynthSettings
 from .errors import ConfigError, DataError
 
 MANIFEST_COLUMNS = ["path", "type", "id_or_attr", "domain", "split", "label"]
@@ -148,30 +149,21 @@ def _parse_name(path, machine_type, split, name, style) -> ManifestRow:
 # -- synthetic machine-sound corpus ------------------------------------------------
 
 @dataclass
-class SynthConfig:
-    """Recipe for the synthetic corpus: per-class harmonic stacks plus noise."""
+class SynthConfig(SynthSettings):
+    """Recipe for the synthetic corpus: per-class harmonic stacks plus noise.
 
-    classes: int = 4
-    train_clips: int = 30
-    test_normal: int = 10
-    test_anomaly: int = 10
+    The corpus settings of a run config, plus the clip length, sample rate
+    and seed that the run config keeps with its model settings."""
+
     duration_seconds: float = 1.0
     sample_rate: int = 8000
-    base_freqs: tuple = (400.0, 550.0, 700.0, 850.0)
-    anomaly_kind: str = "detune"        # detune | transient | band-noise
-    noise_floor: float = 0.01
     seed: int = 0
 
     DETUNE_FACTOR = 1.06
     HARMONIC_AMPS = (1.0, 0.5, 0.25)
 
     def validate(self) -> None:
-        if self.classes < 1 or self.train_clips < 1:
-            raise ConfigError("synth counts must be positive")
-        if len(self.base_freqs) < self.classes:
-            raise ConfigError("need a base frequency per class")
-        if self.anomaly_kind not in ("detune", "transient", "band-noise"):
-            raise ConfigError(f"unknown anomaly kind {self.anomaly_kind!r}")
+        super().validate()
         nyquist = self.sample_rate / 2
         top = max(self.base_freqs[:self.classes]) * len(self.HARMONIC_AMPS) * self.DETUNE_FACTOR
         if top >= nyquist:

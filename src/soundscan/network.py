@@ -1,9 +1,9 @@
 """The full embedding network: two spectrogram branches plus a spectrum branch.
 
 Branch one encodes the whole spectrogram with a gated residual stack; branch
-two scans the spectrogram with multi-scale kernel boxes and pushes every
-patch stack through one weight-shared patch encoder; branch three encodes
-the utterance-level spectrum with strided 1-D convolutions. The three
+two scans the spectrogram along one scan plan per kernel box and pushes every
+patch stack through one weight-shared patch encoder; branch three encodes the
+utterance-level spectrum with strided 1-D convolutions. The three
 embeddings are concatenated and L2-normalized.
 
 `load_waves` and `features_for_batch` are the one feature path that both
@@ -37,10 +37,8 @@ class SpectrogramEncoder(nn.Module):
         self.se_in = nn.MultiAxisSE(1, F, T, reduction, rng)
         self.stem = nn.Conv2d(1, stem_channels, (7, 7), (2, 2), (3, 3), rng, bias=False)
         self.stem_bn = nn.BatchNorm2d(stem_channels)
-        trace = [(conv_out(F, 7, 2, 3), conv_out(T, 7, 2, 3))]
-        h, w = trace[0]
+        h, w = conv_out(F, 7, 2, 3), conv_out(T, 7, 2, 3)
         h, w = conv_out(h, 3, 2, 1), conv_out(w, 3, 2, 1)  # stem max pool
-        trace.append((h, w))
         self.se_stem = nn.MultiAxisSE(stem_channels, h, w, reduction, rng)
 
         blocks = []
@@ -50,14 +48,12 @@ class SpectrogramEncoder(nn.Module):
             blocks.append(nn.ResBlock2d(c_prev, c, stride, rng))
             if stride == 2:
                 h, w = conv_out(h, 3, 2, 1), conv_out(w, 3, 2, 1)
-                trace.append((h, w))
             blocks.append(nn.MultiAxisSE(c, h, w, reduction, rng))
             blocks.append(nn.ResBlock2d(c, c, 1, rng))
             c_prev = c
         self.blocks = nn.Sequential(*blocks)
         self.out_dim = stage_channels[-1]
         self.final_hw = (h, w)
-        self.spatial_trace = tuple(trace)
 
     def forward(self, x: Tensor) -> Tensor:
         x = self.se_in(x)
@@ -96,16 +92,21 @@ class PatchEncoder(nn.Module):
 
 
 class MultiScaleBranch(nn.Module):
-    """Scan with every kernel, encode with the shared patch encoder,
-    concatenate the K per-scale embeddings and refine to one."""
+    """Scan a (B, F, T) spectrogram batch along each of the K scan plans,
+    encode every patch stack with the shared patch encoder, concatenate the
+    K per-scale embeddings and refine to one."""
 
-    def __init__(self, n_kernels, channels, embed_dim, hidden_dim, rng):
+    def __init__(self, plans, channels, embed_dim, hidden_dim, rng):
         super().__init__()
+        self.plans = list(plans)
         self.encoder = PatchEncoder(channels, embed_dim, hidden_dim, rng)
-        self.merge = nn.Linear(n_kernels * embed_dim, embed_dim, rng)
+        self.merge = nn.Linear(len(self.plans) * embed_dim, embed_dim, rng)
 
-    def forward(self, stacks) -> Tensor:
-        embeddings = [self.encoder(stack) for stack in stacks]
+    def forward(self, spec_batch: np.ndarray) -> Tensor:
+        embeddings = []
+        for p in self.plans:
+            stack = scan_array(spec_batch, p.box.h, p.box.w, p.f_positions, p.t_positions)
+            embeddings.append(self.encoder(Tensor(stack)))
         joined = embeddings[0] if len(embeddings) == 1 else ad.concat(embeddings, axis=1)
         return self.merge(joined).relu()
 
@@ -156,32 +157,22 @@ class MultiScaleNet(nn.Module):
         cfg.validate()
         self.cfg = cfg
         F, T = cfg.freq_bins, cfg.frames
-        self.kernels = usable_kernels(cfg.kernels, F, T)
-        if not self.kernels:
+        kernels = usable_kernels(cfg.kernels, F, T)
+        if not kernels:
             raise ConfigError(f"no kernel from {list(map(str, cfg.kernels))} fits a "
                               f"{F}x{T} spectrogram")
-        self.plans = [cfg.scan_plan(F, T, k) for k in self.kernels]
 
         rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
         self.spectrogram_encoder = SpectrogramEncoder(
             F, T, cfg.stem_channels, cfg.stage_channels, cfg.se_reduction, rng)
         self.patch_branch = MultiScaleBranch(
-            len(self.kernels), cfg.patch_channels, cfg.patch_embed_dim,
-            cfg.patch_hidden_dim, rng)
+            [cfg.scan_plan(F, T, k) for k in kernels], cfg.patch_channels,
+            cfg.patch_embed_dim, cfg.patch_hidden_dim, rng)
         self.spectrum_encoder = SpectrumEncoder(
             cfg.spectrum_bins, cfg.spectrum_channels, cfg.spectrum_kernels,
             cfg.spectrum_strides, cfg.spectrum_linear_width,
             cfg.spectrum_linear_count, rng)
         self.embed_dim = cfg.embed_dim
-
-    def scan_batch(self, spec_batch: np.ndarray):
-        """Per-kernel patch stacks (B, N_k, h, w) from a (B, F, T) batch."""
-        stacks = []
-        for box, plan in zip(self.kernels, self.plans):
-            fp = np.asarray(plan.f_positions, dtype=np.intp)
-            tp = np.asarray(plan.t_positions, dtype=np.intp)
-            stacks.append(Tensor(scan_array(spec_batch, box.h, box.w, fp, tp)))
-        return stacks
 
     def forward(self, spec_batch: np.ndarray, spectrum_batch: np.ndarray) -> Tensor:
         spec_batch = np.asarray(spec_batch, dtype=np.float64)
@@ -191,7 +182,7 @@ class MultiScaleNet(nn.Module):
             raise DataError(f"spectrogram batch is {F}x{T}, model expects "
                             f"{self.cfg.freq_bins}x{self.cfg.frames}")
         e_spec = self.spectrogram_encoder(Tensor(spec_batch.reshape(B, F, T, 1)))
-        e_patch = self.patch_branch(self.scan_batch(spec_batch))
+        e_patch = self.patch_branch(spec_batch)
         e_spectrum = self.spectrum_encoder(Tensor(spectrum_batch))
         joined = ad.concat([e_spec, e_patch, e_spectrum], axis=1)
         norms = ((joined * joined).sum(axis=1, keepdims=True) + 1e-24) ** 0.5

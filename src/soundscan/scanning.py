@@ -39,8 +39,9 @@ class KernelBox:
 
 @dataclass(frozen=True)
 class ScanPlan:
-    """Anchor grid for one kernel box over one spectrogram size."""
+    """One kernel box and the anchor grid it scans over one spectrogram size."""
 
+    box: KernelBox
     f_positions: tuple
     t_positions: tuple
 
@@ -55,6 +56,11 @@ class ScanPlan:
     @property
     def patch_count(self) -> int:
         return self.n_f * self.n_t
+
+    @property
+    def patch_cells(self) -> int:
+        """Cells in the plan's patch stack: patch_count * h * w."""
+        return self.patch_count * self.box.h * self.box.w
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,7 @@ def plan_from_steps(F: int, T: int, box: KernelBox, f_step: int, t_step: int) ->
     if f_step < 0 or t_step < 0:
         raise ConfigError("step sizes must be non-negative")
     return ScanPlan(
+        box=box,
         f_positions=_axis_positions(F, box.h, f_step),
         t_positions=_axis_positions(T, box.w, t_step),
     )
@@ -121,23 +128,24 @@ def plan_from_counts(F: int, T: int, box: KernelBox, n_f: int, n_t: int) -> Scan
     return plan_from_steps(F, T, box, f_step, t_step)
 
 
-def scan(spec: Spectrogram, box: KernelBox, plan: ScanPlan) -> PatchStack:
+def scan(spec: Spectrogram, plan: ScanPlan) -> PatchStack:
     """Extract the planned patches, row-major over (frequency anchor, time anchor)."""
     values = spec.values
     F, T = values.shape
+    box, fp, tp = plan.box, plan.f_positions, plan.t_positions
     _check_fits(F, T, box)
-    fp = np.asarray(plan.f_positions, dtype=np.intp)
-    tp = np.asarray(plan.t_positions, dtype=np.intp)
-    if fp.size == 0 or tp.size == 0:
+    if plan.patch_count == 0:
         raise DataError("scan plan has no anchors")
-    if fp.min() < 0 or fp.max() > F - box.h or tp.min() < 0 or tp.max() > T - box.w:
+    if min(fp) < 0 or max(fp) > F - box.h or min(tp) < 0 or max(tp) > T - box.w:
         raise DataError(f"scan plan exceeds the {F}x{T} spectrogram for kernel {box}")
     return PatchStack(scan_array(values, box.h, box.w, fp, tp), box)
 
 
-def scan_array(values: np.ndarray, h: int, w: int, fp: np.ndarray, tp: np.ndarray) -> np.ndarray:
+def scan_array(values: np.ndarray, h: int, w: int, fp, tp) -> np.ndarray:
     """Gather (len(fp)*len(tp), h, w) patches from a 2-D array (or a batch
-    of them, leading axes preserved)."""
+    of them, leading axes preserved); fp and tp are anchor sequences."""
+    fp = np.asarray(fp, dtype=np.intp)
+    tp = np.asarray(tp, dtype=np.intp)
     f_idx = (fp[:, None] + np.arange(h)[None, :]).reshape(-1)     # (n_f*h,)
     t_idx = (tp[:, None] + np.arange(w)[None, :]).reshape(-1)     # (n_t*w,)
     block = values[..., f_idx, :][..., t_idx]                     # (..., n_f*h, n_t*w)
@@ -163,8 +171,9 @@ def usable_kernels(kernels, F: int, T: int):
     return kept
 
 
-def coverage_map(F: int, T: int, box: KernelBox, plan: ScanPlan) -> np.ndarray:
+def coverage_map(F: int, T: int, plan: ScanPlan) -> np.ndarray:
     """F x T matrix counting how many patches cover each cell."""
+    box = plan.box
     cover = np.zeros((F, T), dtype=np.int64)
     for f in plan.f_positions:
         for t in plan.t_positions:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .checkpoint import load_container, save_container
 from .config import parse_echo_text
-from .errors import DataError
+from .errors import CheckpointError, ConfigError, DataError
 from .metrics import group_key_for
 from .network import features_for_batch, load_waves
 from . import autodiff as ad
@@ -239,15 +239,24 @@ class PrototypeStore:
 
     @classmethod
     def load(cls, path):
+        """(store, run config or None) from a file `save` wrote; any other
+        container is a bad file and raises CheckpointError."""
         arrays, echo = load_container(path)
-        mode = "per-type" if arrays.get("meta/mode", np.zeros(1))[0] == 1.0 else "per-id"
-        store = cls(mode)
+        if "meta/mode" not in arrays:
+            raise CheckpointError(f"{path}: not a prototype store: no meta/mode array")
+        for name in arrays:
+            if not name.startswith(("proto/", "meta/")):
+                raise CheckpointError(f"{path}: not a prototype store: holds {name!r}")
+        store = cls("per-type" if arrays["meta/mode"][0] == 1.0 else "per-id")
         for name, centroids in arrays.items():
             if not name.startswith("proto/"):
                 continue
             key, _, domain = name[len("proto/"):].partition("\x1f")
             store.add(PrototypeSet(key, domain, centroids))
-        run_cfg = parse_echo_text(echo) if echo.strip() else None
+        try:
+            run_cfg = parse_echo_text(echo) if echo.strip() else None
+        except ConfigError as exc:
+            raise CheckpointError(f"{path}: config echo is not a run config: {exc}") from None
         return store, run_cfg
 
 

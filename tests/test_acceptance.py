@@ -174,7 +174,7 @@ def test_criterion_2_scanning_suite():
             f_step = int(rng.integers(1, h + 1))
             t_step = int(rng.integers(1, w + 1))
             plan = plan_from_steps(F, T, box, f_step, t_step)
-            assert coverage_map(F, T, box, plan).min() >= 1
+            assert coverage_map(F, T, plan).min() >= 1
         else:
             from soundscan.scanning import plan_from_counts
             plan = plan_from_counts(F, T, box, int(rng.integers(1, 9)),
@@ -182,7 +182,7 @@ def test_criterion_2_scanning_suite():
         assert all(0 <= f <= F - h for f in plan.f_positions)
         assert all(0 <= t <= T - w for t in plan.t_positions)
         from soundscan.dsp import Spectrogram
-        stack = scan(Spectrogram(np.zeros((F, T))), box, plan)
+        stack = scan(Spectrogram(np.zeros((F, T))), plan)
         assert len(stack) == plan.n_f * plan.n_t
 
     # paper configuration: every kernel's anchor counts match enumeration
@@ -389,7 +389,7 @@ def test_criterion_8_shared_weight_law():
     census = {}
     for k, kernels in kernel_sets.items():
         model = MultiScaleNet(ModelConfig(kernels=kernels, seed=0))
-        assert len(model.kernels) == k
+        assert len(model.patch_branch.plans) == k
         census[k] = {name: p.size for name, p in model.named_parameters()}
 
     encoder_counts = {

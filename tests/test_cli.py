@@ -26,6 +26,17 @@ def test_scan_analyze_default_kernel_table(capsys):
     assert int(first[4]) == 11
 
 
+def test_scan_analyze_patch_bytes_are_the_plan_cells(capsys):
+    from soundscan.config import ModelConfig
+
+    code, out, _ = run(capsys, "scan-analyze", "--F", "513", "--T", "311")
+    assert code == 0
+    cfg = ModelConfig()
+    plans = [cfg.scan_plan(513, 311, box) for box in cfg.kernels]
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [int(row[8]) for row in rows] == [8 * p.patch_cells for p in plans]
+
+
 def test_scan_analyze_counts_mode(capsys):
     # spans divide evenly (481 = 13*37, 295 = 5*59), so the derived steps
     # reproduce the requested counts exactly

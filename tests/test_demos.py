@@ -1,17 +1,26 @@
-"""The demo scripts import only names the library still has.
+"""The demo scripts import only names the library still has, and the quick
+ones run.
 
-No test runs the demos (the training one takes minutes), so each script is
-parsed instead and every name it imports from soundscan is looked up.
+Every script is parsed and every name it imports from soundscan is looked
+up. The demos that finish in well under a second also run to exit 0, which
+catches a changed call signature too; the training demo takes minutes, so
+it is only parsed.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+QUICK_DEMOS = ["01_dsp_features.py", "02_multiscale_scanning.py",
+               "04_metrics_and_prototypes.py"]
 
 
 def _soundscan_imports(tree):
@@ -44,3 +53,13 @@ def test_demo_imports_resolve(demo):
         submodule = hasattr(module, "__path__") and \
             importlib.util.find_spec(f"{module_name}.{name}") is not None
         assert hasattr(module, name) or submodule, f"{demo.name}: {module_name} has no {name}"
+
+
+@pytest.mark.parametrize("name", QUICK_DEMOS)
+def test_quick_demo_runs(name, tmp_path):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                            cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert not any(tmp_path.iterdir()), f"{name} wrote files"

@@ -6,13 +6,14 @@ import pytest
 from gradcheck import channels_last, check_gradients
 
 from soundscan import autodiff as ad
-from soundscan import nn
+from soundscan import network, nn
 from soundscan.autodiff import Tensor
 from soundscan.config import ModelConfig, micro_preset
+from soundscan.dsp import Spectrogram
 from soundscan.errors import ConfigError
 from soundscan.network import (MultiScaleNet, PatchEncoder, SpectrogramEncoder,
                                SpectrumEncoder, features_for_batch)
-from soundscan.scanning import KernelBox
+from soundscan.scanning import KernelBox, scan, scan_array
 
 
 def tiny_cfg(**overrides):
@@ -66,11 +67,21 @@ def test_se_bottleneck_floors_at_one_unit():
 
 # -- spectrogram encoder -------------------------------------------------------------
 
+def _gate_hw(se):
+    """(height, width) a MultiAxisSE gates, read off its axis gate widths."""
+    return se.freq_gate.fc2.weight.shape[0], se.time_gate.fc2.weight.shape[0]
+
+
 def test_spectrogram_encoder_stage_trace_default_dims():
     enc = SpectrogramEncoder(513, 311, 16, (32, 64, 128, 256), 8,
                              np.random.default_rng(0))
-    assert enc.spatial_trace == ((257, 156), (129, 78), (65, 39), (33, 20),
-                                 (17, 10), (9, 5))
+    # the 7x7/2 stem and 3x3/2 max pool, then one stride-2 block per stage
+    stages = [m for m in enc.blocks.layers if isinstance(m, nn.MultiAxisSE)]
+    assert _gate_hw(enc.se_in) == (513, 311)
+    assert _gate_hw(enc.se_stem) == (129, 78)
+    assert [_gate_hw(se) for se in stages] == [(129, 78), (65, 39), (33, 20),
+                                               (17, 10), (9, 5)]
+    assert enc.final_hw == (9, 5)
     assert enc.out_dim == 256
 
 
@@ -108,7 +119,7 @@ def test_default_model_matches_architecture_tables():
     assert isinstance(spec.se_stem, nn.MultiAxisSE)
     assert _conv_facts(spec.stem) == ((16, 1, 7, 7), (2, 2))
     # 513x311 spectrogram: 7x7/2 stem, then the 3x3/2 max pool
-    assert spec.spatial_trace[:2] == ((257, 156), (129, 78))
+    assert _gate_hw(spec.se_stem) == (129, 78)
     layers = spec.blocks.layers
     # five stages of residual block, gate, residual block
     assert [type(m) for m in layers] == [nn.ResBlock2d, nn.MultiAxisSE, nn.ResBlock2d] * 5
@@ -120,8 +131,9 @@ def test_default_model_matches_architecture_tables():
                    (128, (3, 3), (2, 2)), (128, (3, 3), (1, 1)),
                    (256, (3, 3), (2, 2)), (256, (3, 3), (1, 1))]
     # the global max pool spans the last stage's whole map
-    assert spec.final_hw == spec.spatial_trace[-1] == (9, 5)
-    assert len(spec.spatial_trace) == 6
+    gates = [_gate_hw(m) for m in layers if isinstance(m, nn.MultiAxisSE)]
+    assert spec.final_hw == gates[-1] == (9, 5)
+    assert len(gates) == 5
 
     patch = model.patch_branch.encoder
     blocks = [patch.block1, patch.block2, patch.block3]
@@ -237,12 +249,13 @@ def test_single_kernel_branch_is_encoder_plus_linear():
     cfg = tiny_cfg(kernels=(KernelBox(16, 8),))
     model = MultiScaleNet(cfg).eval()
     spec = np.random.default_rng(7).uniform(0, 1, (1, cfg.freq_bins, cfg.frames))
-    stacks = model.scan_batch(spec)
-    assert len(stacks) == 1
+    plans = model.patch_branch.plans
+    assert len(plans) == 1
+    stack = Tensor(scan(Spectrogram(spec[0]), plans[0]).patches[None])
     with ad.no_grad():
-        emb = model.patch_branch.encoder(stacks[0])
+        emb = model.patch_branch.encoder(stack)
         merged = model.patch_branch.merge(emb).relu()
-        full = model.patch_branch(stacks)
+        full = model.patch_branch(spec)
     np.testing.assert_array_equal(full.data, merged.data)
 
 
@@ -263,9 +276,28 @@ def test_kernel_permutation_equivalence():
 
     spec = np.random.default_rng(8).uniform(0, 1, (2, cfg_a.freq_bins, cfg_a.frames))
     with ad.no_grad():
-        out_a = model_a.patch_branch(model_a.scan_batch(spec))
-        out_b = model_b.patch_branch(model_b.scan_batch(spec))
+        out_a = model_a.patch_branch(spec)
+        out_b = model_b.patch_branch(spec)
     np.testing.assert_allclose(out_a.data, out_b.data, atol=1e-12)
+
+
+def test_patch_cells_count_the_stacks_the_branch_builds(monkeypatch):
+    cfg = micro_preset(seed=2).model
+    model = MultiScaleNet(cfg).eval()
+    sizes = []
+
+    def spy(*args):
+        stack = scan_array(*args)
+        sizes.append(stack.size)
+        return stack
+
+    monkeypatch.setattr(network, "scan_array", spy)
+    B = 3
+    waves = np.random.default_rng(9).uniform(-0.5, 0.5, (B, cfg.clip_samples))
+    with ad.no_grad():
+        model(*features_for_batch(waves, cfg))
+    plans = model.patch_branch.plans
+    assert sizes == [B * p.patch_cells for p in plans]
 
 
 def test_patch_encoder_param_count_independent_of_kernel_count():
@@ -275,7 +307,7 @@ def test_patch_encoder_param_count_independent_of_kernel_count():
                     tuple(KernelBox(h, w) for h in (8, 16, 32) for w in (4, 8, 16, 24))]:
         cfg = tiny_cfg(kernels=kernels, stft_window=78, stft_hop=39)
         model = MultiScaleNet(cfg)
-        counts[len(model.kernels)] = (
+        counts[len(model.patch_branch.plans)] = (
             model.patch_branch.encoder.parameter_count(),
             model.patch_branch.merge.weight.size,
         )
@@ -315,7 +347,7 @@ def test_spectrum_encoder_zero_input_deterministic():
 def test_default_config_embed_dim_640():
     model = MultiScaleNet(ModelConfig())
     assert model.embed_dim == 256 + 256 + 128 == 640
-    assert len(model.kernels) == 12
+    assert len(model.patch_branch.plans) == 12
 
 
 def test_forward_unit_norm_and_determinism():
@@ -356,7 +388,7 @@ def test_oversized_kernels_are_skipped_with_warning():
     cfg = tiny_cfg(kernels=(KernelBox(16, 8), KernelBox(256, 64)))
     with pytest.warns(UserWarning):
         model = MultiScaleNet(cfg)
-    assert [str(k) for k in model.kernels] == ["16x8"]
+    assert [str(p.box) for p in model.patch_branch.plans] == ["16x8"]
 
 
 def test_end_to_end_micro_gradient_check():

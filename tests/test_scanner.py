@@ -53,7 +53,7 @@ def test_scan_full_size_patch_is_identity():
     spec = Spectrogram(values)
     box = KernelBox(20, 12)
     plan = plan_from_steps(20, 12, box, 0, 0)
-    stack = scan(spec, box, plan)
+    stack = scan(spec, plan)
     assert len(stack) == 1
     np.testing.assert_array_equal(stack.patches[0], values)
 
@@ -65,7 +65,7 @@ def test_scan_coordinate_marker():
     values = np.tile(np.arange(F, dtype=float)[:, None], (1, T))
     box = KernelBox(32, 16)
     plan = plan_from_steps(F, T, box, 8, 32)
-    stack = scan(Spectrogram(values), box, plan)
+    stack = scan(Spectrogram(values), plan)
     assert len(stack) == plan.n_f * plan.n_t == 10
     for i, f in enumerate(plan.f_positions):
         for j in range(plan.n_t):
@@ -79,7 +79,7 @@ def test_scan_row_major_order():
     values = np.arange(F * T, dtype=float).reshape(F, T)
     box = KernelBox(8, 8)
     plan = plan_from_steps(F, T, box, 8, 8)
-    stack = scan(Spectrogram(values), box, plan)
+    stack = scan(Spectrogram(values), plan)
     # order: (f0,t0), (f0,t1), (f1,t0), (f1,t1)
     assert stack.patches[0][0, 0] == values[0, 0]
     assert stack.patches[1][0, 0] == values[0, 8]
@@ -103,7 +103,7 @@ def test_default_kernel_set():
 def test_coverage_single_full_patch():
     box = KernelBox(10, 6)
     plan = plan_from_steps(10, 6, box, 0, 0)
-    cover = coverage_map(10, 6, box, plan)
+    cover = coverage_map(10, 6, plan)
     assert np.all(cover == 1)
 
 
@@ -111,14 +111,14 @@ def test_coverage_boundary_plan_complete():
     # f_step 16 <= h 32, so the appended boundary anchor closes the grid
     box = KernelBox(32, 16)
     plan = plan_from_steps(70, 48, box, 16, 8)
-    cover = coverage_map(70, 48, box, plan)
+    cover = coverage_map(70, 48, plan)
     assert cover.min() >= 1
 
 
 def test_coverage_overlap_counts():
     box = KernelBox(32, 8)
-    plan = scanning.ScanPlan(f_positions=(0, 8), t_positions=(0,))
-    cover = coverage_map(40, 8, box, plan)
+    plan = scanning.ScanPlan(box, f_positions=(0, 8), t_positions=(0,))
+    cover = coverage_map(40, 8, plan)
     assert np.all(cover[8:32, :] >= 2)
     assert np.all(cover[:8, :] == 1)
 
@@ -146,10 +146,11 @@ def test_randomized_coverage_bounds_and_count_law():
         assert all(0 <= f <= F - h for f in plan.f_positions)
         assert all(0 <= t <= T - w for t in plan.t_positions)
         assert list(plan.f_positions) == sorted(set(plan.f_positions))
-        assert coverage_map(F, T, box, plan).min() >= 1
+        assert coverage_map(F, T, plan).min() >= 1
         values = rng.uniform(0, 1, (F, T))
-        stack = scan(Spectrogram(values), box, plan)
+        stack = scan(Spectrogram(values), plan)
         assert len(stack) == plan.n_f * plan.n_t
+        assert stack.patches.size == plan.patch_cells
 
         wide = plan_from_steps(F, T, box, int(rng.integers(1, F + 4)), int(rng.integers(1, T + 4)))
         assert all(0 <= f <= F - h for f in wide.f_positions)
@@ -175,6 +176,6 @@ def test_scan_deterministic():
     values = rng.uniform(0, 1, (64, 48))
     box = KernelBox(32, 16)
     plan = plan_from_steps(64, 48, box, 8, 32)
-    a = scan(Spectrogram(values), box, plan)
-    b = scan(Spectrogram(values), box, plan)
+    a = scan(Spectrogram(values), plan)
+    b = scan(Spectrogram(values), plan)
     np.testing.assert_array_equal(a.patches, b.patches)

@@ -6,8 +6,9 @@ import itertools
 import numpy as np
 import pytest
 
+from soundscan.checkpoint import load_container, save_container
 from soundscan.data import ManifestRow
-from soundscan.errors import DataError
+from soundscan.errors import CheckpointError, DataError
 from soundscan.network import load_model
 from soundscan.scoring import (PrototypeSet, PrototypeStore, anomaly_score,
                                cluster_prototypes, embed_rows, group_train_rows,
@@ -294,6 +295,40 @@ def test_store_echo_with_retired_label_schema_loads(tmp_path, rng):
     path = tmp_path / "store.bin"
     store.save(path, echo=echo + "label_schema=type_id\n")
     assert PrototypeStore.load(path)[1] == cfg
+
+
+def test_store_load_rejects_a_checkpoint(tiny_checkpoint):
+    ckpt, _ = tiny_checkpoint
+    with pytest.raises(CheckpointError, match="meta/mode") as info:
+        PrototypeStore.load(ckpt)
+    assert str(ckpt) in str(info.value)
+
+
+def test_store_load_rejects_an_embeddings_file(tmp_path, capsys, tiny_corpus,
+                                               tiny_checkpoint):
+    from soundscan.cli import main
+
+    _, root = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    emb = tmp_path / "emb.bin"
+    assert main(["embed", "--manifest", str(root / "manifest.csv"),
+                 "--checkpoint", str(ckpt), "--out", str(emb)]) == 0
+    with pytest.raises(CheckpointError) as info:
+        PrototypeStore.load(emb)
+    assert str(emb) in str(info.value)
+
+
+def test_store_load_rejects_stray_arrays_and_a_foreign_echo(tmp_path, rng):
+    store = PrototypeStore("per-id")
+    store.add(PrototypeSet("fan/id_00", "", unit_rows(rng.standard_normal((2, 6)))))
+    path = tmp_path / "store.bin"
+    store.save(path, echo="embed_dim=64\n")
+    with pytest.raises(CheckpointError, match="config echo"):
+        PrototypeStore.load(path)
+    arrays, _ = load_container(path)
+    save_container(path, {**arrays, "emb/x.wav": np.zeros(6)}, "")
+    with pytest.raises(CheckpointError, match="emb/x.wav"):
+        PrototypeStore.load(path)
 
 
 def test_sets_for_follows_add_order_and_replacement(rng):
