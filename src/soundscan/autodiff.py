@@ -15,9 +15,13 @@ padding is below its kernel backpropagates through one gather of the
 padded output gradient: that block times the flipped kernel is the input
 gradient, and the input times it is the weight gradient. Other convs
 re-gather the block from the input for the weight gradient and scatter
-the column gradient back onto the input. ``backward()`` frees
-nothing, so a graph may be backpropagated more than once; the graph is
-freed when its output goes out of scope.
+the column gradient back onto the input; an unpadded 1x1 conv, whose
+windows never overlap, slices its input and assigns its input gradient
+through the same stride. ``backward()`` frees nothing, so a graph may be
+backpropagated more than once; the graph is freed when its output goes out
+of scope. The exception is the branch node (``branches``): its backward
+releases each node of its sub-graphs once that node has run, and a second
+backward through it raises RuntimeError.
 
 Image tensors are channels-last: (B, H, W, C) for the 2-D ops and
 (B, L, C) for conv1d, so a conv's (B*P, C_out) matmul output is already
@@ -27,12 +31,20 @@ and (C_out, C_in, k) shapes.
 Grad mode is one process-wide flag, not one per thread. ``no_grad()``
 belongs to the thread that starts workers: it enters the context once
 around the whole pool, and the workers never enter it themselves, since
-their save and restore of the flag would race.
+their save and restore of the flag would race. The branch workers that
+``branch_workers`` opens run the branches of a ``branches`` node, forward
+and backward, only while recording is on; they read the flag and never
+set it. With recording off, or inside a branch, a branch node runs its
+branches inline on the calling thread, so an embedding pool never nests
+a second pool inside its workers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -40,6 +52,9 @@ import numpy as np
 _seq_counter = itertools.count()
 _grad_enabled = True
 _checked = False
+_branch_pool = None                 # the helper executors while branch_workers is open
+_branch_state = threading.local()   # .in_job while a thread runs branch jobs; .updates:
+                                    # the buffer updates queued by its running branch
 
 
 def set_checked(flag: bool) -> None:
@@ -481,7 +496,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     idx, h_out, w_out = _conv2d_index(Hp, Wp, kh, kw, sh, sw)
     P, K = h_out * w_out, kh * kw * C
 
+    # an unpadded 1x1 conv's windows are single cells that never overlap
+    pointwise = (kh, kw) == (1, 1) and not (ph or pw)
+
     def im2col():
+        if pointwise:
+            return x.data[:, ::sh, ::sw].reshape(B * P, K)
         # each spatial index copies one C-long run: columns are (kh, kw, C)
         xp = _padded(x.data, ph, pw, 0.0)
         return np.take(xp.reshape(B, Hp * Wp, C), idx, axis=1).reshape(B * P, K)
@@ -517,7 +537,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             # re-gathered, not kept: the block is kh*kw times the input
             gw = (g_mat.T @ im2col()).reshape(c_out, kh, kw, C).transpose(0, 3, 1, 2)
         gx = None
-        if _needs(x):
+        if _needs(x) and pointwise:
+            # each input cell takes at most one value: a strided assignment
+            gx = np.zeros(x.data.shape)
+            gx[:, ::sh, ::sw] = (g_mat @ w_mat).reshape(B, h_out, w_out, C)
+        elif _needs(x):
             g_col = (g_mat @ w_mat).reshape(B, P * K)
             scatter = _conv2d_scatter_index(C, Hp, Wp, kh, kw, sh, sw)
             acc = _scatter_rows(g_col, scatter, Hp * Wp * C).reshape(B, Hp, Wp, C)
@@ -594,7 +618,8 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     """Per-channel normalization of a (B, H, W, C) tensor over (B, H, W).
 
     Training mode normalizes by batch statistics and folds them into the
-    running buffers in place; eval mode normalizes by the running buffers.
+    running buffers in place (inside a branch, at the branch node's join);
+    eval mode normalizes by the running buffers.
     """
     C = x.data.shape[-1]
     rows = x.data.reshape(x.data.shape[0], -1)
@@ -606,10 +631,8 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         x_hat = rows - _channel_row(mean, rows)
         out = np.multiply(x_hat, x_hat)
         var = _channel_sum(out, C) / n
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mean
-        running_var *= (1.0 - momentum)
-        running_var += momentum * var
+        _update_buffers(functools.partial(_fold_statistics, running_mean, running_var,
+                                          mean, var, momentum))
         inv_std = 1.0 / np.sqrt(var + eps)
     else:
         inv_std = 1.0 / np.sqrt(running_var + eps)
@@ -676,6 +699,233 @@ def stats_pool(x: Tensor, eps: float = 1e-5) -> Tensor:
         return (gx.reshape(x.shape),)
 
     return _record(data, (x,), backward)
+
+
+# -- independent sub-graphs -------------------------------------------------------
+
+def _fold_statistics(running_mean, running_var, mean, var, momentum) -> None:
+    running_mean *= (1.0 - momentum)
+    running_mean += momentum * mean
+    running_var *= (1.0 - momentum)
+    running_var += momentum * var
+
+
+def _update_buffers(update) -> None:
+    """Run a running-buffer update now or, inside a branch, queue it for the
+    join, which applies the queues in branch order."""
+    queue = getattr(_branch_state, "updates", None)
+    if queue is None:
+        update()
+    else:
+        queue.append(update)
+
+
+@contextmanager
+def branch_workers(workers: int):
+    """Run the branches of each `branches` node on `workers` threads, the
+    calling thread among them, while the context is open."""
+    global _branch_pool
+    if workers < 2:
+        yield
+        return
+    previous = _branch_pool
+    # one executor per helper thread, so that a job can be sent to a given thread
+    helpers = [ThreadPoolExecutor(1, thread_name_prefix="soundscan-branch")
+               for _ in range(workers - 1)]
+    _branch_pool = helpers
+    try:
+        yield
+    finally:
+        _branch_pool = previous
+        for helper in helpers:
+            helper.shutdown()
+
+
+def _share_out(costs, threads: int) -> list:
+    """Job indices per thread: longest job first, each to the thread with the
+    least cost so far (ties to the lower thread); thread 0 is the caller's."""
+    shares, loads = [[] for _ in range(threads)], [0] * threads
+    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
+        thread = loads.index(min(loads))
+        shares[thread].append(i)
+        loads[thread] += costs[i]
+    return shares
+
+
+def _run_jobs(jobs, costs, helpers) -> list:
+    """[job() for job in jobs].
+
+    Without helpers, or inside a job, the calling thread runs the jobs in
+    order. With them, the jobs are shared out by cost (`_share_out`), the
+    same way for the same costs: a branch's backward then runs on the
+    thread that ran its forward, so its tape is freed into the allocator
+    arena that the backward allocates from, and no thread's arena has to
+    grow to hold another thread's branches. A failure stops the jobs not
+    yet started, and once every started job has ended, the failure first
+    in job order is raised.
+    """
+    if getattr(_branch_state, "in_job", False):
+        helpers = None
+    shares = _share_out(costs, 1 + len(helpers)) if helpers else [range(len(jobs))]
+    results, errors = [None] * len(jobs), {}
+
+    def run(share):
+        outer, _branch_state.in_job = getattr(_branch_state, "in_job", False), True
+        try:
+            for i in share:
+                if errors:
+                    return
+                try:
+                    results[i] = jobs[i]()
+                except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
+                    errors[i] = exc
+        finally:
+            _branch_state.in_job = outer
+
+    started = [helper.submit(run, share)
+               for helper, share in zip(helpers or (), shares[1:]) if share]
+    run(shares[0])
+    for future in started:
+        future.result()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+class _Seeds(dict):
+    """Gradients at a branch node's outputs by branch index; the reverse walk
+    adds up what each output hands the node."""
+
+    def __add__(self, other):
+        merged = _Seeds(self)
+        merged.update(other)
+        return merged
+
+
+def _run_branch(fn, x, queue):
+    """fn(x), with the running-buffer updates it makes queued on `queue`."""
+    outer, _branch_state.updates = getattr(_branch_state, "updates", None), queue
+    try:
+        return fn(x)
+    finally:
+        _branch_state.updates = outer
+
+
+def _branch_graph(out: Tensor, start: int) -> list:
+    """The nodes `out` is computed from, in creation order; raises when one
+    of them is a recorded op created before the branch node started."""
+    nodes, seen, stack = [], {id(out)}, [out]
+    while stack:
+        node = stack.pop()
+        if node._backward is not None and node._seq < start:
+            raise ValueError("a branch may reach tensors from outside its node "
+                             "only through leaves")
+        nodes.append(node)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    nodes.sort(key=lambda t: t._seq)
+    return nodes
+
+
+def _walk_branch(nodes: list, seed) -> dict:
+    """Backpropagate `seed` from the last of `nodes` (one branch's graph in
+    creation order), releasing each node's closure once it has run.
+
+    Returns {id(leaf): [gradient contributions in the order they arose]},
+    unsummed, so that the join can add them in a serial walk's order.
+    """
+    leaf_grads = {}
+    local = {id(nodes[-1]): seed} if seed is not None else {}
+    while nodes:
+        node = nodes.pop()
+        g = local.pop(id(node), None)
+        parents, backward = node._parents, node._backward
+        if backward is None:
+            if g is not None:       # the branch's output is a leaf
+                leaf_grads.setdefault(id(node), []).append(g)
+            continue
+        node._parents, node._backward = (), None
+        if g is None:
+            continue
+        for parent, pg in zip(parents, backward(g)):
+            if pg is None:
+                continue
+            key = id(parent)
+            if parent._backward is None:
+                leaf_grads.setdefault(key, []).append(pg)
+            else:
+                local[key] = pg if key not in local else local[key] + pg
+    return leaf_grads
+
+
+def branches(calls) -> list:
+    """[fn(x) for fn, x in calls], each an independent sub-graph, recorded as
+    one tape node.
+
+    A branch may reach tensors from outside only through leaves: parameters
+    and constant inputs. While `branch_workers` is open and grad recording
+    is on, the branches run on its threads, shared out by input size with
+    the largest first and the calling thread taking a share; otherwise, and
+    inside another branch, they run inline in order. Running-buffer updates
+    made inside a branch are applied at the join in branch order, and none
+    when a branch raises, so results do not depend on the thread count.
+    Backward walks each branch's graph on the thread that ran its forward,
+    seeded with that branch's output gradient, releasing the graph as it
+    goes; a second backward through the node raises RuntimeError. A leaf's
+    gradient contributions are added latest branch first, and within a
+    branch latest op first: the order of one walk over the branches built
+    one after another.
+    """
+    calls = list(calls)
+    start = next(_seq_counter)
+    queues = [[] for _ in calls]
+    costs = [x.size for _, x in calls]
+    outs = _run_jobs([functools.partial(_run_branch, fn, x, queue)
+                      for (fn, x), queue in zip(calls, queues)],
+                     costs, _branch_pool if _grad_enabled else None)
+    for queue in queues:
+        for update in queue:
+            _update_buffers(update)
+    if not _grad_enabled or not any(_needs(out) for out in outs):
+        return outs
+
+    graphs = [_branch_graph(out, start) for out in outs]
+    leaves = {}
+    for nodes in graphs:
+        for node in nodes:
+            if node._backward is None and node.requires_grad:
+                leaves.setdefault(id(node), node)
+
+    def backward(seeds):
+        nonlocal graphs
+        if graphs is None:
+            raise RuntimeError("backward() through a branch node a second time: its "
+                               "sub-graphs were released by the first pass")
+        walks, graphs = graphs, None
+        jobs = [functools.partial(_walk_branch, walks[i], seeds.get(i))
+                for i in range(len(walks))]
+        per_branch = _run_jobs(jobs, costs, _branch_pool)
+        totals = []
+        for key in leaves:
+            total = None
+            for grads in reversed(per_branch):
+                for g in grads.get(key, ()):
+                    total = g if total is None else total + g
+            totals.append(total)
+        return tuple(totals)
+
+    node = Tensor(np.zeros(0))
+    node._parents, node._backward = tuple(leaves.values()), backward
+    results = []
+    for i, out in enumerate(outs):
+        result = Tensor(out.data)
+        if _needs(out):
+            result._parents = (node,)
+            result._backward = lambda g, i=i: (_Seeds({i: g}),)
+        results.append(result)
+    return results
 
 
 # -- optimizer --------------------------------------------------------------------

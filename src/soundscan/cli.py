@@ -19,9 +19,10 @@ def _add_common(parser, needs_seed=True):
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key")
     parser.add_argument("--threads", type=int,
-                        help="cap the embedding worker threads (default: one "
-                             "per usable core while BLAS is held to one thread) "
-                             "and, with threadpoolctl, the BLAS threads")
+                        help="cap the embedding workers and the training branch "
+                             "workers (default: one per usable core while BLAS is "
+                             "held to one thread) and, with threadpoolctl, the "
+                             "BLAS threads")
     parser.set_defaults(needs_seed=needs_seed)
 
 
@@ -35,7 +36,7 @@ def _cap_threads(count):
         threadpoolctl.threadpool_limits(limits=count)
     except ImportError:
         print("soundscan: warning: threadpoolctl unavailable, --threads caps "
-              "the embedding workers only, not BLAS", file=sys.stderr)
+              "the worker threads only, not BLAS", file=sys.stderr)
 
 
 def _build_parser():
@@ -115,7 +116,8 @@ def cmd_train(args) -> int:
 
     cfg = _load_run_config(args)
     rows = data.load_manifest(args.manifest)
-    train(rows, cfg, out_checkpoint=args.out_checkpoint, log_path=args.log)
+    train(rows, cfg, out_checkpoint=args.out_checkpoint, log_path=args.log,
+          max_workers=args.threads)
     print(f"checkpoint written to {args.out_checkpoint}")
     return 0
 

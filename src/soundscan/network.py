@@ -4,7 +4,9 @@ Branch one encodes the whole spectrogram with a gated residual stack; branch
 two scans the spectrogram along one scan plan per kernel box and pushes every
 patch stack through one weight-shared patch encoder; branch three encodes the
 utterance-level spectrum with strided 1-D convolutions. The three
-embeddings are concatenated and L2-normalized.
+embeddings are concatenated and L2-normalized. The two encoders and the
+patch passes are independent sub-graphs, recorded as one `ad.branches`
+node so that training can run them on several threads.
 
 `load_waves` and `features_for_batch` are the one feature path that both
 training and embedding take from WAV files to the model's inputs.
@@ -102,13 +104,19 @@ class MultiScaleBranch(nn.Module):
         self.encoder = PatchEncoder(channels, embed_dim, hidden_dim, rng)
         self.merge = nn.Linear(len(self.plans) * embed_dim, embed_dim, rng)
 
-    def forward(self, spec_batch: np.ndarray) -> Tensor:
-        embeddings = []
-        for p in self.plans:
-            stack = scan_array(spec_batch, p.box.h, p.box.w, p.f_positions, p.t_positions)
-            embeddings.append(self.encoder(Tensor(stack)))
+    def passes(self, spec_batch: np.ndarray) -> list:
+        """(patch encoder, patch stack) per scan plan: one `ad.branches` call each."""
+        return [(self.encoder, Tensor(scan_array(spec_batch, p.box.h, p.box.w,
+                                                 p.f_positions, p.t_positions)))
+                for p in self.plans]
+
+    def join(self, embeddings) -> Tensor:
+        """The per-scale embeddings, in plan order, concatenated and refined."""
         joined = embeddings[0] if len(embeddings) == 1 else ad.concat(embeddings, axis=1)
         return self.merge(joined).relu()
+
+    def forward(self, spec_batch: np.ndarray) -> Tensor:
+        return self.join(ad.branches(self.passes(spec_batch)))
 
 
 class SpectrumEncoder(nn.Module):
@@ -181,9 +189,13 @@ class MultiScaleNet(nn.Module):
         if (F, T) != (self.cfg.freq_bins, self.cfg.frames):
             raise DataError(f"spectrogram batch is {F}x{T}, model expects "
                             f"{self.cfg.freq_bins}x{self.cfg.frames}")
-        e_spec = self.spectrogram_encoder(Tensor(spec_batch.reshape(B, F, T, 1)))
-        e_patch = self.patch_branch(spec_batch)
-        e_spectrum = self.spectrum_encoder(Tensor(spectrum_batch))
+        # the encoders share no activations: one branch node runs them, on
+        # the branch workers when a training loop has opened them
+        e_spec, *scales, e_spectrum = ad.branches(
+            [(self.spectrogram_encoder, Tensor(spec_batch.reshape(B, F, T, 1))),
+             *self.patch_branch.passes(spec_batch),
+             (self.spectrum_encoder, Tensor(spectrum_batch))])
+        e_patch = self.patch_branch.join(scales)
         joined = ad.concat([e_spec, e_patch, e_spectrum], axis=1)
         norms = ((joined * joined).sum(axis=1, keepdims=True) + 1e-24) ** 0.5
         return ad.div(joined, norms)

@@ -7,9 +7,7 @@ is the minimum cosine distance to any prototype of its group.
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -21,6 +19,7 @@ from .errors import CheckpointError, ConfigError, DataError
 from .metrics import group_key_for
 from .network import features_for_batch, load_waves
 from . import autodiff as ad
+from .workers import worker_pool
 
 
 @dataclass(frozen=True)
@@ -265,46 +264,6 @@ class PrototypeStore:
 EMBED_CHUNK = 16
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:      # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-# Variables that set the BLAS thread count, in the order OpenBLAS and MKL read
-# them; in each chain the first one set wins.
-_BLAS_THREAD_VARS = (("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
-                     ("MKL_NUM_THREADS", "OMP_NUM_THREADS"))
-
-
-def _blas_env_single_threaded() -> bool:
-    """True when the environment holds OpenBLAS and MKL to one thread each."""
-    for chain in _BLAS_THREAD_VARS:
-        value = next((os.environ[var] for var in chain if os.environ.get(var)), None)
-        if value is None or value.strip() != "1":
-            return False
-    return True
-
-
-def _embedding_pool(chunks: int, max_workers):
-    """(worker count, context to run the pool in) for `chunks` chunks.
-
-    Each worker's matmuls would start their own BLAS threads on top of the
-    pool, so several workers run only with BLAS held to one thread: by
-    threadpoolctl for the pool's lifetime, or by the environment. Where
-    neither holds it, one worker leaves the cores to BLAS.
-    """
-    workers = min(_usable_cpus(), max_workers or chunks, chunks)
-    if workers == 1:
-        return 1, contextlib.nullcontext()
-    try:
-        import threadpoolctl
-    except ImportError:
-        return (workers if _blas_env_single_threaded() else 1), contextlib.nullcontext()
-    return workers, threadpoolctl.threadpool_limits(limits=1)
-
-
 def _embed_chunk(model, rows) -> np.ndarray:
     specs, spectra = features_for_batch(load_waves(rows, model.cfg), model.cfg)
     return model(specs, spectra).data
@@ -315,7 +274,7 @@ def embed_rows(model, rows, max_workers=None) -> np.ndarray:
 
     The rows go through the eval-mode model in fixed chunks of EMBED_CHUNK,
     on a pool of one thread per usable core, capped by `max_workers`, while
-    BLAS is held to one thread (see _embedding_pool); numpy releases the
+    BLAS is held to one thread (see workers.worker_pool); numpy releases the
     interpreter lock inside its kernels. The result is the same for every
     worker count. The first failing chunk cancels the chunks not yet started.
     """
@@ -327,7 +286,7 @@ def embed_rows(model, rows, max_workers=None) -> np.ndarray:
     chunks = [rows[i:i + EMBED_CHUNK] for i in range(0, len(rows), EMBED_CHUNK)]
     if not chunks:
         return np.zeros((0, model.embed_dim))
-    workers, blas_limit = _embedding_pool(len(chunks), max_workers)
+    workers, blas_limit = worker_pool(len(chunks), max_workers)
     # grad mode is process-wide: it is switched off here, once, around the
     # pool; a worker entering no_grad itself would race on the restore.
     # Executor.map cancels the pending chunks when a result raises.

@@ -17,6 +17,7 @@ from .config import RunConfig, config_text
 from .checkpoint import atomic_write, save_container
 from .errors import ConfigError, DataError
 from .network import MultiScaleNet, features_for_batch, load_waves
+from .workers import worker_pool
 
 
 # -- label space ---------------------------------------------------------------
@@ -212,15 +213,21 @@ def _train_step(model, head, optimizer, waves, targets, model_cfg) -> float:
 
 
 def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
-          log_stream=None) -> TrainResult:
+          log_stream=None, max_workers=None) -> TrainResult:
     """Train on the manifest's train split; deterministic given the seed.
 
     Writes one log line per epoch (epoch, mean loss, scale, seconds) to
     `log_stream` (default stdout) and optionally a CSV log; saves a
-    checkpoint container when `out_checkpoint` is given.
+    checkpoint container when `out_checkpoint` is given. The model's
+    branch sub-graphs run on one thread per usable core, capped by
+    `max_workers`, while BLAS is held to one thread (see
+    workers.worker_pool); at a given BLAS thread count the result is the
+    same for every worker count.
     """
     model_cfg, train_cfg = run_cfg.model, run_cfg.train
     run_cfg.validate(require_seed=True)
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     stream = sys.stdout if log_stream is None else log_stream
 
     train_rows = [r for r in rows if r.split == "train"]
@@ -249,34 +256,37 @@ def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
     result = TrainResult(model=model, head=head, label_space=label_space)
     log_rows = []
     M = len(train_rows)
-    for epoch in range(1, train_cfg.epochs + 1):
-        tic = time.perf_counter()
-        order = data_rng.permutation(M)
-        epoch_losses = []
-        for start in range(0, M, train_cfg.batch_size):
-            chunk = order[start:start + train_cfg.batch_size]
-            batch_waves = waves[chunk]
-            batch_targets = one_hot[chunk]
-            if data_rng.uniform() < train_cfg.mixup_prob and len(chunk) > 1:
-                partner = data_rng.permutation(len(chunk))
-                lam = float(data_rng.beta(train_cfg.mixup_alpha, train_cfg.mixup_alpha))
-                batch_waves = mixup(batch_waves, batch_waves[partner], lam)
-                batch_targets = lam * batch_targets + (1.0 - lam) * batch_targets[partner]
-            else:
-                eps = data_rng.uniform(0.0, train_cfg.smooth_max, len(chunk))
-                batch_targets = label_smooth(batch_targets, eps)
+    # the spectrogram encoder, one patch pass per scan plan and the spectrum encoder
+    workers, blas_limit = worker_pool(len(model.patch_branch.plans) + 2, max_workers)
+    with blas_limit, ad.branch_workers(workers):
+        for epoch in range(1, train_cfg.epochs + 1):
+            tic = time.perf_counter()
+            order = data_rng.permutation(M)
+            epoch_losses = []
+            for start in range(0, M, train_cfg.batch_size):
+                chunk = order[start:start + train_cfg.batch_size]
+                batch_waves = waves[chunk]
+                batch_targets = one_hot[chunk]
+                if data_rng.uniform() < train_cfg.mixup_prob and len(chunk) > 1:
+                    partner = data_rng.permutation(len(chunk))
+                    lam = float(data_rng.beta(train_cfg.mixup_alpha, train_cfg.mixup_alpha))
+                    batch_waves = mixup(batch_waves, batch_waves[partner], lam)
+                    batch_targets = lam * batch_targets + (1.0 - lam) * batch_targets[partner]
+                else:
+                    eps = data_rng.uniform(0.0, train_cfg.smooth_max, len(chunk))
+                    batch_targets = label_smooth(batch_targets, eps)
 
-            epoch_losses.append(_train_step(model, head, optimizer, batch_waves,
-                                            batch_targets, model_cfg))
+                epoch_losses.append(_train_step(model, head, optimizer, batch_waves,
+                                                batch_targets, model_cfg))
 
-        mean_loss = float(np.mean(epoch_losses))
-        scale = float(head.scale[0])
-        seconds = time.perf_counter() - tic
-        result.losses.append(mean_loss)
-        result.scales.append(scale)
-        log_rows.append((epoch, mean_loss, scale, seconds))
-        print(f"epoch {epoch:3d}  loss {mean_loss:.6f}  scale {scale:.4f}  "
-              f"seconds {seconds:.2f}", file=stream)
+            mean_loss = float(np.mean(epoch_losses))
+            scale = float(head.scale[0])
+            seconds = time.perf_counter() - tic
+            result.losses.append(mean_loss)
+            result.scales.append(scale)
+            log_rows.append((epoch, mean_loss, scale, seconds))
+            print(f"epoch {epoch:3d}  loss {mean_loss:.6f}  scale {scale:.4f}  "
+                  f"seconds {seconds:.2f}", file=stream)
 
     if log_path is not None:
         with atomic_write(log_path) as fh:

@@ -1,0 +1,52 @@
+"""How many worker threads a pool of independent numpy tasks may use.
+
+Embedding (chunks of rows) and training (the branch sub-graphs of each
+step) both run numpy work on threads; numpy releases the interpreter lock
+inside its kernels. Both ask `worker_pool` how many threads to start.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+
+
+def usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Variables that set the BLAS thread count, in the order OpenBLAS and MKL read
+# them; in each chain the first one set wins.
+_BLAS_THREAD_VARS = (("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+                     ("MKL_NUM_THREADS", "OMP_NUM_THREADS"))
+
+
+def blas_env_single_threaded() -> bool:
+    """True when the environment holds OpenBLAS and MKL to one thread each."""
+    for chain in _BLAS_THREAD_VARS:
+        value = next((os.environ[var] for var in chain if os.environ.get(var)), None)
+        if value is None or value.strip() != "1":
+            return False
+    return True
+
+
+def worker_pool(tasks: int, max_workers=None):
+    """(worker count, context to run the pool in) for `tasks` independent tasks.
+
+    One worker per usable core, capped by `max_workers` and by `tasks`.
+    Each worker's matmuls would start their own BLAS threads on top of the
+    pool, so several workers run only with BLAS held to one thread: by
+    threadpoolctl for the pool's lifetime, or by the environment. Where
+    neither holds it, one worker leaves the cores to BLAS.
+    """
+    workers = min(usable_cpus(), max_workers or tasks, tasks)
+    if workers <= 1:
+        return 1, contextlib.nullcontext()
+    try:
+        import threadpoolctl
+    except ImportError:
+        return (workers if blas_env_single_threaded() else 1), contextlib.nullcontext()
+    return workers, threadpoolctl.threadpool_limits(limits=1)

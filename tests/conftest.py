@@ -1,6 +1,14 @@
 """Shared fixtures: a tiny synthetic corpus and a checkpoint trained on it."""
 
-import numpy as np
+import os
+
+# Training and embedding run several worker threads only while BLAS is held
+# to one thread. Set that before numpy loads, unless the caller chose a BLAS
+# thread count; tests that need another setting change it through monkeypatch.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402 - after the BLAS variables
 import pytest
 
 from soundscan.config import micro_preset

@@ -240,6 +240,7 @@ CONV2D_GRAD_CASES = {
     "s1_kernel1x1": ((2, 3, 3, 4), (4, 3, 1, 1), (1, 1), (0, 0), False),
     "s1_same_channels": ((1, 3, 4, 4), (3, 3, 3, 3), (1, 1), (1, 1), True),
     "s1_kernel1x1_pad1": ((1, 2, 3, 3), (3, 2, 1, 1), (1, 1), (1, 1), True),
+    "strided_kernel1x1": ((2, 3, 5, 4), (4, 3, 1, 1), (2, 2), (0, 0), False),
 }
 
 
@@ -287,6 +288,35 @@ def test_conv2d_backward_scatters_only_when_strided_or_overpadded(monkeypatch):
     x = image_leaf(rng, (2, 2, 11))
     (ad.conv1d(x, leaf(rng, (3, 2, 4))) ** 2).sum().backward()
     assert calls == []
+
+
+@pytest.mark.parametrize("H, W, stride", [(5, 7, (2, 2)), (6, 8, (2, 2)),
+                                          (5, 8, (2, 1)), (7, 6, (3, 2))])
+def test_strided_pointwise_conv_matches_the_scatter_path(H, W, stride, monkeypatch):
+    # a 1x1 unpadded conv gathers by slicing and backpropagates by one
+    # strided assignment; both must equal the gather and scatter exactly
+    scattered, scatter_rows = [], ad._scatter_rows
+    monkeypatch.setattr(ad, "_scatter_rows",
+                        lambda *args: scattered.append(1) or scatter_rows(*args))
+    rng = np.random.default_rng(H * W)
+    B, C, c_out = 3, 4, 5
+    x = leaf(rng, (B, H, W, C))
+    w = leaf(rng, (c_out, C, 1, 1))
+    out = ad.conv2d(x, w, stride=stride)
+    g = rng.standard_normal(out.shape)
+    (out * Tensor(g)).sum().backward()
+    assert not scattered
+
+    monkeypatch.undo()
+    idx = ad._conv2d_index(H, W, 1, 1, *stride)[0]
+    cols = np.take(x.data.reshape(B, H * W, C), idx, axis=1).reshape(-1, C)
+    w_mat = w.data.reshape(c_out, C)
+    g_mat = g.reshape(-1, c_out)
+    scatter = ad._conv2d_scatter_index(C, H, W, 1, 1, *stride)
+    gx = ad._scatter_rows((g_mat @ w_mat).reshape(B, -1), scatter, H * W * C)
+    assert np.array_equal(out.data, (cols @ w_mat.T).reshape(out.shape))
+    assert np.array_equal(x.grad, gx.reshape(x.shape))
+    assert np.array_equal(w.grad, (g_mat.T @ cols).reshape(w.shape))
 
 
 def test_grad_linear():
@@ -440,3 +470,158 @@ def test_gather_cache_lookup_safe_across_threads():
         ad._GATHER_CACHE.clear()
     assert not any(t.is_alive() for t in threads)
     assert failures == []
+
+
+# -- branch node ---------------------------------------------------------------------
+
+def _shared_weight_branches(rng):
+    """Three branches through one shared weight, on inputs of unequal size."""
+    w = leaf(rng, (3, 4))
+    b = leaf(rng, (3,))
+    inputs = [Tensor(rng.standard_normal((n, 4)) * scale)
+              for n, scale in ((2, 1.0), (7, 3.0), (5, 0.7))]
+
+    def fn(x):
+        return ad.linear(x, w, b).relu().sum(axis=0, keepdims=True)
+
+    def loss(outs):
+        return (ad.concat(outs, axis=1) ** 2).sum()
+
+    return w, b, inputs, fn, loss
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_grad_branches_sharing_a_parameter(workers):
+    rng = np.random.default_rng(40)
+    w = leaf(rng, (3, 4))
+    x1 = Tensor(rng.standard_normal((2, 4)))
+    x2 = Tensor(rng.standard_normal((5, 4)))
+
+    def build():
+        y1, y2 = ad.branches([(lambda x: ad.linear(x, w).sigmoid(), x1),
+                              (lambda x: ad.linear(x, w) ** 2, x2)])
+        return (y1 ** 2).sum() + y2.sum() * 0.5
+
+    with ad.branch_workers(workers):
+        check_gradients(build, [w])
+
+
+def test_branches_match_one_serial_walk_bit_for_bit():
+    rng = np.random.default_rng(41)
+    w, b, inputs, fn, loss = _shared_weight_branches(rng)
+    loss([fn(x) for x in inputs]).backward()
+    reference = (w.grad, b.grad)
+    for workers in (1, 2, 3):
+        w.grad = b.grad = None
+        with ad.branch_workers(workers):
+            loss(ad.branches([(fn, x) for x in inputs])).backward()
+        assert np.array_equal(w.grad, reference[0]) and np.array_equal(b.grad, reference[1])
+
+
+def test_branch_buffers_update_in_branch_order_and_not_on_failure():
+    from soundscan import nn
+
+    rng = np.random.default_rng(42)
+    inputs = [Tensor(channels_last(rng.standard_normal((2, 3, 4, 5)) * s)) for s in (1, 9, 3)]
+    serial = nn.BatchNorm2d(3)
+    for x in inputs:
+        serial(x)
+
+    class BranchFailure(Exception):
+        pass
+
+    def fail(x):
+        raise BranchFailure("one branch failed")
+
+    for workers in (1, 2, 3):
+        bn = nn.BatchNorm2d(3)
+        with ad.branch_workers(workers):
+            with pytest.raises(BranchFailure, match="one branch failed"):
+                ad.branches([(bn, inputs[0]), (fail, inputs[1]), (bn, inputs[2])])
+            assert np.array_equal(bn.running_mean, np.zeros(3))
+            assert np.array_equal(bn.running_var, np.ones(3))
+            ad.branches([(bn, x) for x in inputs])
+        assert np.array_equal(bn.running_mean, serial.running_mean)
+        assert np.array_equal(bn.running_var, serial.running_var)
+
+
+def test_second_backward_through_a_branch_node_raises():
+    rng = np.random.default_rng(43)
+    w, b, inputs, fn, loss = _shared_weight_branches(rng)
+    total = loss(ad.branches([(fn, x) for x in inputs]))
+    total.backward()
+    with pytest.raises(RuntimeError, match="released"):
+        total.backward()
+
+
+def test_branch_reaching_a_recorded_outside_tensor_is_refused():
+    rng = np.random.default_rng(44)
+    w = leaf(rng, (3, 4))
+    hidden = ad.linear(Tensor(rng.standard_normal((2, 4))), w)
+    with pytest.raises(ValueError, match="only through leaves"):
+        ad.branches([(lambda x: x * hidden, Tensor(np.ones((2, 3))))])
+
+
+def test_branches_run_inline_without_grad_recording():
+    import threading
+
+    rng = np.random.default_rng(45)
+    w, b, inputs, fn, _ = _shared_weight_branches(rng)
+    threads = []
+
+    def recording(x):
+        threads.append(threading.get_ident())
+        return fn(x)
+
+    with ad.branch_workers(3), ad.no_grad():
+        outs = ad.branches([(recording, x) for x in inputs])
+    assert set(threads) == {threading.get_ident()}
+    assert all(out._backward is None for out in outs)
+    for out, x in zip(outs, inputs):
+        assert np.array_equal(out.data, fn(x).data)
+
+
+def test_nested_branch_nodes_run_inline_inside_a_branch():
+    rng = np.random.default_rng(46)
+    w = leaf(rng, (3, 4))
+    x1 = Tensor(rng.standard_normal((2, 4)))
+    x2 = Tensor(rng.standard_normal((5, 4)))
+
+    def inner(x):
+        a, b = ad.branches([(lambda t: ad.linear(t, w), x),
+                            (lambda t: ad.linear(t, w).sigmoid(), x)])
+        return a * b
+
+    def build():
+        y1, y2 = ad.branches([(inner, x1), (lambda x: ad.linear(x, w) ** 2, x2)])
+        return y1.sum() + (y2 ** 2).sum()
+
+    with ad.branch_workers(2):
+        check_gradients(build, [w])
+
+
+def test_branch_workers_under_thread_switch_stress():
+    # more workers than cores and a short switch interval: branches built
+    # and walked side by side must still match one serial walk bit for bit
+    import sys
+
+    rng = np.random.default_rng(47)
+    w = leaf(rng, (6, 6))
+    inputs = [Tensor(rng.standard_normal((3, 6)) * (1 + i)) for i in range(8)]
+
+    def fn(x):
+        for _ in range(20):
+            x = ad.linear(x, w).sigmoid()
+        return x.sum(axis=0, keepdims=True)
+
+    (ad.concat([fn(x) for x in inputs], axis=1) ** 2).sum().backward()
+    reference, w.grad = w.grad, None
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ad.branch_workers(4):
+            outs = ad.branches([(fn, x) for x in inputs])
+            (ad.concat(outs, axis=1) ** 2).sum().backward()
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(w.grad, reference)

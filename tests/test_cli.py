@@ -116,12 +116,12 @@ def test_missing_wav_in_a_pooled_chunk_is_exit_3(capsys, tmp_path, tiny_corpus,
                                                  fake_threadpoolctl):
     from dataclasses import replace
 
-    from soundscan import scoring
+    from soundscan import workers
     from soundscan.data import save_manifest
 
     rows, _ = tiny_corpus
     ckpt, _ = tiny_checkpoint
-    monkeypatch.setattr(scoring, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     broken = list(rows)
     assert len(broken) == 24  # two chunks, the second on another worker
     broken[20] = replace(rows[20], path=str(tmp_path / "gone.wav"))
@@ -140,12 +140,12 @@ def test_threads_caps_embedding_workers_with_blas_at_one_thread(
     import threading
     from dataclasses import replace
 
-    from soundscan import scoring
+    from soundscan import scoring, workers
     from soundscan.data import save_manifest
 
     rows, _ = tiny_corpus
     ckpt, _ = tiny_checkpoint
-    monkeypatch.setattr(scoring, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 8)
     seen = []
     original = scoring._embed_chunk
 
@@ -184,6 +184,46 @@ def test_train_batch_beyond_physical_memory_is_exit_2(capsys, tmp_path, tiny_cor
     assert code == 2
     assert "error: config" in err and "batch of 8 clips" in err
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_train_threads_caps_branch_workers_with_the_same_result(
+        capsys, tmp_path, tiny_corpus, tiny_run_cfg, monkeypatch):
+    import sys
+    import threading
+
+    from soundscan import network, workers
+
+    _, root = tiny_corpus
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 8)
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    threads = set()
+    original = network.PatchEncoder.forward
+
+    def recording(self, stack):
+        threads.add(threading.get_ident())
+        return original(self, stack)
+
+    monkeypatch.setattr(network.PatchEncoder, "forward", recording)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(config_text(tiny_run_cfg).replace("epochs=3", "epochs=2"))
+    runs = {}
+    for count in ("1", "2"):
+        threads.clear()
+        ckpt, log = tmp_path / f"t{count}.ckpt", tmp_path / f"t{count}.csv"
+        code, out, _ = run(capsys, "train", "--threads", count, "--config", str(cfg_path),
+                           "--manifest", str(root / "manifest.csv"),
+                           "--out-checkpoint", str(ckpt), "--log", str(log))
+        assert code == 0
+        assert len(threads) == int(count)
+        # every log column but the seconds
+        losses = [line.rsplit(",", 1)[0] for line in log.read_text().splitlines()]
+        printed = [line.split("seconds")[0] for line in out.splitlines()
+                   if line.startswith("epoch")]
+        assert len(printed) == 2
+        runs[count] = (ckpt.read_bytes(), losses, printed)
+    assert runs["1"] == runs["2"]
 
 
 def test_score_loads_the_checkpoint_once(capsys, tmp_path, tiny_corpus, tiny_checkpoint,

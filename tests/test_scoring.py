@@ -418,13 +418,13 @@ def _record_chunk_threads(monkeypatch, scoring):
 
 def test_embed_rows_same_bytes_for_any_worker_count(tiny_corpus, tiny_checkpoint,
                                                     monkeypatch):
-    from soundscan import scoring
+    from soundscan import scoring, workers
     from soundscan.network import load_model
 
     rows, _ = tiny_corpus
     rows = list(rows) * 2  # 48 rows: three chunks
     model, _ = load_model(tiny_checkpoint[0])
-    monkeypatch.setattr(scoring, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 8)
     _pin_blas_by_environment(monkeypatch)
     threads = _record_chunk_threads(monkeypatch, scoring)
     reference = scoring.embed_rows(model, rows, max_workers=1)
@@ -444,12 +444,12 @@ def test_embed_rows_pools_only_with_blas_at_one_thread(tiny_corpus, tiny_checkpo
                                                        monkeypatch):
     import sys
 
-    from soundscan import scoring
+    from soundscan import scoring, workers
     from soundscan.network import load_model
 
     rows, _ = tiny_corpus
     model, _ = load_model(tiny_checkpoint[0])
-    monkeypatch.setattr(scoring, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 8)
     threads = _record_chunk_threads(monkeypatch, scoring)
     # no threadpoolctl, and OpenBLAS is held to one thread but MKL is not
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)
@@ -468,13 +468,13 @@ def test_embed_rows_failure_cancels_pending_chunks(tiny_corpus, tiny_checkpoint,
                                                    tmp_path, monkeypatch):
     from dataclasses import replace
 
-    from soundscan import scoring
+    from soundscan import scoring, workers
     from soundscan.network import load_model
     from soundscan.wavio import WavNotFoundError
 
     rows, _ = tiny_corpus
     model, _ = load_model(tiny_checkpoint[0])
-    monkeypatch.setattr(scoring, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     _pin_blas_by_environment(monkeypatch)
     threads = _record_chunk_threads(monkeypatch, scoring)
     broken = list(rows) * 10  # 240 rows: 15 chunks
@@ -489,13 +489,13 @@ def test_embed_rows_leaves_grad_mode_on(tiny_corpus, tiny_checkpoint, tiny_run_c
     from dataclasses import replace
 
     from soundscan import autodiff as ad
-    from soundscan import scoring
+    from soundscan import scoring, workers
     from soundscan.network import MultiScaleNet, features_for_batch, load_model, load_waves
     from soundscan.wavio import WavNotFoundError
 
     rows, _ = tiny_corpus
     model, _ = load_model(tiny_checkpoint[0])
-    monkeypatch.setattr(scoring, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     _pin_blas_by_environment(monkeypatch)
     scoring.embed_rows(model, list(rows))
     assert ad._grad_enabled is True

@@ -217,6 +217,41 @@ def test_training_deterministic_checkpoints(tiny_corpus, tiny_run_cfg, tmp_path)
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
 
+def test_checkpoint_bytes_do_not_depend_on_branch_workers(tiny_corpus, tiny_run_cfg,
+                                                         tmp_path, monkeypatch):
+    # the checkpoint holds the parameters, the BatchNorm buffers and the
+    # Adam moments; all must come out the same for any worker count
+    import copy
+    import sys
+    import threading
+
+    from soundscan import network, workers
+
+    rows, _ = tiny_corpus
+    cfg = copy.deepcopy(tiny_run_cfg)
+    cfg.train.epochs = 2
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    threads = set()
+    for cls in (network.SpectrogramEncoder, network.PatchEncoder, network.SpectrumEncoder):
+        def recording(self, x, inner=cls.forward):
+            threads.add(threading.get_ident())
+            return inner(self, x)
+        monkeypatch.setattr(cls, "forward", recording)
+
+    runs = []
+    for count in (1, 2, 3):
+        threads.clear()
+        path = tmp_path / f"workers{count}.ckpt"
+        result = train(rows, cfg, out_checkpoint=path, log_stream=io.StringIO(),
+                       max_workers=count)
+        runs.append((path.read_bytes(), result.losses, result.scales))
+        assert len(threads) == count    # the five micro branches fill three threads
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def test_training_releases_each_step_graph(tiny_corpus, tiny_run_cfg, monkeypatch):
     # when step k+1 starts, nothing of step k's graph may be alive: only
     # one step's tape is ever held
