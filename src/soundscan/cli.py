@@ -19,10 +19,10 @@ def _add_common(parser, needs_seed=True):
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key")
     parser.add_argument("--threads", type=int,
-                        help="cap the embedding workers and the training branch "
-                             "workers (default: one per usable core while BLAS is "
-                             "held to one thread) and, with threadpoolctl, the "
-                             "BLAS threads")
+                        help="cap the embedding workers, the training branch "
+                             "workers and the K-Means restart workers (default: "
+                             "one per usable core while BLAS is held to one "
+                             "thread) and, with threadpoolctl, the BLAS threads")
     parser.set_defaults(needs_seed=needs_seed)
 
 

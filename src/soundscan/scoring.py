@@ -21,6 +21,27 @@ from .network import features_for_batch, load_waves
 from . import autodiff as ad
 from .workers import worker_pool
 
+# Rows per forward pass. Fixed, so that a row's embedding depends only on the
+# rows that share its chunk, never on the number of workers.
+EMBED_CHUNK = 16
+
+# Input cells (rows x dim) from which one kmeans call runs its restarts on
+# several workers. Below it the restarts' numpy calls are too short to
+# outweigh the interpreter lock and two threads slow each other down, so the
+# calling thread runs them; the row count alone does not tell, as 256 and
+# 500 rows of 64-d still lose. Sized at 2 workers only: on more cores a group
+# just above it may run 4-8 threads that contend for the lock, which was not
+# measured; re-measure there before relying on it. Time with 2 workers /
+# inline, 2 vCPUs, BLAS at one thread, clustered groups, k = 16; the range
+# over one to five runs of five calls each:
+#   inline  30x160 1.18-1.60  256x64 1.02-1.52  256x128 1.06-1.35
+#           500x64 1.05-1.32  250x160 1.05-1.22  990x64 0.90-1.16
+#           100x640 0.72-1.21
+#   pooled  500x160 0.87-1.05  250x640 0.68-1.02  300x256 0.93
+#           990x128 0.69-0.79  2000x64 0.70-0.78  500x640 0.65-0.68
+#           990x160 0.73-0.79  990x640 0.58
+KMEANS_POOL_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class PrototypeSet:
@@ -84,8 +105,10 @@ def _assign(x, x2, centroids):
     return d2, d2.argmin(axis=1)
 
 
-def _lloyd(x, x2, k, rng, max_iter, tol):
-    centroids = _kmeans_pp_init(x, x2, k, rng)
+def _lloyd(x, x2, centroids, max_iter, tol):
+    """One restart from its k-means++ centroids: Lloyd rounds, then the
+    single-point refine; (centroids, inertia). Draws no random numbers."""
+    k = len(centroids)
     rows = np.arange(len(x))
     inertia = np.inf
     for _ in range(max_iter):
@@ -165,18 +188,29 @@ def _single_point_refine(x, x2, centroids, k, max_sweeps=50):
         centroids[counts == 0] = x[d2[np.arange(len(x)), nearest].argmax()]
         _, nearest = _assign(x, x2, centroids)
     # summed from differences, not the Gram expansion, so that rows sitting
-    # on their centroid add exactly 0 rather than rounding noise
-    return centroids, float(((x - centroids[nearest]) ** 2).sum())
+    # on their centroid add exactly 0 rather than rounding noise; the
+    # differences are squared in the gathered centroid rows, one temporary
+    diff = centroids[nearest]
+    np.subtract(x, diff, out=diff)
+    np.square(diff, out=diff)
+    return centroids, float(diff.sum())
 
 
 def kmeans(embeddings: np.ndarray, prototypes: int, seed,
            max_iter: int = 100, tol: float = 1e-6, n_init: int = 10,
-           return_inertia: bool = False):
+           return_inertia: bool = False, max_workers=None):
     """Lloyd K-Means with k-means++ seeding and best-of-n_init restarts.
 
     Inputs are unit-normalized first; requested counts above the sample
     count degrade to one centroid per sample; output centroids are
-    re-normalized to unit length.
+    re-normalized to unit length. The n_init seedings are drawn in order
+    from the one seeded generator; the restarts' Lloyd and refine passes
+    draw nothing, so they run on a pool of one thread per usable core,
+    capped by `max_workers`, while BLAS is held to one thread (see
+    workers.worker_pool); below KMEANS_POOL_CELLS input cells they run on
+    the calling thread. The best restart is the first with the lowest
+    inertia, so the result is the same for every worker count. A failing
+    restart cancels those not yet started and its exception is re-raised.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2 or len(x) == 0:
@@ -186,11 +220,23 @@ def kmeans(embeddings: np.ndarray, prototypes: int, seed,
     x = _normalize_rows(x)
     x2 = _row_sq(x)
     k = min(prototypes, len(x))
-    rng = np.random.default_rng(seed)
+    workers, blas_limit = worker_pool(n_init if x.size >= KMEANS_POOL_CELLS else 1,
+                                      max_workers)
+    restart = functools.partial(_lloyd, x, x2, max_iter=max_iter, tol=tol)
+    with blas_limit:
+        rng = np.random.default_rng(seed)
+        seeds = [_kmeans_pp_init(x, x2, k, rng) for _ in range(n_init)]
+        if workers == 1:
+            # inline: a one-thread pool took a 10x640 call from 4.2-6.5 to
+            # 7.6-8.1 ms and a 30x160 one from 9.2-12.1 to 12.0-14.1 ms
+            results = [restart(centroids) for centroids in seeds]
+        else:
+            # Executor.map cancels the pending restarts when a result raises
+            with ThreadPoolExecutor(workers) as pool:
+                results = list(pool.map(restart, seeds))
     best = None
     best_inertia = np.inf
-    for _ in range(n_init):
-        centroids, inertia = _lloyd(x, x2, k, rng, max_iter, tol)
+    for centroids, inertia in results:
         if inertia < best_inertia:
             best, best_inertia = centroids, inertia
     unit = _normalize_rows(best)
@@ -259,11 +305,6 @@ class PrototypeStore:
         return store, run_cfg
 
 
-# Rows per forward pass. Fixed, so that a row's embedding depends only on the
-# rows that share its chunk, never on the number of workers.
-EMBED_CHUNK = 16
-
-
 def _embed_chunk(model, rows) -> np.ndarray:
     specs, spectra = features_for_batch(load_waves(rows, model.cfg), model.cfg)
     return model(specs, spectra).data
@@ -281,8 +322,6 @@ def embed_rows(model, rows, max_workers=None) -> np.ndarray:
     if model.training:
         raise ValueError("embed_rows needs an eval-mode model: a training-mode "
                          "forward updates the BatchNorm buffers")
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     chunks = [rows[i:i + EMBED_CHUNK] for i in range(0, len(rows), EMBED_CHUNK)]
     if not chunks:
         return np.zeros((0, model.embed_dim))
@@ -312,7 +351,8 @@ def cluster_prototypes(train_rows, model, mode: str, prototypes: int,
 
     per-id groups by (machine type, ID); per-type groups by machine type
     and keeps separate source/target prototype sets when the manifest
-    carries domain tags. `max_workers` caps the embedding threads.
+    carries domain tags. `max_workers` caps the embedding threads and each
+    group's K-Means restart threads (see kmeans).
     """
     rows = [r for r in train_rows if r.split == "train"]
     if not rows:
@@ -322,7 +362,8 @@ def cluster_prototypes(train_rows, model, mode: str, prototypes: int,
     groups = group_train_rows(rows, mode)
     for gi, (key, domain) in enumerate(sorted(groups)):
         idx = groups[(key, domain)]
-        centroids = kmeans(embeddings[idx], prototypes, seed=[seed, gi])
+        centroids = kmeans(embeddings[idx], prototypes, seed=[seed, gi],
+                           max_workers=max_workers)
         store.add(PrototypeSet(key, domain, centroids))
     return store
 

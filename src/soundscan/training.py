@@ -226,8 +226,6 @@ def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
     """
     model_cfg, train_cfg = run_cfg.model, run_cfg.train
     run_cfg.validate(require_seed=True)
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     stream = sys.stdout if log_stream is None else log_stream
 
     train_rows = [r for r in rows if r.split == "train"]

@@ -1,8 +1,10 @@
 """How many worker threads a pool of independent numpy tasks may use.
 
-Embedding (chunks of rows) and training (the branch sub-graphs of each
-step) both run numpy work on threads; numpy releases the interpreter lock
-inside its kernels. Both ask `worker_pool` how many threads to start.
+Embedding (chunks of rows), training (the branch sub-graphs of each step)
+and K-Means (the restarts of one call) run numpy work on threads; numpy
+releases the interpreter lock inside its kernels. All three ask
+`worker_pool` how many threads to start and run their work, the single
+worker case too, in the context it returns.
 """
 
 from __future__ import annotations
@@ -39,11 +41,18 @@ def worker_pool(tasks: int, max_workers=None):
     One worker per usable core, capped by `max_workers` and by `tasks`.
     Each worker's matmuls would start their own BLAS threads on top of the
     pool, so several workers run only with BLAS held to one thread: by
-    threadpoolctl for the pool's lifetime, or by the environment. Where
-    neither holds it, one worker leaves the cores to BLAS.
+    threadpoolctl, or by the environment. Where neither holds it, one
+    worker leaves the cores to BLAS. With threadpoolctl and more than one
+    usable core the context holds BLAS to one thread whatever the worker
+    count, so that the rounding, which depends on the BLAS thread count,
+    does not depend on `max_workers` or on `tasks`. A `max_workers` below 1
+    raises ValueError.
     """
-    workers = min(usable_cpus(), max_workers or tasks, tasks)
-    if workers <= 1:
+    if max_workers is not None and max_workers < 1:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    cpus = usable_cpus()
+    workers = min(cpus, max_workers or tasks, tasks)
+    if cpus <= 1:
         return 1, contextlib.nullcontext()
     try:
         import threadpoolctl

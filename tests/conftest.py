@@ -57,14 +57,16 @@ def rng():
 @pytest.fixture()
 def fake_threadpoolctl(monkeypatch):
     """A threadpoolctl stand-in whose BLAS limit is `state["limit"]`: set when a
-    `threadpool_limits` is made, restored when one used as a context exits."""
+    `threadpool_limits` is made, restored when one used as a context exits.
+    `state["calls"]` lists the limit of every `threadpool_limits` made."""
     import sys
     import types
 
-    state = {"limit": None}
+    state = {"limit": None, "calls": []}
 
     class FakeLimits:
         def __init__(self, limits=None):
+            state["calls"].append(limits)
             self.previous, state["limit"] = state["limit"], limits
 
         def __enter__(self):

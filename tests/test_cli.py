@@ -251,6 +251,56 @@ def test_score_loads_the_checkpoint_once(capsys, tmp_path, tiny_corpus, tiny_che
     assert loads == [str(ckpt)]
 
 
+def test_score_threads_caps_kmeans_workers_with_the_same_result(
+        capsys, tmp_path, tiny_corpus, tiny_checkpoint, monkeypatch):
+    import sys
+    import threading
+    import time
+
+    from soundscan import scoring, workers
+
+    _, root = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 8)
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(scoring, "KMEANS_POOL_CELLS", 0)  # pool the tiny groups too
+    calls = []      # per kmeans call, the threads that ran its refines
+    original_kmeans, original_refine = scoring.kmeans, scoring._single_point_refine
+
+    def recording_kmeans(*args, **kwargs):
+        calls.append(set())
+        return original_kmeans(*args, **kwargs)
+
+    def recording_refine(*args):
+        calls[-1].add(threading.get_ident())
+        time.sleep(0.002)   # keeps a worker busy while the next restart is handed out
+        return original_refine(*args)
+
+    monkeypatch.setattr(scoring, "kmeans", recording_kmeans)
+    monkeypatch.setattr(scoring, "_single_point_refine", recording_refine)
+    manifest = str(root / "manifest.csv")
+    runs = {}
+    for count in ("1", "2"):
+        calls.clear()
+        scores, store = tmp_path / f"s{count}.csv", tmp_path / f"p{count}.bin"
+        code, _, _ = run(capsys, "score", "--threads", count, "--set", "seed=3",
+                         "--set", "prototypes=2", "--set", "scoring_mode=per-type",
+                         "--train-manifest", manifest, "--test-manifest", manifest,
+                         "--checkpoint", str(ckpt), "--out", str(scores),
+                         "--store", str(store))
+        assert code == 0
+        runs[count] = (scores.read_bytes(), store.read_bytes())
+        assert calls
+        if count == "1":
+            assert all(threads == {threading.get_ident()} for threads in calls)
+        else:   # each group's call starts its own two workers
+            assert all(len(threads) == 2 and threading.get_ident() not in threads
+                       for threads in calls)
+    assert runs["1"] == runs["2"]
+
+
 def test_bad_checkpoint_is_exit_3(capsys, tmp_path, tiny_corpus):
     rows, root = tiny_corpus
     code, _, err = run(capsys, "embed", "--manifest", str(root / "manifest.csv"),

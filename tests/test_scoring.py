@@ -211,6 +211,127 @@ def test_kmeans_deterministic_per_seed():
     np.testing.assert_array_equal(a, b)
 
 
+# -- K-Means restarts over a thread pool -------------------------------------------------
+
+def clustered_group(rows, dim, seed=0):
+    """Unit rows around 24 directions, like a machine type's train embeddings."""
+    rng = np.random.default_rng(seed)
+    modes = unit_rows(rng.standard_normal((24, dim)))
+    noise = rng.standard_normal((rows, dim)) / np.sqrt(dim)
+    return unit_rows(modes[rng.integers(24, size=rows)] + 0.35 * noise)
+
+
+class RestartFailed(Exception):
+    pass
+
+
+def _record_refine_threads(monkeypatch, scoring, fail_on=None):
+    """Thread of each `_single_point_refine` call; the call numbered `fail_on`
+    raises RestartFailed, and the others wait a little, so that a pooled
+    restart leaves time for the other workers to take theirs."""
+    import threading
+    import time
+
+    threads = []
+    original = scoring._single_point_refine
+
+    def recording_refine(*args):
+        threads.append(threading.get_ident())
+        if len(threads) - 1 == fail_on:
+            raise RestartFailed("restart failed")
+        time.sleep(0.005)
+        return original(*args)
+
+    monkeypatch.setattr(scoring, "_single_point_refine", recording_refine)
+    return threads
+
+
+def test_kmeans_same_bytes_for_any_worker_count(monkeypatch):
+    from soundscan import workers
+
+    x = clustered_group(990, 96)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
+    _pin_blas_by_environment(monkeypatch)
+    reference = kmeans(x, 16, seed=[7, 1], return_inertia=True, max_workers=1)
+    for count in (2, 3, None):
+        centroids, inertia = kmeans(x, 16, seed=[7, 1], return_inertia=True,
+                                    max_workers=count)
+        assert np.array_equal(centroids, reference[0]), count
+        assert inertia == reference[1], count
+
+
+def test_kmeans_pools_restarts_only_from_the_cell_threshold(monkeypatch):
+    import threading
+
+    from soundscan import scoring, workers
+
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    _pin_blas_by_environment(monkeypatch)
+    threads = _record_refine_threads(monkeypatch, scoring)
+    dim = 64
+    rows = -(-scoring.KMEANS_POOL_CELLS // dim)     # the fewest rows that pool
+    kmeans(clustered_group(rows, dim), 16, seed=1)
+    assert len(threads) == 10
+    assert len(set(threads)) == 2
+    assert threading.get_ident() not in threads
+    threads.clear()
+    kmeans(clustered_group(rows - 1, dim), 16, seed=1)
+    assert threads == [threading.get_ident()] * 10
+
+
+def test_kmeans_tied_restarts_keep_the_first(monkeypatch):
+    from soundscan import scoring, workers
+
+    # four distinct rows, 256 copies each: every restart finds them with inertia
+    # exactly 0, in the order its own seeding drew them
+    rng = np.random.default_rng(4)
+    base = unit_rows(rng.standard_normal((4, 64)))
+    x = np.repeat(base, 256, axis=0)
+    assert x.size >= scoring.KMEANS_POOL_CELLS
+    draws = np.random.default_rng(3)    # the ten seedings kmeans(seed=3) draws
+    orders = {tuple((scoring._kmeans_pp_init(x, scoring._row_sq(x), 4, draws)
+                     @ base.T).argmax(axis=1)) for _ in range(10)}
+    assert len(orders) > 1
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    _pin_blas_by_environment(monkeypatch)
+    assert np.array_equal(kmeans(x, 4, seed=3), kmeans(x, 4, seed=3, n_init=1))
+
+
+def test_kmeans_failing_restart_reraises_its_type_and_cancels_the_rest(monkeypatch):
+    from soundscan import scoring, workers
+
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    _pin_blas_by_environment(monkeypatch)
+    threads = _record_refine_threads(monkeypatch, scoring, fail_on=0)
+    with pytest.raises(RestartFailed):
+        kmeans(clustered_group(990, 96), 16, seed=1)
+    assert len(threads) < 10
+
+
+def test_kmeans_rejects_zero_workers():
+    with pytest.raises(ValueError, match="max_workers"):
+        kmeans(clustered_group(20, 4), 2, seed=0, max_workers=0)
+
+
+def test_worker_pool_holds_blas_to_one_thread_whatever_the_cap(monkeypatch,
+                                                                fake_threadpoolctl):
+    from soundscan import workers
+
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    for args, count in (((3, 1), 1), ((3, 2), 2), ((1,), 1), ((3,), 2)):
+        fake_threadpoolctl["calls"].clear()
+        got, limit = workers.worker_pool(*args)
+        assert got == count, args
+        with limit:
+            assert fake_threadpoolctl["limit"] == 1, args
+        assert fake_threadpoolctl["calls"] == [1], args
+    # one usable core: no worker threads, so nothing to hold BLAS down for
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+    fake_threadpoolctl["calls"].clear()
+    assert workers.worker_pool(3)[0] == 1
+    assert fake_threadpoolctl["calls"] == []
+
+
 # -- cosine scores --------------------------------------------------------------------
 
 def test_cosine_distance_reference_points():
