@@ -17,11 +17,11 @@ gradient, and the input times it is the weight gradient. Other convs
 re-gather the block from the input for the weight gradient and scatter
 the column gradient back onto the input; an unpadded 1x1 conv, whose
 windows never overlap, slices its input and assigns its input gradient
-through the same stride. ``backward()`` frees nothing, so a graph may be
-backpropagated more than once; the graph is freed when its output goes out
-of scope. The exception is the branch node (``branches``): its backward
-releases each node of its sub-graphs once that node has run, and a second
-backward through it raises RuntimeError.
+through the same stride. A backward pass releases the graph it walks: each
+node drops its parents and closure as the walk passes it, the branch
+node's sub-graphs included, so the tape shrinks as the walk goes. A second
+``backward()`` through a released node, or through a new graph built on
+one, raises RuntimeError.
 
 Image tensors are channels-last: (B, H, W, C) for the 2-D ops and
 (B, L, C) for conv1d, so a conv's (B*P, C_out) matmul output is already
@@ -183,34 +183,13 @@ class Tensor:
 
     # -- reverse pass ----------------------------------------------------------
     def backward(self) -> None:
-        """Propagate d(self)/d(node) to every reachable node; accumulate into .grad."""
+        """Propagate d(self)/d(node) to every reachable node and accumulate
+        into the leaves' .grad (+=), releasing the graph on the way."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
-        order = []
-        seen = {id(self)}
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            for parent in node._parents:
-                if id(parent) not in seen:
-                    seen.add(id(parent))
-                    stack.append(parent)
-        order.sort(key=lambda t: t._seq, reverse=True)
-
-        local = {id(self): np.ones_like(self.data)}
-        for node in order:
-            g = local.pop(id(node), None)
-            if g is None:
-                continue
-            if node.requires_grad or node._backward is None:
-                node.grad = g if node.grad is None else node.grad + g
-            if node._backward is not None:
-                for parent, pg in zip(node._parents, node._backward(g)):
-                    if pg is None:
-                        continue
-                    key = id(parent)
-                    local[key] = pg if key not in local else local[key] + pg
+        walk = _walk(_graph(self), np.ones_like(self.data))
+        for leaf, g in _summed([walk]).items():
+            leaf.grad = g if leaf.grad is None else leaf.grad + g
 
 
 class Parameter(Tensor):
@@ -231,7 +210,7 @@ def _record(data, parents, backward) -> Tensor:
     """Wrap op output; attach the tape record only when recording is on and
     some parent participates in differentiation."""
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p._backward is not None for p in parents):
+    if _grad_enabled and any(_needs(p) for p in parents):
         out.requires_grad = False  # grads accumulate on leaves, flow through here
         out._parents = tuple(parents)
         out._backward = backward
@@ -701,6 +680,76 @@ def stats_pool(x: Tensor, eps: float = 1e-5) -> Tensor:
     return _record(data, (x,), backward)
 
 
+# -- the reverse walk --------------------------------------------------------------
+
+def _released(g):
+    raise RuntimeError("backward() through a released graph: a backward pass "
+                       "releases the graph it walks")
+
+
+def _graph(out: Tensor, start: int = 0) -> list:
+    """The nodes `out` is computed from, in creation order; raises when one
+    of them is a recorded op created before `start` (a branch's own)."""
+    nodes, seen, stack = [], {id(out)}, [out]
+    while stack:
+        node = stack.pop()
+        if node._backward is not None and node._seq < start:
+            raise ValueError("a branch may reach tensors from outside its node "
+                             "only through leaves")
+        nodes.append(node)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    nodes.sort(key=lambda t: t._seq)
+    return nodes
+
+
+def _walk(nodes: list, seed) -> dict:
+    """Backpropagate `seed` from the last of `nodes` (a graph in creation
+    order, consumed), releasing each node as it passes it.
+
+    Returns {leaf: [gradient contributions in the order they arose]},
+    unsummed, so that `_summed` can add several walks in a serial walk's
+    order. A released node keeps a backward that raises, so a second pass,
+    or a new graph built on it, cannot take it for a leaf.
+    """
+    leaf_grads = {}
+    local = {id(nodes[-1]): seed} if seed is not None else {}
+    while nodes:
+        node = nodes.pop()
+        g = local.pop(id(node), None)
+        parents, backward = node._parents, node._backward
+        if backward is None:
+            if g is not None:       # the walk starts at a leaf
+                leaf_grads.setdefault(node, []).append(g)
+            continue
+        node._parents, node._backward = (), _released
+        if g is None:
+            continue
+        for parent, pg in zip(parents, backward(g)):
+            if pg is None:
+                continue
+            if parent._backward is None:
+                leaf_grads.setdefault(parent, []).append(pg)
+            else:
+                key = id(parent)
+                local[key] = pg if key not in local else local[key] + pg
+    return leaf_grads
+
+
+def _summed(walks) -> dict:
+    """{leaf: its total gradient} over `walks`, adding the latest walk first
+    and within a walk in the order the contributions arose: the order of one
+    walk over graphs built one after another."""
+    totals = {}
+    for walk in reversed(walks):
+        for leaf, grads in walk.items():
+            for g in grads:
+                totals[leaf] = g if leaf not in totals else totals[leaf] + g
+    return totals
+
+
 # -- independent sub-graphs -------------------------------------------------------
 
 def _fold_statistics(running_mean, running_var, mean, var, momentum) -> None:
@@ -811,55 +860,6 @@ def _run_branch(fn, x, queue):
         _branch_state.updates = outer
 
 
-def _branch_graph(out: Tensor, start: int) -> list:
-    """The nodes `out` is computed from, in creation order; raises when one
-    of them is a recorded op created before the branch node started."""
-    nodes, seen, stack = [], {id(out)}, [out]
-    while stack:
-        node = stack.pop()
-        if node._backward is not None and node._seq < start:
-            raise ValueError("a branch may reach tensors from outside its node "
-                             "only through leaves")
-        nodes.append(node)
-        for parent in node._parents:
-            if id(parent) not in seen:
-                seen.add(id(parent))
-                stack.append(parent)
-    nodes.sort(key=lambda t: t._seq)
-    return nodes
-
-
-def _walk_branch(nodes: list, seed) -> dict:
-    """Backpropagate `seed` from the last of `nodes` (one branch's graph in
-    creation order), releasing each node's closure once it has run.
-
-    Returns {id(leaf): [gradient contributions in the order they arose]},
-    unsummed, so that the join can add them in a serial walk's order.
-    """
-    leaf_grads = {}
-    local = {id(nodes[-1]): seed} if seed is not None else {}
-    while nodes:
-        node = nodes.pop()
-        g = local.pop(id(node), None)
-        parents, backward = node._parents, node._backward
-        if backward is None:
-            if g is not None:       # the branch's output is a leaf
-                leaf_grads.setdefault(id(node), []).append(g)
-            continue
-        node._parents, node._backward = (), None
-        if g is None:
-            continue
-        for parent, pg in zip(parents, backward(g)):
-            if pg is None:
-                continue
-            key = id(parent)
-            if parent._backward is None:
-                leaf_grads.setdefault(key, []).append(pg)
-            else:
-                local[key] = pg if key not in local else local[key] + pg
-    return leaf_grads
-
-
 def branches(calls) -> list:
     """[fn(x) for fn, x in calls], each an independent sub-graph, recorded as
     one tape node.
@@ -872,11 +872,10 @@ def branches(calls) -> list:
     made inside a branch are applied at the join in branch order, and none
     when a branch raises, so results do not depend on the thread count.
     Backward walks each branch's graph on the thread that ran its forward,
-    seeded with that branch's output gradient, releasing the graph as it
-    goes; a second backward through the node raises RuntimeError. A leaf's
-    gradient contributions are added latest branch first, and within a
-    branch latest op first: the order of one walk over the branches built
-    one after another.
+    seeded with that branch's output gradient, with the walk that
+    `Tensor.backward` uses. A leaf's gradient contributions are added
+    latest branch first, and within a branch latest op first: the order of
+    one walk over the branches built one after another.
     """
     calls = list(calls)
     start = next(_seq_counter)
@@ -891,33 +890,17 @@ def branches(calls) -> list:
     if not _grad_enabled or not any(_needs(out) for out in outs):
         return outs
 
-    graphs = [_branch_graph(out, start) for out in outs]
-    leaves = {}
-    for nodes in graphs:
-        for node in nodes:
-            if node._backward is None and node.requires_grad:
-                leaves.setdefault(id(node), node)
+    graphs = [_graph(out, start) for out in outs]
+    leaves = dict.fromkeys(node for nodes in graphs for node in nodes
+                           if node._backward is None and node.requires_grad)
 
     def backward(seeds):
-        nonlocal graphs
-        if graphs is None:
-            raise RuntimeError("backward() through a branch node a second time: its "
-                               "sub-graphs were released by the first pass")
-        walks, graphs = graphs, None
-        jobs = [functools.partial(_walk_branch, walks[i], seeds.get(i))
-                for i in range(len(walks))]
-        per_branch = _run_jobs(jobs, costs, _branch_pool)
-        totals = []
-        for key in leaves:
-            total = None
-            for grads in reversed(per_branch):
-                for g in grads.get(key, ()):
-                    total = g if total is None else total + g
-            totals.append(total)
-        return tuple(totals)
+        jobs = [functools.partial(_walk, nodes, seeds.get(i)) for i, nodes in enumerate(graphs)]
+        totals = _summed(_run_jobs(jobs, costs, _branch_pool))
+        return tuple(totals.get(leaf) for leaf in leaves)
 
     node = Tensor(np.zeros(0))
-    node._parents, node._backward = tuple(leaves.values()), backward
+    node._parents, node._backward = tuple(leaves), backward
     results = []
     for i, out in enumerate(outs):
         result = Tensor(out.data)

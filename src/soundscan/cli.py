@@ -8,6 +8,7 @@ error, 3 data error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import checkpoint, config, data, metrics, scanning, scoring
@@ -175,9 +176,14 @@ def _read_scores(path) -> dict:
                 continue
             name, _, value = line.rpartition(",")
             try:
-                out[name] = float(value)
+                score = float(value)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: bad score {value!r}") from None
+            if not math.isfinite(score):
+                raise DataError(f"{path}:{lineno}: score {value!r} is not finite")
+            if name in out:
+                raise DataError(f"{path}:{lineno}: {name!r} is scored twice")
+            out[name] = score
     return out
 
 

@@ -24,6 +24,7 @@ from .errors import ConfigError, DataError
 MANIFEST_COLUMNS = ["path", "type", "id_or_attr", "domain", "split", "label"]
 LABELS = ("normal", "anomaly", "unknown")
 SPLITS = ("train", "test")
+DOMAINS = ("", "source", "target")
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,8 @@ def load_manifest(path):
                 raise DataError(f"{path}:{lineno}: bad split {row.split!r}")
             if row.label not in LABELS:
                 raise DataError(f"{path}:{lineno}: bad label {row.label!r}")
+            if row.domain not in DOMAINS:
+                raise DataError(f"{path}:{lineno}: bad domain {row.domain!r}")
             rows.append(row)
     _check_rows(rows)
     return rows

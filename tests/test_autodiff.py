@@ -158,14 +158,63 @@ def test_backward_square_at_three():
 
 
 def test_backward_accumulates_and_doubles():
+    # .grad accumulates across graphs: a second loss built from the same
+    # leaf adds onto the first one's gradient
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    (x * x).sum().backward()
+    first = x.grad.copy()
+    (x * x).sum().backward()
+    np.testing.assert_allclose(x.grad, 2.0 * first)
+    x.zero_grad()
+    assert x.grad is None
+
+
+def test_backward_releases_the_graph_it_walks():
+    import gc
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    w = leaf(rng, (64, 64))
+    x = Tensor(rng.standard_normal((256, 64)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        h = x
+        for _ in range(8):
+            h = ad.linear(h, w).sigmoid()
+        loss = (h * h).sum()
+        held = tracemalloc.get_traced_memory()[0]
+        loss.backward()
+        gc.collect()
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # 16 intermediates of 256x64 float64 (128 KiB each) were on the tape
+    assert held - after > 1_000_000
+    assert loss._parents == () and h._parents == ()
+    assert w.grad is not None and w.grad.shape == (64, 64)
+
+
+def test_second_backward_on_the_same_loss_raises():
     x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     loss = (x * x).sum()
     loss.backward()
     first = x.grad.copy()
-    loss.backward()
-    np.testing.assert_allclose(x.grad, 2.0 * first)
-    x.zero_grad()
-    assert x.grad is None
+    with pytest.raises(RuntimeError, match="released"):
+        loss.backward()
+    assert np.array_equal(x.grad, first)
+
+
+def test_a_graph_built_on_a_released_intermediate_raises():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    h = x * 3.0
+    h.sum().backward()
+    first = x.grad.copy()
+    again = (h * h).sum()
+    assert again._backward is not None      # h still counts as differentiable
+    with pytest.raises(RuntimeError, match="released"):
+        again.backward()
+    assert h.grad is None and np.array_equal(x.grad, first)
 
 
 def test_no_grad_blocks_recording():

@@ -497,6 +497,41 @@ def test_eval_missing_score_names_file(capsys, tmp_path, tiny_corpus):
     assert test_rows[0].path in err
 
 
+def _ten_normal_three_anomaly_truth(tmp_path):
+    from soundscan.data import ManifestRow, save_manifest
+
+    names = [f"a/x{i}" for i in range(13)]
+    save_manifest([ManifestRow(name, "a", "id_00", "", "test",
+                               "anomaly" if i >= 10 else "normal")
+                   for i, name in enumerate(names)], tmp_path / "truth.csv")
+    return names
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_eval_rejects_a_non_finite_score(capsys, tmp_path, bad):
+    names = _ten_normal_three_anomaly_truth(tmp_path)
+    values = [f"{0.1 * i:.6f}" for i in range(10)] + ["0.500000", bad, "0.700000"]
+    scores_csv = tmp_path / "scores.csv"
+    scores_csv.write_text("filename,score\n" + "".join(
+        f"{name},{value}\n" for name, value in zip(names, values)))
+    code, _, err = run(capsys, "eval", "--scores", str(scores_csv),
+                       "--truth", str(tmp_path / "truth.csv"))
+    assert code == 3
+    assert f"{scores_csv}:13" in err and "not finite" in err
+
+
+def test_eval_rejects_a_file_scored_twice(capsys, tmp_path):
+    names = _ten_normal_three_anomaly_truth(tmp_path)
+    lines = [f"{name},{0.1 * i:.6f}\n" for i, name in enumerate(names)]
+    lines.insert(5, "a/x2,0.900000\n")
+    scores_csv = tmp_path / "scores.csv"
+    scores_csv.write_text("filename,score\n" + "".join(lines))
+    code, _, err = run(capsys, "eval", "--scores", str(scores_csv),
+                       "--truth", str(tmp_path / "truth.csv"))
+    assert code == 3
+    assert f"{scores_csv}:7" in err and "'a/x2' is scored twice" in err
+
+
 def test_scan_analyze_oversized_kernel_row(capsys):
     code, out, err = run(capsys, "scan-analyze", "--F", "100", "--T", "20",
                          "--set", "kernels=32x16,256x64")

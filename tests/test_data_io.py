@@ -34,6 +34,15 @@ def test_manifest_malformed_row_has_line_number(tmp_path):
         load_manifest(path)
 
 
+def test_manifest_rejects_an_unknown_domain(tmp_path):
+    path = tmp_path / "typo.csv"
+    path.write_text("path,type,id_or_attr,domain,split,label\n"
+                    "a.wav,fan,id_00,source,train,normal\n"
+                    "b.wav,fan,id_00,sorce,train,normal\n")
+    with pytest.raises(DataError, match=r"typo\.csv:3: bad domain 'sorce'"):
+        load_manifest(path)
+
+
 def test_manifest_rejects_duplicates_and_anomalous_train(tmp_path):
     dup = [ManifestRow("x.wav", "fan", "id_00", "", "train", "normal")] * 2
     with pytest.raises(DataError, match="duplicate"):
