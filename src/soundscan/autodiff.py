@@ -31,12 +31,10 @@ and (C_out, C_in, k) shapes.
 Grad mode is one process-wide flag, not one per thread. ``no_grad()``
 belongs to the thread that starts workers: it enters the context once
 around the whole pool, and the workers never enter it themselves, since
-their save and restore of the flag would race. The branch workers that
+their save and restore of the flag would race. The helper threads that
 ``branch_workers`` opens run the branches of a ``branches`` node, forward
-and backward, only while recording is on; they read the flag and never
-set it. With recording off, or inside a branch, a branch node runs its
-branches inline on the calling thread, so an embedding pool never nests
-a second pool inside its workers.
+and backward, through ``workers.run_jobs``, only while recording is on;
+they read the flag and never set it.
 """
 
 from __future__ import annotations
@@ -44,17 +42,17 @@ from __future__ import annotations
 import functools
 import itertools
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
 
+from .workers import helper_threads, run_jobs
+
 _seq_counter = itertools.count()
 _grad_enabled = True
 _checked = False
-_branch_pool = None                 # the helper executors while branch_workers is open
-_branch_state = threading.local()   # .in_job while a thread runs branch jobs; .updates:
-                                    # the buffer updates queued by its running branch
+_branch_pool = ()                   # the helper threads while branch_workers is open
+_branch_state = threading.local()   # .updates: buffer updates queued by a running branch
 
 
 def set_checked(flag: bool) -> None:
@@ -774,71 +772,12 @@ def branch_workers(workers: int):
     """Run the branches of each `branches` node on `workers` threads, the
     calling thread among them, while the context is open."""
     global _branch_pool
-    if workers < 2:
-        yield
-        return
-    previous = _branch_pool
-    # one executor per helper thread, so that a job can be sent to a given thread
-    helpers = [ThreadPoolExecutor(1, thread_name_prefix="soundscan-branch")
-               for _ in range(workers - 1)]
-    _branch_pool = helpers
-    try:
-        yield
-    finally:
-        _branch_pool = previous
-        for helper in helpers:
-            helper.shutdown()
-
-
-def _share_out(costs, threads: int) -> list:
-    """Job indices per thread: longest job first, each to the thread with the
-    least cost so far (ties to the lower thread); thread 0 is the caller's."""
-    shares, loads = [[] for _ in range(threads)], [0] * threads
-    for i in sorted(range(len(costs)), key=lambda i: -costs[i]):
-        thread = loads.index(min(loads))
-        shares[thread].append(i)
-        loads[thread] += costs[i]
-    return shares
-
-
-def _run_jobs(jobs, costs, helpers) -> list:
-    """[job() for job in jobs].
-
-    Without helpers, or inside a job, the calling thread runs the jobs in
-    order. With them, the jobs are shared out by cost (`_share_out`), the
-    same way for the same costs: a branch's backward then runs on the
-    thread that ran its forward, so its tape is freed into the allocator
-    arena that the backward allocates from, and no thread's arena has to
-    grow to hold another thread's branches. A failure stops the jobs not
-    yet started, and once every started job has ended, the failure first
-    in job order is raised.
-    """
-    if getattr(_branch_state, "in_job", False):
-        helpers = None
-    shares = _share_out(costs, 1 + len(helpers)) if helpers else [range(len(jobs))]
-    results, errors = [None] * len(jobs), {}
-
-    def run(share):
-        outer, _branch_state.in_job = getattr(_branch_state, "in_job", False), True
+    with helper_threads(workers - 1) as helpers:
+        previous, _branch_pool = _branch_pool, helpers
         try:
-            for i in share:
-                if errors:
-                    return
-                try:
-                    results[i] = jobs[i]()
-                except BaseException as exc:  # noqa: BLE001 - re-raised by the caller
-                    errors[i] = exc
+            yield
         finally:
-            _branch_state.in_job = outer
-
-    started = [helper.submit(run, share)
-               for helper, share in zip(helpers or (), shares[1:]) if share]
-    run(shares[0])
-    for future in started:
-        future.result()
-    if errors:
-        raise errors[min(errors)]
-    return results
+            _branch_pool = previous
 
 
 class _Seeds(dict):
@@ -866,24 +805,27 @@ def branches(calls) -> list:
 
     A branch may reach tensors from outside only through leaves: parameters
     and constant inputs. While `branch_workers` is open and grad recording
-    is on, the branches run on its threads, shared out by input size with
-    the largest first and the calling thread taking a share; otherwise, and
-    inside another branch, they run inline in order. Running-buffer updates
-    made inside a branch are applied at the join in branch order, and none
-    when a branch raises, so results do not depend on the thread count.
-    Backward walks each branch's graph on the thread that ran its forward,
-    seeded with that branch's output gradient, with the walk that
-    `Tensor.backward` uses. A leaf's gradient contributions are added
-    latest branch first, and within a branch latest op first: the order of
-    one walk over the branches built one after another.
+    is on, the branches run on its threads through `workers.run_jobs`,
+    costed by input size; otherwise, and inside another branch, they run
+    inline in order. Running-buffer updates made inside a branch are
+    applied at the join in branch order, and none when a branch raises, so
+    results do not depend on the thread count. Backward walks each
+    branch's graph with the walk that `Tensor.backward` uses, seeded with
+    that branch's output gradient, on the thread that ran its forward, as
+    the runner splits the same costs the same way: the tape is freed into
+    the allocator arena that the backward allocates from, and no thread's
+    arena grows to hold another thread's branches. A leaf's gradient
+    contributions are added latest branch first, and within a branch
+    latest op first: the order of one walk over the branches built one
+    after another.
     """
     calls = list(calls)
     start = next(_seq_counter)
     queues = [[] for _ in calls]
     costs = [x.size for _, x in calls]
-    outs = _run_jobs([functools.partial(_run_branch, fn, x, queue)
-                      for (fn, x), queue in zip(calls, queues)],
-                     costs, _branch_pool if _grad_enabled else None)
+    outs = run_jobs([functools.partial(_run_branch, fn, x, queue)
+                     for (fn, x), queue in zip(calls, queues)],
+                    costs, _branch_pool if _grad_enabled else ())
     for queue in queues:
         for update in queue:
             _update_buffers(update)
@@ -896,7 +838,7 @@ def branches(calls) -> list:
 
     def backward(seeds):
         jobs = [functools.partial(_walk, nodes, seeds.get(i)) for i, nodes in enumerate(graphs)]
-        totals = _summed(_run_jobs(jobs, costs, _branch_pool))
+        totals = _summed(run_jobs(jobs, costs, _branch_pool))
         return tuple(totals.get(leaf) for leaf in leaves)
 
     node = Tensor(np.zeros(0))

@@ -77,6 +77,8 @@ def load_manifest(path):
                                 f"fields, got {len(record)}")
             row = ManifestRow(record[0], record[1], record[2], record[3],
                               record[4], record[5])
+            if not row.path or not row.machine_type:
+                raise DataError(f"{path}:{lineno}: empty {'type' if row.path else 'path'}")
             if row.split not in SPLITS:
                 raise DataError(f"{path}:{lineno}: bad split {row.split!r}")
             if row.label not in LABELS:

@@ -109,17 +109,26 @@ def group_key_for(row, grouping: str) -> str:
     raise DataError(f"unknown grouping {grouping!r}")
 
 
+def _first_five(paths) -> str:
+    return ", ".join(paths[:5]) + ("" if len(paths) <= 5 else f" (+{len(paths) - 5} more)")
+
+
 def evaluate(score_map: dict, truth_rows, grouping: str, kind: str,
              p: float = 0.1) -> MetricReport:
     """Per-group AUC and pAUC from a {path: score} map plus truth rows,
-    aggregated over the pooled list of all per-group AUC and pAUC values."""
+    aggregated over the pooled list of all per-group AUC and pAUC values.
+    Every labeled test row needs a score, and every score a truth row."""
+    truth_rows = list(truth_rows)
     rows = [r for r in truth_rows if r.split == "test" and r.label in ("normal", "anomaly")]
     if not rows:
         raise DataError("truth manifest has no labeled test rows")
     missing = [r.path for r in rows if r.path not in score_map]
     if missing:
-        raise DataError("scores missing for: " + ", ".join(missing[:5])
-                        + ("" if len(missing) <= 5 else f" (+{len(missing) - 5} more)"))
+        raise DataError("scores missing for: " + _first_five(missing))
+    listed = {r.path for r in truth_rows}
+    unlisted = [path for path in score_map if path not in listed]
+    if unlisted:
+        raise DataError("scores for files not in the truth manifest: " + _first_five(unlisted))
 
     groups: dict = {}
     for row in rows:

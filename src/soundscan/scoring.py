@@ -8,7 +8,6 @@ is the minimum cosine distance to any prototype of its group.
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from .errors import CheckpointError, ConfigError, DataError
 from .metrics import group_key_for
 from .network import features_for_batch, load_waves
 from . import autodiff as ad
-from .workers import worker_pool
+from .workers import helper_threads, run_jobs, worker_pool
 
 # Rows per forward pass. Fixed, so that a row's embedding depends only on the
 # rows that share its chunk, never on the number of workers.
@@ -31,15 +30,9 @@ EMBED_CHUNK = 16
 # calling thread runs them; the row count alone does not tell, as 256 and
 # 500 rows of 64-d still lose. Sized at 2 workers only: on more cores a group
 # just above it may run 4-8 threads that contend for the lock, which was not
-# measured; re-measure there before relying on it. Time with 2 workers /
-# inline, 2 vCPUs, BLAS at one thread, clustered groups, k = 16; the range
-# over one to five runs of five calls each:
-#   inline  30x160 1.18-1.60  256x64 1.02-1.52  256x128 1.06-1.35
-#           500x64 1.05-1.32  250x160 1.05-1.22  990x64 0.90-1.16
-#           100x640 0.72-1.21
-#   pooled  500x160 0.87-1.05  250x640 0.68-1.02  300x256 0.93
-#           990x128 0.69-0.79  2000x64 0.70-0.78  500x640 0.65-0.68
-#           990x160 0.73-0.79  990x640 0.58
+# measured; re-measure there before relying on it. The pooled / inline times
+# it rests on (2 vCPUs, BLAS at one thread, clustered groups, k = 16) are the
+# `pool_threshold` probe of BENCH_13.json.
 KMEANS_POOL_CELLS = 1 << 16
 
 
@@ -205,12 +198,12 @@ def kmeans(embeddings: np.ndarray, prototypes: int, seed,
     count degrade to one centroid per sample; output centroids are
     re-normalized to unit length. The n_init seedings are drawn in order
     from the one seeded generator; the restarts' Lloyd and refine passes
-    draw nothing, so they run on a pool of one thread per usable core,
-    capped by `max_workers`, while BLAS is held to one thread (see
-    workers.worker_pool); below KMEANS_POOL_CELLS input cells they run on
-    the calling thread. The best restart is the first with the lowest
-    inertia, so the result is the same for every worker count. A failing
-    restart cancels those not yet started and its exception is re-raised.
+    draw nothing, so `workers.run_jobs` runs them, at cost 1 each, on one
+    thread per usable core capped by `max_workers`, while BLAS is held to
+    one thread (see workers.worker_pool); below KMEANS_POOL_CELLS input
+    cells they run on the calling thread alone. The best restart is the
+    first with the lowest inertia, so the result is the same for every
+    worker count. A failing restart is re-raised (see run_jobs).
     """
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2 or len(x) == 0:
@@ -222,18 +215,11 @@ def kmeans(embeddings: np.ndarray, prototypes: int, seed,
     k = min(prototypes, len(x))
     workers, blas_limit = worker_pool(n_init if x.size >= KMEANS_POOL_CELLS else 1,
                                       max_workers)
-    restart = functools.partial(_lloyd, x, x2, max_iter=max_iter, tol=tol)
-    with blas_limit:
+    with blas_limit, helper_threads(workers - 1) as helpers:
         rng = np.random.default_rng(seed)
-        seeds = [_kmeans_pp_init(x, x2, k, rng) for _ in range(n_init)]
-        if workers == 1:
-            # inline: a one-thread pool took a 10x640 call from 4.2-6.5 to
-            # 7.6-8.1 ms and a 30x160 one from 9.2-12.1 to 12.0-14.1 ms
-            results = [restart(centroids) for centroids in seeds]
-        else:
-            # Executor.map cancels the pending restarts when a result raises
-            with ThreadPoolExecutor(workers) as pool:
-                results = list(pool.map(restart, seeds))
+        restarts = [functools.partial(_lloyd, x, x2, _kmeans_pp_init(x, x2, k, rng),
+                                      max_iter=max_iter, tol=tol) for _ in range(n_init)]
+        results = run_jobs(restarts, [1] * n_init, helpers)
     best = None
     best_inertia = np.inf
     for centroids, inertia in results:
@@ -314,10 +300,10 @@ def embed_rows(model, rows, max_workers=None) -> np.ndarray:
     """Embeddings for manifest rows, in row order.
 
     The rows go through the eval-mode model in fixed chunks of EMBED_CHUNK,
-    on a pool of one thread per usable core, capped by `max_workers`, while
-    BLAS is held to one thread (see workers.worker_pool); numpy releases the
-    interpreter lock inside its kernels. The result is the same for every
-    worker count. The first failing chunk cancels the chunks not yet started.
+    which `workers.run_jobs` runs, at their row count each, on one thread
+    per usable core capped by `max_workers`, while BLAS is held to one
+    thread (see workers.worker_pool). The result is the same for every
+    worker count. A failing chunk is re-raised (see run_jobs).
     """
     if model.training:
         raise ValueError("embed_rows needs an eval-mode model: a training-mode "
@@ -327,10 +313,10 @@ def embed_rows(model, rows, max_workers=None) -> np.ndarray:
         return np.zeros((0, model.embed_dim))
     workers, blas_limit = worker_pool(len(chunks), max_workers)
     # grad mode is process-wide: it is switched off here, once, around the
-    # pool; a worker entering no_grad itself would race on the restore.
-    # Executor.map cancels the pending chunks when a result raises.
-    with ad.no_grad(), blas_limit, ThreadPoolExecutor(workers) as pool:
-        out = list(pool.map(functools.partial(_embed_chunk, model), chunks))
+    # jobs; a worker entering no_grad itself would race on the restore
+    with ad.no_grad(), blas_limit, helper_threads(workers - 1) as helpers:
+        out = run_jobs([functools.partial(_embed_chunk, model, chunk) for chunk in chunks],
+                       [len(chunk) for chunk in chunks], helpers)
     return np.concatenate(out, axis=0)
 
 

@@ -295,8 +295,8 @@ def test_score_threads_caps_kmeans_workers_with_the_same_result(
         assert calls
         if count == "1":
             assert all(threads == {threading.get_ident()} for threads in calls)
-        else:   # each group's call starts its own two workers
-            assert all(len(threads) == 2 and threading.get_ident() not in threads
+        else:   # each group's call runs on two threads, the caller among them
+            assert all(len(threads) == 2 and threading.get_ident() in threads
                        for threads in calls)
     assert runs["1"] == runs["2"]
 
@@ -530,6 +530,17 @@ def test_eval_rejects_a_file_scored_twice(capsys, tmp_path):
                        "--truth", str(tmp_path / "truth.csv"))
     assert code == 3
     assert f"{scores_csv}:7" in err and "'a/x2' is scored twice" in err
+
+
+def test_eval_rejects_scores_for_files_the_truth_does_not_list(capsys, tmp_path):
+    names = _ten_normal_three_anomaly_truth(tmp_path)
+    lines = [f"{name},{0.1 * i:.6f}\n" for i, name in enumerate(names)]
+    scores_csv = tmp_path / "scores.csv"
+    scores_csv.write_text("filename,score\n" + "".join(lines) + "b/unknown,0.100000\n")
+    code, _, err = run(capsys, "eval", "--scores", str(scores_csv),
+                       "--truth", str(tmp_path / "truth.csv"))
+    assert code == 3
+    assert "not in the truth manifest" in err and "b/unknown" in err
 
 
 def test_scan_analyze_oversized_kernel_row(capsys):

@@ -43,6 +43,25 @@ def test_manifest_rejects_an_unknown_domain(tmp_path):
         load_manifest(path)
 
 
+@pytest.mark.parametrize("record, field", [(",,,,train,normal", "path"),
+                                           ("b.wav,,id_00,,train,normal", "type"),
+                                           (",fan,id_00,,train,normal", "path")])
+def test_manifest_rejects_an_empty_path_or_type(tmp_path, record, field):
+    path = tmp_path / "holes.csv"
+    path.write_text("path,type,id_or_attr,domain,split,label\n"
+                    "a.wav,fan,id_00,,train,normal\n" + record + "\n")
+    with pytest.raises(DataError, match=rf"holes\.csv:3: empty {field}"):
+        load_manifest(path)
+
+
+def test_manifest_keeps_an_empty_id_or_attr(tmp_path):
+    # 2023-style names without attributes give an empty id_or_attr
+    path = tmp_path / "m.csv"
+    path.write_text("path,type,id_or_attr,domain,split,label\n"
+                    "a.wav,fan,,source,train,normal\n")
+    assert load_manifest(path) == [ManifestRow("a.wav", "fan", "", "source", "train", "normal")]
+
+
 def test_manifest_rejects_duplicates_and_anomalous_train(tmp_path):
     dup = [ManifestRow("x.wav", "fan", "id_00", "", "train", "normal")] * 2
     with pytest.raises(DataError, match="duplicate"):

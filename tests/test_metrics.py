@@ -184,3 +184,16 @@ def test_evaluate_missing_scores_named():
             truth_row("b.wav", "fan", "id_00", "anomaly")]
     with pytest.raises(DataError, match="b.wav"):
         evaluate({"a.wav": 0.1}, rows, grouping="per-type", kind="mean")
+
+
+def test_evaluate_takes_scores_of_unlabeled_truth_rows_and_names_unlisted_ones():
+    rows = [truth_row(f"n{i}.wav", "fan", "id_00", "normal") for i in range(10)]
+    rows += [truth_row("a.wav", "fan", "id_00", "anomaly"),
+             truth_row("u.wav", "fan", "id_00", "unknown")]
+    score_map = {row.path: 0.1 for row in rows}
+    score_map["a.wav"] = 0.9
+    assert evaluate(score_map, rows, grouping="per-type", kind="mean").aggregate == 1.0
+    score_map.update({f"x{i}.wav": 0.5 for i in range(7)})
+    with pytest.raises(DataError, match=r"not in the truth manifest: x0\.wav, x1\.wav, x2\.wav, "
+                                        r"x3\.wav, x4\.wav \(\+2 more\)$"):
+        evaluate(score_map, rows, grouping="per-type", kind="mean")

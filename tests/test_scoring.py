@@ -273,7 +273,7 @@ def test_kmeans_pools_restarts_only_from_the_cell_threshold(monkeypatch):
     kmeans(clustered_group(rows, dim), 16, seed=1)
     assert len(threads) == 10
     assert len(set(threads)) == 2
-    assert threading.get_ident() not in threads
+    assert threading.get_ident() in threads     # the caller runs a share
     threads.clear()
     kmeans(clustered_group(rows - 1, dim), 16, seed=1)
     assert threads == [threading.get_ident()] * 10
