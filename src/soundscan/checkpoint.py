@@ -18,9 +18,9 @@ identical bytes.
 from __future__ import annotations
 
 import contextlib
-import math
 import os
 import struct
+import sys
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .errors import CheckpointError
 
 MAGIC = b"SSCX"
 VERSION = 1
+MAX_NDIM = 64   # numpy's limit on array dimensions
 
 
 @contextlib.contextmanager
@@ -77,7 +78,8 @@ def load_container(path):
 
     Raises CheckpointError for a missing file, a foreign or other-version
     header, and a container that is cut short, carries bytes past its last
-    array, or holds text that is not UTF-8.
+    array, holds text that is not UTF-8, or gives an array more than 64
+    dimensions.
     """
     try:
         with open(path, "rb") as fh:
@@ -117,9 +119,24 @@ def load_container(path):
         (name_len,) = struct.unpack("<H", take(2))
         name = text(name_len, "array name")
         (ndim,) = struct.unpack("<B", take(1))
+        if ndim > MAX_NDIM:
+            raise CheckpointError(f"{path}: array {name!r} has {ndim} dimensions, "
+                                  f"more than numpy's {MAX_NDIM}")
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        size = math.prod(shape)
-        data = np.frombuffer(take(8 * size), dtype="<f8")
+        # bound the element count as it is multiplied out: by the values
+        # left, or for an empty array, whose other dimensions numpy still
+        # multiplies out, by numpy's byte limit
+        empty = 0 in shape
+        limit = sys.maxsize // 8 if empty else (len(raw) - pos) // 8
+        size = 1
+        for dim in filter(None, shape):
+            size *= dim
+            if size > limit:
+                raise CheckpointError(
+                    f"{path}: array {name!r} is larger than numpy allows" if empty else
+                    f"{path}: truncated container (array {name!r} holds more than the "
+                    f"{limit} values left)")
+        data = np.frombuffer(take(0 if empty else 8 * size), dtype="<f8")
         arrays[name] = data.reshape(shape).astype(np.float64)
     if pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes after the "

@@ -75,9 +75,9 @@ def _build_parser():
     _add_common(p, needs_seed=False)
     p.add_argument("--scores", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--grouping", choices=["per-id", "per-type"],
+    p.add_argument("--grouping", choices=metrics.GROUPINGS,
                    help="override the config's scoring_mode")
-    p.add_argument("--aggregate", choices=["mean", "harmonic"],
+    p.add_argument("--aggregate", choices=metrics.AGGREGATE_KINDS,
                    help="override the config's aggregate kind")
     p.add_argument("--out", help="report CSV path (default stdout only)")
 

@@ -10,8 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
+from .metrics import AGGREGATE_KINDS, GROUPINGS
 from .scanning import KernelBox, default_kernel_set, plan_from_counts, plan_from_steps
 
+
+# Each field of a section dataclass below is one config key. Its annotation
+# picks the key's parser (`_PARSERS`); its metadata may give the key's `name`
+# (default: the field name), its allowed `choices`, and the `floor` of an
+# integer value or of every entry of an integer tuple (default 1).
 
 @dataclass
 class ModelConfig:
@@ -19,27 +25,28 @@ class ModelConfig:
 
     sample_rate: int = 16000
     clip_seconds: float = 10.0
-    stft_window: int = 1024
+    stft_window: int = field(default=1024, metadata={"floor": 2})
     stft_hop: int = 512
-    kernels: tuple = field(default_factory=lambda: tuple(default_kernel_set()))
-    scan_mode: str = "steps"            # "steps" or "counts"
+    kernels: tuple[KernelBox, ...] = field(
+        default_factory=lambda: tuple(default_kernel_set()))
+    scan_mode: str = field(default="steps", metadata={"choices": ("steps", "counts")})
     f_step: int = 8
     t_step: int = 32
     n_f: int = 16
     n_t: int = 8
     stem_channels: int = 16
-    stage_channels: tuple = (32, 64, 128, 256)
-    patch_channels: tuple = (32, 64, 64)
+    stage_channels: tuple[int, ...] = (32, 64, 128, 256)
+    patch_channels: tuple[int, ...] = (32, 64, 64)
     patch_embed_dim: int = 256
     patch_hidden_dim: int = 1024
-    spectrum_channels: tuple = (128, 128, 128)
-    spectrum_kernels: tuple = (256, 64, 32)
-    spectrum_strides: tuple = (64, 32, 4)
+    spectrum_channels: tuple[int, ...] = (128, 128, 128)
+    spectrum_kernels: tuple[int, ...] = (256, 64, 32)
+    spectrum_strides: tuple[int, ...] = (64, 32, 4)
     spectrum_linear_width: int = 128
     spectrum_linear_count: int = 5
     se_reduction: int = 8
     subclusters: int = 16
-    seed: int | None = None
+    seed: int | None = field(default=None, metadata={"floor": 0})
 
     @property
     def clip_samples(self) -> int:
@@ -69,18 +76,17 @@ class ModelConfig:
         return plan_from_counts(F, T, box, self.n_f, self.n_t)
 
     def validate(self) -> None:
-        if self.sample_rate <= 0 or self.clip_seconds <= 0:
-            raise ConfigError("sample_rate and clip_seconds must be positive")
-        if self.stft_window < 2 or self.stft_hop < 1:
-            raise ConfigError("invalid STFT window/hop")
+        _check_values(self)
+        if self.clip_seconds <= 0:
+            raise ConfigError("clip_seconds must be positive")
         if self.clip_samples < self.stft_window:
             raise ConfigError("clip shorter than the STFT window")
-        if self.scan_mode not in ("steps", "counts"):
-            raise ConfigError(f"scan_mode must be steps or counts, got {self.scan_mode!r}")
         if not self.kernels:
             raise ConfigError("kernel list is empty")
-        if self.subclusters < 1 or self.se_reduction < 1:
-            raise ConfigError("subclusters and se_reduction must be >= 1")
+        if not self.stage_channels:
+            raise ConfigError("stage_channels is empty")
+        if len(self.patch_channels) != 3:
+            raise ConfigError(f"patch_channels needs 3 entries, got {len(self.patch_channels)}")
         if not (len(self.spectrum_channels) == len(self.spectrum_kernels)
                 == len(self.spectrum_strides)):
             raise ConfigError("spectrum conv channel/kernel/stride lists differ in length")
@@ -98,10 +104,9 @@ class TrainConfig:
     mixup_prob: float = 0.5
 
     def validate(self) -> None:
+        _check_values(self)
         if self.lr < 0:
             raise ConfigError("lr must be non-negative")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ConfigError("batch_size and epochs must be >= 1")
         if self.mixup_alpha <= 0:
             raise ConfigError("mixup_alpha must be positive")
         if not 0 <= self.smooth_max < 1:
@@ -113,33 +118,26 @@ class TrainConfig:
 @dataclass
 class ScoringConfig:
     prototypes: int = 16
-    scoring_mode: str = "per-id"        # "per-id" or "per-type"
-    aggregate: str = "mean"             # "mean" or "harmonic"
+    scoring_mode: str = field(default="per-id", metadata={"choices": GROUPINGS})
+    aggregate: str = field(default="mean", metadata={"choices": AGGREGATE_KINDS})
 
     def validate(self) -> None:
-        if self.prototypes < 1:
-            raise ConfigError("prototypes must be >= 1")
-        if self.scoring_mode not in ("per-id", "per-type"):
-            raise ConfigError(f"unknown scoring_mode {self.scoring_mode!r}")
-        if self.aggregate not in ("mean", "harmonic"):
-            raise ConfigError(f"unknown aggregate {self.aggregate!r}")
+        _check_values(self)
 
 
 @dataclass
 class SynthSettings:
     classes: int = 4
     train_clips: int = 30
-    test_normal: int = 10
-    test_anomaly: int = 10
-    base_freqs: tuple = (400.0, 550.0, 700.0, 850.0)
-    anomaly_kind: str = "detune"        # detune | transient | band-noise
-    noise_floor: float = 0.01
+    test_normal: int = field(default=10, metadata={"floor": 0})
+    test_anomaly: int = field(default=10, metadata={"floor": 0})
+    base_freqs: tuple[float, ...] = (400.0, 550.0, 700.0, 850.0)
+    anomaly_kind: str = field(default="detune", metadata={
+        "name": "anomaly", "choices": ("detune", "transient", "band-noise")})
+    noise_floor: float = field(default=0.01, metadata={"name": "noise"})
 
     def validate(self) -> None:
-        if self.classes < 1 or self.train_clips < 1:
-            raise ConfigError("synth class and clip counts must be >= 1")
-        if self.anomaly_kind not in ("detune", "transient", "band-noise"):
-            raise ConfigError(f"unknown anomaly_kind {self.anomaly_kind!r}")
+        _check_values(self)
         if len(self.base_freqs) < self.classes:
             raise ConfigError("need one base frequency per synth class")
 
@@ -149,13 +147,13 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     scoring: ScoringConfig = field(default_factory=ScoringConfig)
-    synth: SynthSettings = field(default_factory=SynthSettings)
+    # the synth keys carry this prefix: `synth_classes`, `synth_anomaly`, ...
+    synth: SynthSettings = field(default_factory=SynthSettings,
+                                 metadata={"prefix": "synth_"})
 
     def validate(self, require_seed: bool = False) -> None:
-        self.model.validate()
-        self.train.validate()
-        self.scoring.validate()
-        self.synth.validate()
+        for section in fields(self):
+            getattr(self, section.name).validate()
         if require_seed and self.model.seed is None:
             raise ConfigError("a seed is required: set `seed=` in the config "
                               "or pass --set seed=N")
@@ -163,12 +161,8 @@ class RunConfig:
 
 # -- flat key=value codec -----------------------------------------------------
 
-def _parse_int_tuple(s):
-    return tuple(int(v) for v in s.split(",") if v != "")
-
-
-def _parse_float_tuple(s):
-    return tuple(float(v) for v in s.split(",") if v != "")
+def _tuple_of(parse):
+    return lambda s: tuple(parse(v) for v in s.split(",") if v != "")
 
 
 def _parse_kernels(s):
@@ -186,54 +180,50 @@ def _parse_kernels(s):
 
 def _show(value):
     if isinstance(value, tuple):
-        if value and isinstance(value[0], KernelBox):
-            return ",".join(str(k) for k in value)
         return ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
     return str(value)
 
 
-# config-file key -> (section, dataclass field, parser)
-KEY_TABLE = {
-    "sample_rate": ("model", "sample_rate", int),
-    "clip_seconds": ("model", "clip_seconds", float),
-    "stft_window": ("model", "stft_window", int),
-    "stft_hop": ("model", "stft_hop", int),
-    "kernels": ("model", "kernels", _parse_kernels),
-    "scan_mode": ("model", "scan_mode", str),
-    "f_step": ("model", "f_step", int),
-    "t_step": ("model", "t_step", int),
-    "n_f": ("model", "n_f", int),
-    "n_t": ("model", "n_t", int),
-    "stem_channels": ("model", "stem_channels", int),
-    "stage_channels": ("model", "stage_channels", _parse_int_tuple),
-    "patch_channels": ("model", "patch_channels", _parse_int_tuple),
-    "patch_embed_dim": ("model", "patch_embed_dim", int),
-    "patch_hidden_dim": ("model", "patch_hidden_dim", int),
-    "spectrum_channels": ("model", "spectrum_channels", _parse_int_tuple),
-    "spectrum_kernels": ("model", "spectrum_kernels", _parse_int_tuple),
-    "spectrum_strides": ("model", "spectrum_strides", _parse_int_tuple),
-    "spectrum_linear_width": ("model", "spectrum_linear_width", int),
-    "spectrum_linear_count": ("model", "spectrum_linear_count", int),
-    "se_reduction": ("model", "se_reduction", int),
-    "subclusters": ("model", "subclusters", int),
-    "seed": ("model", "seed", int),
-    "lr": ("train", "lr", float),
-    "batch_size": ("train", "batch_size", int),
-    "epochs": ("train", "epochs", int),
-    "mixup_alpha": ("train", "mixup_alpha", float),
-    "smooth_max": ("train", "smooth_max", float),
-    "mixup_prob": ("train", "mixup_prob", float),
-    "prototypes": ("scoring", "prototypes", int),
-    "scoring_mode": ("scoring", "scoring_mode", str),
-    "aggregate": ("scoring", "aggregate", str),
-    "synth_classes": ("synth", "classes", int),
-    "synth_train_clips": ("synth", "train_clips", int),
-    "synth_test_normal": ("synth", "test_normal", int),
-    "synth_test_anomaly": ("synth", "test_anomaly", int),
-    "synth_base_freqs": ("synth", "base_freqs", _parse_float_tuple),
-    "synth_anomaly": ("synth", "anomaly_kind", str),
-    "synth_noise": ("synth", "noise_floor", float),
+_PARSERS = {
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "str": str,
+    "tuple[int, ...]": _tuple_of(int),
+    "tuple[float, ...]": _tuple_of(float),
+    "tuple[KernelBox, ...]": _parse_kernels,
 }
+
+
+def _section_keys(section):
+    """(config key, field) for each field of the dataclass behind `section`,
+    a field of RunConfig, in field order."""
+    prefix = section.metadata.get("prefix", "")
+    return [(prefix + f.metadata.get("name", f.name), f)
+            for f in fields(section.default_factory)]
+
+
+# config-file key -> (section, dataclass field, parser), in field order
+KEY_TABLE = {key: (section.name, f.name, _PARSERS[f.type])
+             for section in fields(RunConfig) for key, f in _section_keys(section)}
+
+
+def _check_values(settings) -> None:
+    """Raise ConfigError for a config key of `settings`, one RunConfig
+    section, whose value lies outside its choices or below its integer
+    floor. Fields that a subclass adds are not keys and are not checked."""
+    section = next(s for s in fields(RunConfig) if isinstance(settings, s.default_factory))
+    for key, f in _section_keys(section):
+        value = getattr(settings, f.name)
+        choices = f.metadata.get("choices")
+        if choices is not None and value not in choices:
+            raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+        if f.type.startswith(("int", "tuple[int,")) and value is not None:
+            floor = f.metadata.get("floor", 1)
+            entries = value if isinstance(value, tuple) else (value,)
+            if any(v < floor for v in entries):
+                what = f"every {key} entry" if isinstance(value, tuple) else key
+                raise ConfigError(f"{what} must be >= {floor}, got {_show(value)}")
 
 
 def apply_overrides(cfg: RunConfig, pairs) -> RunConfig:

@@ -87,6 +87,9 @@ def pauc(ls: LabeledScores, p: float = 0.1) -> float:
     return _pair_auc(pos, neg[order[:k]])
 
 
+AGGREGATE_KINDS = ("mean", "harmonic")
+
+
 def aggregate(values, kind: str) -> float:
     """Arithmetic mean or harmonic mean n / sum(1/v) of the pooled values."""
     values = np.asarray(list(values), dtype=np.float64)
@@ -99,6 +102,9 @@ def aggregate(values, kind: str) -> float:
             raise DataError("harmonic mean undefined for zero values")
         return float(len(values) / np.sum(1.0 / values))
     raise DataError(f"unknown aggregation kind {kind!r}")
+
+
+GROUPINGS = ("per-id", "per-type")
 
 
 def group_key_for(row, grouping: str) -> str:

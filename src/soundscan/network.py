@@ -232,9 +232,9 @@ def load_model(path) -> tuple[MultiScaleNet, RunConfig]:
         raise CheckpointError(f"{path}: checkpoint carries no config echo")
     try:
         run_cfg = parse_echo_text(echo)
+        model = MultiScaleNet(run_cfg.model)
     except ConfigError as exc:
         raise CheckpointError(f"{path}: config echo is not a model config: {exc}") from None
-    model = MultiScaleNet(run_cfg.model)
     # checkpoints store the joint training state; keep the model subtree
     state = {}
     for key, value in arrays.items():

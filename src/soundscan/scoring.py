@@ -15,7 +15,7 @@ import numpy as np
 from .checkpoint import load_container, save_container
 from .config import parse_echo_text
 from .errors import CheckpointError, ConfigError, DataError
-from .metrics import group_key_for
+from .metrics import GROUPINGS, group_key_for
 from .network import features_for_batch, load_waves
 from . import autodiff as ad
 from .workers import helper_threads, run_jobs, worker_pool
@@ -248,7 +248,7 @@ class PrototypeStore:
     """Prototype sets keyed by group, with per-domain splits in per-type mode."""
 
     def __init__(self, mode: str):
-        if mode not in ("per-id", "per-type"):
+        if mode not in GROUPINGS:
             raise DataError(f"unknown prototype mode {mode!r}")
         self.mode = mode
         self.sets: dict = {}

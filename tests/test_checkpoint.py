@@ -111,6 +111,95 @@ def test_trailing_bytes_rejected(tmp_path):
         load_container(path)
 
 
+def _one_array_container(path, ndim_byte: int, dims, data: bytes = b""):
+    """A container holding one array "x" with the given ndim byte and dims."""
+    raw = (MAGIC + struct.pack("<I", 1) + struct.pack("<I", 0) + struct.pack("<I", 1)
+           + struct.pack("<H", 1) + b"x" + struct.pack("<B", ndim_byte)
+           + b"".join(struct.pack("<I", d) for d in dims) + data)
+    path.write_bytes(raw)
+    return path
+
+
+def test_more_than_64_dimensions_rejected(tmp_path):
+    """A flipped ndim byte, or 65 dimensions one of them 0, is a bad file with
+    a short message, not a numpy ValueError."""
+    path = _one_array_container(tmp_path / "d.bin", 65, [1] * 64 + [0])
+    with pytest.raises(CheckpointError, match="65 dimensions, more than numpy's 64"):
+        load_container(path)
+    raw = bytearray(_small_container(tmp_path / "s.bin"))
+    ndim_at = 12 + len("seed=1\n") + 4 + 2 + 1     # first array "a", 1-D
+    assert raw[ndim_at] == 1
+    raw[ndim_at] = 0xC1
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="193 dimensions") as info:
+        load_container(path)
+    assert len(str(info.value)) < 200
+
+
+def test_shape_beyond_the_bytes_left_rejected_before_it_is_multiplied(tmp_path):
+    path = _one_array_container(tmp_path / "big.bin", 64, [2**32 - 1] * 64, bytes(16))
+    with pytest.raises(CheckpointError, match="truncated") as info:
+        load_container(path)
+    assert "holds more than the 2 values left" in str(info.value)
+    assert len(str(info.value)) < 200
+
+
+def test_every_bit_flip_of_a_small_container_loads_or_is_a_checkpoint_error(tmp_path):
+    raw = _small_container(tmp_path / "full.bin")
+    path = tmp_path / "flip.bin"
+    for i in range(len(raw)):
+        for bit in range(8):
+            flipped = bytearray(raw)
+            flipped[i] ^= 1 << bit
+            path.write_bytes(bytes(flipped))
+            try:
+                load_container(path)
+            except CheckpointError:
+                pass
+
+
+def test_empty_and_64_dimension_arrays_round_trip(tmp_path):
+    arrays = {"a": np.zeros((3, 0)), "b": np.ones((1,) * 64), "c": np.zeros(0)}
+    save_container(tmp_path / "e.bin", arrays, "")
+    loaded, _ = load_container(tmp_path / "e.bin")
+    for name, value in arrays.items():
+        assert loaded[name].shape == value.shape
+    # numpy still multiplies out the other dimensions of an empty array, up
+    # to (2**63 - 1) // 8 = (2**30 - 1) * (2**30 + 1)
+    path = _one_array_container(tmp_path / "z.bin", 3, [2**30 - 1, 0, 2**30 + 1])
+    assert load_container(path)[0]["x"].shape == (2**30 - 1, 0, 2**30 + 1)
+    _one_array_container(path, 3, [2**30 - 1, 0, 2**30 + 2])
+    with pytest.raises(CheckpointError, match="larger than numpy allows"):
+        load_container(path)
+
+
+@pytest.mark.parametrize("line", ["scan_mode=rteps", "stem_channels=0"])
+def test_echo_that_cannot_build_the_model_is_a_checkpoint_error(capsys, tmp_path,
+                                                                tiny_corpus,
+                                                                tiny_checkpoint, line):
+    """An echo that parses but describes no buildable model is a bad file:
+    `load_model` raises CheckpointError and the CLI exits 3, not 2 or 4."""
+    from soundscan.cli import main
+    from soundscan.network import load_model
+
+    _, root = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    arrays, echo = load_container(ckpt)
+    key = line.partition("=")[0]
+    edited = re.sub(rf"(?m)^{key}=.*$", line, echo)
+    assert edited != echo
+    path = tmp_path / "edited.ckpt"
+    save_container(path, arrays, edited)
+    with pytest.raises(CheckpointError, match=key):
+        load_model(path)
+    code = main(["embed", "--manifest", str(root / "manifest.csv"),
+                 "--checkpoint", str(path), "--out", str(tmp_path / "e.bin")])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert "error: data" in err and str(path) in err
+    assert not (tmp_path / "e.bin").exists()
+
+
 def test_arrays_that_do_not_fit_the_model_are_checkpoint_errors(tmp_path, tiny_checkpoint):
     """A missing array, one of another shape and a buffer that would only
     broadcast each raise CheckpointError naming the array, not KeyError or
