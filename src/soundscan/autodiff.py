@@ -9,11 +9,14 @@ throughout.
 
 The tape keeps, per op, its input and output tensors plus the arrays its
 backward reads that it cannot cheaply rebuild, for example batch norm's
-normalized input and max pooling's windows. conv2d keeps no im2col block,
-which would be kh*kw times the input's size. A stride-1 conv whose
-padding is below its kernel backpropagates through one gather of the
-padded output gradient: that block times the flipped kernel is the input
-gradient, and the input times it is the weight gradient. Other convs
+normalized input and max pooling's windows. A training-mode conv -> batch
+norm (-> add) (-> relu) chain is one ``conv_bn`` node: it keeps its input,
+the norm's normalized input and its own output, and no conv or norm output,
+which no backward reads. conv2d keeps no im2col block, which would be
+kh*kw times the input's size. A stride-1 conv whose padding is below its
+kernel backpropagates through one gather of the padded output gradient:
+that block times the flipped kernel is the input gradient, and the input
+times it is the weight gradient. Other convs
 re-gather the block from the input for the weight gradient and scatter
 the column gradient back onto the input; an unpadded 1x1 conv, whose
 windows never overlap, slices its input and assigns its input gradient
@@ -414,7 +417,7 @@ def _channel_sum(a: np.ndarray, C: int) -> np.ndarray:
 
 
 def _channel_row(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """A per-channel vector tiled to the width of a (B, H*W*C) view, so that
+    """A per-channel vector tiled to the width of a (B, H*W*C) array, so that
     broadcasting it runs over whole rows instead of C-long runs."""
     return np.tile(v, rows.shape[1] // v.size)
 
@@ -619,30 +622,75 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     np.multiply(x_hat, _channel_row(gamma.data, rows), out=out)
     out += _channel_row(beta.data, rows)
     data = out.reshape(x.shape)
+    # backward holds x_hat and shapes, not the input: a fused conv_bn drops it
+    rows_shape, x_shape, needs_x = rows.shape, x.shape, _needs(x)
 
     def backward(g):
-        g = g.reshape(rows.shape)
-        need_g_xhat = _needs(gamma) or (training and _needs(x))
+        g = g.reshape(rows_shape)
+        need_g_xhat = _needs(gamma) or (training and needs_x)
         g_xhat = np.multiply(g, x_hat) if need_g_xhat else None
         gg = _channel_sum(g_xhat, C) if _needs(gamma) else None
         gb = _channel_sum(g, C) if _needs(beta) else None
         gx = None
-        if _needs(x):
-            coef = _channel_row(gamma.data * inv_std, rows)
+        if needs_x:
+            coef = _channel_row(gamma.data * inv_std, g)
             if training:
                 sum_g = gb if gb is not None else _channel_sum(g, C)
                 sum_g_xhat = gg if gg is not None else _channel_sum(g_xhat, C)
                 # gx = ((g - A) - x_hat * B) * coef, with x_hat * B in g_xhat's buffer
-                np.multiply(x_hat, _channel_row(sum_g_xhat / n, rows), out=g_xhat)
-                gx = g - _channel_row(sum_g / n, rows)
+                np.multiply(x_hat, _channel_row(sum_g_xhat / n, g), out=g_xhat)
+                gx = g - _channel_row(sum_g / n, g)
                 gx -= g_xhat
                 gx *= coef
             else:
                 gx = g * coef
-            gx = gx.reshape(x.shape)
+            gx = gx.reshape(x_shape)
         return (gx, gg, gb)
 
     return _record(data, (x, gamma, beta), backward)
+
+
+def conv_bn(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
+            running_mean: np.ndarray, running_var: np.ndarray, stride=(1, 1),
+            padding=(0, 0), relu: bool = False, residual: Tensor | None = None,
+            momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+    """relu(batch_norm2d(conv2d(x, weight)) + residual) in training mode,
+    recorded as one tape node; the add and the relu are each optional.
+
+    The chain runs through `conv2d` and `batch_norm2d` and their backward
+    closures are kept, but not the intermediate tensors, so the tape holds
+    the norm's x_hat and this node's output and no conv or norm output.
+    Backward rebuilds the relu mask as `out > 0`, exact since
+    out = pre * (pre > 0), and hands the masked gradient to the residual
+    unchanged.
+    """
+    conv = conv2d(x, weight, None, stride, padding)
+    norm = batch_norm2d(conv, gamma, beta, running_mean, running_var, True, momentum, eps)
+    conv_backward, norm_backward = conv._backward, norm._backward
+    data = norm.data
+    parents = (x, weight, gamma, beta)
+    if residual is not None:
+        if residual.shape != data.shape:
+            raise ValueError(f"conv_bn residual shape {residual.shape} differs "
+                             f"from the output's {data.shape}")
+        data += residual.data
+        parents += (residual,)
+    if relu:
+        data *= data > 0
+
+    def backward(g):
+        if relu:
+            g = g * (data > 0)
+        gx = gw = gg = gb = None
+        if norm_backward is not None:
+            g_conv, gg, gb = norm_backward(g)
+            if g_conv is not None:
+                gx, gw = conv_backward(g_conv)
+        if residual is None:
+            return (gx, gw, gg, gb)
+        return (gx, gw, gg, gb, g if _needs(residual) else None)
+
+    return _record(data, parents, backward)
 
 
 def stats_pool(x: Tensor, eps: float = 1e-5) -> Tensor:

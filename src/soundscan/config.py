@@ -162,7 +162,14 @@ class RunConfig:
 # -- flat key=value codec -----------------------------------------------------
 
 def _tuple_of(parse):
-    return lambda s: tuple(parse(v) for v in s.split(",") if v != "")
+    """Parser of a comma-separated list: an empty value is the empty tuple,
+    an empty entry between or after commas is an error."""
+    def parse_list(s):
+        entries = s.split(",") if s else []
+        if "" in entries:
+            raise ValueError("empty list entry")
+        return tuple(parse(v) for v in entries)
+    return parse_list
 
 
 def _parse_kernels(s):

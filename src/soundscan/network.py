@@ -59,7 +59,7 @@ class SpectrogramEncoder(nn.Module):
 
     def forward(self, x: Tensor) -> Tensor:
         x = self.se_in(x)
-        x = nn.conv_bn(self.stem, self.stem_bn, x).relu()
+        x = nn.conv_bn(self.stem, self.stem_bn, x, relu=True)
         x = ad.max_pool2d(x, (3, 3), (2, 2), (1, 1))
         x = self.se_stem(x)
         x = self.blocks(x)
@@ -232,9 +232,10 @@ def load_model(path) -> tuple[MultiScaleNet, RunConfig]:
         raise CheckpointError(f"{path}: checkpoint carries no config echo")
     try:
         run_cfg = parse_echo_text(echo)
+        run_cfg.validate()
         model = MultiScaleNet(run_cfg.model)
     except ConfigError as exc:
-        raise CheckpointError(f"{path}: config echo is not a model config: {exc}") from None
+        raise CheckpointError(f"{path}: config echo is not a valid run config: {exc}") from None
     # checkpoints store the joint training state; keep the model subtree
     state = {}
     for key, value in arrays.items():

@@ -151,20 +151,28 @@ class BatchNorm2d(Module):
                                self.running_var, self.training, self.momentum, self.eps)
 
 
-def conv_bn(conv: Conv2d, bn: BatchNorm2d, x):
-    """bn(conv(x)) for a bias-free conv; in eval mode, one conv with the norm
-    folded into it.
+def conv_bn(conv: Conv2d, bn: BatchNorm2d, x, relu: bool = False, residual=None):
+    """bn(conv(x)) for a bias-free conv, plus `residual` when given, then a
+    relu when `relu` is set.
 
-    The folded weight is w·γ/√(var+ε) and the folded bias β − mean·γ/√(var+ε).
-    Both are composed on the tape, so gradients still reach w, γ and β.
-    Training mode normalizes by batch statistics as usual.
+    Training mode records the whole chain as one `ad.conv_bn` node, which
+    normalizes by batch statistics and keeps no conv or norm output on the
+    tape. Eval mode runs one conv with the norm folded into it: weight
+    w·γ/√(var+ε), bias β − mean·γ/√(var+ε), both composed on the tape so
+    that gradients still reach w, γ and β; the add and the relu follow as
+    plain ops.
     """
     if bn.training:
-        return bn(conv(x))
+        return ad.conv_bn(x, conv.weight, bn.gamma, bn.beta, bn.running_mean,
+                          bn.running_var, conv.stride, conv.padding, relu=relu,
+                          residual=residual, momentum=bn.momentum, eps=bn.eps)
     scale = bn.gamma * ad.Tensor(1.0 / np.sqrt(bn.running_var + bn.eps))
     weight = conv.weight * scale.reshape(-1, 1, 1, 1)
     bias = bn.beta - ad.Tensor(bn.running_mean) * scale
-    return ad.conv2d(x, weight, bias, conv.stride, conv.padding)
+    out = ad.conv2d(x, weight, bias, conv.stride, conv.padding)
+    if residual is not None:
+        out = out + residual
+    return out.relu() if relu else out
 
 
 class ResBlock2d(Module):
@@ -185,9 +193,9 @@ class ResBlock2d(Module):
             self.proj = None
 
     def forward(self, x):
-        out = conv_bn(self.conv2, self.bn2, conv_bn(self.conv1, self.bn1, x).relu())
+        h = conv_bn(self.conv1, self.bn1, x, relu=True)
         shortcut = conv_bn(self.proj, self.proj_bn, x) if self.proj is not None else x
-        return (out + shortcut).relu()
+        return conv_bn(self.conv2, self.bn2, h, relu=True, residual=shortcut)
 
 
 class AxisGate(Module):

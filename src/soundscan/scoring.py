@@ -284,10 +284,13 @@ class PrototypeStore:
                 continue
             key, _, domain = name[len("proto/"):].partition("\x1f")
             store.add(PrototypeSet(key, domain, centroids))
+        run_cfg = None
         try:
-            run_cfg = parse_echo_text(echo) if echo.strip() else None
+            if echo.strip():
+                run_cfg = parse_echo_text(echo)
+                run_cfg.validate()
         except ConfigError as exc:
-            raise CheckpointError(f"{path}: config echo is not a run config: {exc}") from None
+            raise CheckpointError(f"{path}: config echo is not a valid run config: {exc}") from None
         return store, run_cfg
 
 

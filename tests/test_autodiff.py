@@ -484,6 +484,120 @@ def test_conv2d_tape_keeps_no_im2col_block():
     assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
 
+# -- fused conv -> norm (-> add) -> relu -------------------------------------------
+
+# x shape (B, C_in, H, W), weight shape, stride, padding, relu, residual:
+# None, "leaf" (its own input) or "input" (the conv's input, an identity
+# shortcut)
+CONV_BN_CASES = {
+    "3x3_s1_relu_residual": ((3, 4, 6, 5), (4, 4, 3, 3), (1, 1), (1, 1), True, "leaf"),
+    "3x3_s1_relu_identity": ((3, 4, 6, 5), (4, 4, 3, 3), (1, 1), (1, 1), True, "input"),
+    "3x3_s2_relu": ((3, 2, 7, 6), (4, 2, 3, 3), (2, 2), (1, 1), True, None),
+    "1x1_s2_projection": ((3, 2, 7, 6), (4, 2, 1, 1), (2, 2), (0, 0), False, None),
+    "7x7_s2_stem": ((2, 1, 13, 11), (3, 1, 7, 7), (2, 2), (3, 3), True, None),
+    "3x3_s1_residual_no_relu": ((3, 4, 6, 5), (4, 4, 3, 3), (1, 1), (1, 1), False, "leaf"),
+}
+
+
+def _conv_bn_run(case, fused):
+    """(output, gradients of x, weight, gamma, beta and residual, running
+    buffers) of one conv_bn case, through the fused node or the op chain."""
+    x_shape, w_shape, stride, padding, relu, res_kind = CONV_BN_CASES[case]
+    rng = np.random.default_rng(30)
+    x = image_leaf(rng, x_shape)
+    w = leaf(rng, w_shape, scale=0.5)
+    gamma = Tensor(rng.uniform(0.5, 1.5, w_shape[0]), requires_grad=True)
+    beta = leaf(rng, (w_shape[0],))
+    running_mean, running_var = rng.standard_normal(w_shape[0]), rng.uniform(0.5, 2.0, w_shape[0])
+    out_shape = ad.conv2d(x, w, None, stride, padding).shape
+    residual = {None: None, "input": x, "leaf": leaf(rng, out_shape)}[res_kind]
+    weights = Tensor(rng.standard_normal(out_shape))   # an uneven output gradient
+    if fused:
+        out = ad.conv_bn(x, w, gamma, beta, running_mean, running_var, stride, padding,
+                         relu=relu, residual=residual)
+    else:
+        out = ad.batch_norm2d(ad.conv2d(x, w, None, stride, padding), gamma, beta,
+                              running_mean, running_var, training=True)
+        if residual is not None:
+            out = out + residual
+        if relu:
+            out = out.relu()
+    (out * weights).sum().backward()
+    grads = [t.grad for t in (x, w, gamma, beta)]
+    if res_kind == "leaf":
+        grads.append(residual.grad)
+    return out.data, grads, (running_mean, running_var)
+
+
+@pytest.mark.parametrize("case", list(CONV_BN_CASES))
+def test_conv_bn_matches_the_op_chain_bit_for_bit(case):
+    out, grads, buffers = _conv_bn_run(case, fused=True)
+    expect_out, expect_grads, expect_buffers = _conv_bn_run(case, fused=False)
+    assert np.array_equal(out, expect_out)
+    assert len(grads) == len(expect_grads)
+    for g, expect in zip(grads, expect_grads):
+        assert g is not None and np.array_equal(g, expect)
+    for buf, expect in zip(buffers, expect_buffers):
+        assert np.array_equal(buf, expect)
+
+
+def test_grad_conv_bn():
+    rng = np.random.default_rng(31)
+    x = image_leaf(rng, (3, 2, 5, 4))
+    w = leaf(rng, (3, 2, 3, 3), scale=0.5)
+    gamma = Tensor(rng.uniform(0.5, 1.5, 3), requires_grad=True)
+    beta = leaf(rng, (3,))
+    residual = leaf(rng, (3, 5, 4, 3))
+
+    def build():
+        out = ad.conv_bn(x, w, gamma, beta, np.zeros(3), np.ones(3), (1, 1), (1, 1),
+                         relu=True, residual=residual)
+        return (out ** 2).sum()
+
+    check_gradients(build, [x, w, gamma, beta, residual])
+
+
+def test_conv_bn_refuses_a_residual_of_another_shape():
+    rng = np.random.default_rng(32)
+    x = image_leaf(rng, (2, 2, 4, 4))
+    w = leaf(rng, (3, 2, 3, 3))
+    with pytest.raises(ValueError, match="residual"):
+        ad.conv_bn(x, w, Tensor(np.ones(3)), Tensor(np.zeros(3)), np.zeros(3), np.ones(3),
+                   padding=(1, 1), residual=Tensor(np.zeros((2, 4, 4, 1))))
+
+
+def test_res_block_tape_holds_x_hat_and_output_per_conv_bn():
+    # A training-mode block with a projection runs three conv_bn chains,
+    # each with a (B, H, W, C_out) output. The tape may hold, per chain, the
+    # norm's x_hat and the chain's output, plus the block input; the slack
+    # of half an output covers the per-channel statistics, closures and
+    # tensor objects. Keeping each conv and norm output, each relu output
+    # and the add output, as an op-by-op chain does, holds 12 outputs.
+    import tracemalloc
+
+    from soundscan import nn
+
+    rng = np.random.default_rng(33)
+    block = nn.ResBlock2d(2, 8, 1, rng)
+    assert block.proj is not None and block.training
+    x = Tensor(rng.standard_normal((16, 16, 16, 2)))
+    with ad.no_grad():
+        block(x)                                 # builds the cached gather indices
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = block(x)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    bound = 3 * 2 * out.data.nbytes + x.data.nbytes + out.data.nbytes // 2
+    assert held <= bound, (held, bound)
+
+    out.sum().backward()
+    assert all(p.grad is not None for p in block.parameters())
+
+
 def test_gather_cache_lookup_safe_across_threads():
     # more distinct keys than the cache holds, so threads clear it under
     # each other; a lookup must still return the value built for its key

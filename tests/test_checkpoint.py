@@ -173,14 +173,18 @@ def test_empty_and_64_dimension_arrays_round_trip(tmp_path):
         load_container(path)
 
 
-@pytest.mark.parametrize("line", ["scan_mode=rteps", "stem_channels=0"])
+@pytest.mark.parametrize("line", ["scan_mode=rteps", "stem_channels=0",
+                                  "scoring_mode=per-clip", "aggregate=median",
+                                  "synth_anomaly=hum"])
 def test_echo_that_cannot_build_the_model_is_a_checkpoint_error(capsys, tmp_path,
                                                                 tiny_corpus,
                                                                 tiny_checkpoint, line):
-    """An echo that parses but describes no buildable model is a bad file:
-    `load_model` raises CheckpointError and the CLI exits 3, not 2 or 4."""
+    """An echo that parses but fails validation in any section, model,
+    scoring or synth, is a bad file: `load_model` and `PrototypeStore.load`
+    raise CheckpointError and the CLI exits 3, not 2 or 4."""
     from soundscan.cli import main
     from soundscan.network import load_model
+    from soundscan.scoring import PrototypeSet, PrototypeStore
 
     _, root = tiny_corpus
     ckpt, _ = tiny_checkpoint
@@ -192,6 +196,11 @@ def test_echo_that_cannot_build_the_model_is_a_checkpoint_error(capsys, tmp_path
     save_container(path, arrays, edited)
     with pytest.raises(CheckpointError, match=key):
         load_model(path)
+    store = PrototypeStore("per-type")
+    store.add(PrototypeSet("fan", "source", np.eye(2, 6)))
+    store.save(tmp_path / "store.bin", edited)
+    with pytest.raises(CheckpointError, match=key):
+        PrototypeStore.load(tmp_path / "store.bin")
     code = main(["embed", "--manifest", str(root / "manifest.csv"),
                  "--checkpoint", str(path), "--out", str(tmp_path / "e.bin")])
     err = capsys.readouterr().err

@@ -232,6 +232,28 @@ def test_a_non_number_is_exit_2(capsys, tmp_path, tiny_corpus, micro_cli_config,
     assert "error: config:" in err
 
 
+@pytest.mark.parametrize("key,value", [("stage_channels", "8,,16"),
+                                       ("spectrum_strides", "16,8,"),
+                                       ("synth_base_freqs", ",400.0,700.0")])
+def test_an_empty_list_entry_is_exit_2(capsys, tmp_path, tiny_corpus, micro_cli_config,
+                                       key, value):
+    """An empty entry between, after or before commas is a config error
+    naming the key, not a silently shorter list."""
+    _, root = tiny_corpus
+    code, err = _cli(capsys, tmp_path, str(root / "manifest.csv"), micro_cli_config,
+                     "train", key, value)
+    assert code == 2, err
+    assert f"config: bad value for {key!r}" in err and "empty list entry" in err, err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_an_empty_list_value_is_the_empty_tuple():
+    cfg = parse_config_text("stage_channels=\n")
+    assert cfg.model.stage_channels == ()
+    with pytest.raises(ConfigError, match="stage_channels is empty"):
+        cfg.validate()
+
+
 def test_readme_config_block_parses():
     """The config block of README's "Config files" section uses live keys."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -165,10 +165,13 @@ def _give_norms_state(module, rng):
             _give_norms_state(child, rng)
 
 
-def _unfused(conv, bn, x):
-    return ad.batch_norm2d(ad.conv2d(x, conv.weight, conv.bias, conv.stride, conv.padding),
-                           bn.gamma, bn.beta, bn.running_mean, bn.running_var,
-                           training=False, eps=bn.eps)
+def _unfused(conv, bn, x, relu=False, residual=None):
+    out = ad.batch_norm2d(ad.conv2d(x, conv.weight, conv.bias, conv.stride, conv.padding),
+                          bn.gamma, bn.beta, bn.running_mean, bn.running_var,
+                          training=False, eps=bn.eps)
+    if residual is not None:
+        out = out + residual
+    return out.relu() if relu else out
 
 
 @pytest.mark.parametrize("c_in, c_out, stride", [(3, 3, 1), (2, 4, 2)])
@@ -181,9 +184,9 @@ def test_folded_res_block_matches_unfused(c_in, c_out, stride):
     x = Tensor(channels_last(rng.standard_normal((3, c_in, 7, 6))))
     with ad.no_grad():
         folded = block(x)
-        out = _unfused(block.conv2, block.bn2, _unfused(block.conv1, block.bn1, x).relu())
+        h = _unfused(block.conv1, block.bn1, x, relu=True)
         shortcut = _unfused(block.proj, block.proj_bn, x) if block.proj is not None else x
-        expect = (out + shortcut).relu()
+        expect = _unfused(block.conv2, block.bn2, h, relu=True, residual=shortcut)
     np.testing.assert_allclose(folded.data, expect.data, rtol=0, atol=1e-12)
 
 
