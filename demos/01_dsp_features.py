@@ -27,17 +27,18 @@ fixed = fix_length(clip, 10.0)
 print(f"after fix_length(10 s): {len(fixed)} samples "
       f"(the 3 s clip is tiled 4x and truncated)")
 
-spec = stft_magnitude(fixed, window=1024, hop=512)
-print(f"spectrogram: {spec.freq_bins} bins x {spec.frames} frames")
+# both transforms take plain arrays: one waveform here, a (B, n) batch in training
+spec = stft_magnitude(fixed.samples, window=1024, hop=512)
+print(f"spectrogram: {spec.shape[0]} bins x {spec.shape[1]} frames")
 
 # the harmonic stack shows up as stable rows; column argmax sits at f0's bin
 bin_hz = RATE / 1024
-peak_bins = np.argmax(spec.values, axis=0)
+peak_bins = np.argmax(spec, axis=0)
 print(f"per-frame peak bin: {peak_bins.min()}..{peak_bins.max()} "
       f"(~{peak_bins[0] * bin_hz:.0f} Hz, f0 = {F0:.0f} Hz)")
 
-spectrum = utterance_spectrum(fixed)
-print(f"spectrum: {spectrum.bins} bins, {1 / fixed.duration:.1f} Hz each")
-top = np.argsort(spectrum.values)[-3:][::-1] / fixed.duration
+spectrum = utterance_spectrum(fixed.samples)
+print(f"spectrum: {spectrum.size} bins, {1 / fixed.duration:.1f} Hz each")
+top = np.argsort(spectrum)[-3:][::-1] / fixed.duration
 print(f"three strongest spectral lines: {np.round(sorted(top), 1)} Hz "
       f"(expect {F0:.0f}, {2 * F0:.0f}, {3 * F0:.0f})")

@@ -9,8 +9,7 @@ F_step=8, T_step=32, and how count-driven planning derives steps instead.
 import numpy as np
 
 from soundscan import (coverage_map, default_kernel_set, plan_from_steps,
-                       scan, steps_from_counts)
-from soundscan.dsp import Spectrogram
+                       scan_array, steps_from_counts)
 
 F, T = 513, 311
 F_STEP, T_STEP = 8, 32
@@ -30,12 +29,13 @@ print("(a kernel narrower than T_step leaves time gaps, hence min coverage 0;"
       "\n steps at or below the kernel size guarantee full coverage)")
 
 # patches really are sub-rectangles: mark each row with its frequency index
-marker = Spectrogram(np.tile(np.arange(F, dtype=float)[:, None], (1, T)))
+# (scan_array is the gather the model runs, there on a (B, F, T) batch)
+marker = np.tile(np.arange(F, dtype=float)[:, None], (1, T))
 box = default_kernel_set()[0]
 plan = plan_from_steps(F, T, box, F_STEP, T_STEP)
-stack = scan(marker, plan)
+stack = scan_array(marker, box.h, box.w, plan.f_positions, plan.t_positions)
 anchor = plan.f_positions[3]
-patch = stack.patches[3 * plan.n_t]  # row-major: (f anchor 3, t anchor 0)
+patch = stack[3 * plan.n_t]  # row-major: (f anchor 3, t anchor 0)
 print(f"\npatch at frequency anchor {anchor}: rows run "
       f"{patch[0, 0]:.0f}..{patch[-1, 0]:.0f} (= anchor..anchor+h-1)")
 

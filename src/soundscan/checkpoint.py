@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, DataError
 
 MAGIC = b"SSCX"
 VERSION = 1
@@ -35,14 +35,19 @@ MAX_NDIM = 64   # numpy's limit on array dimensions
 def atomic_write(path, binary: bool = False):
     """Open a new temp file in `path`'s directory for writing (UTF-8 text, or
     bytes), and rename it onto `path` when the block ends. A write that fails
-    partway leaves the old file as it was and no temp file behind."""
+    partway leaves the old file as it was and no temp file behind. A temp
+    file that cannot be created (a missing or read-only directory) is a
+    DataError naming `path`."""
     path = os.fspath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
         # exclusive create: never write through a file another writer made
-        with (open(tmp, "xb") if binary
-              else open(tmp, "x", encoding="utf-8", newline="")) as fh:
+        fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -1,9 +1,12 @@
-"""Audio front end: waveform loading and the two feature paths.
+"""Audio front end: waveform loading and the two feature transforms.
 
-A clip is converted into (a) an STFT magnitude spectrogram preserving
-time-frequency structure and (b) a single magnitude spectrum of the whole
-signal at full frequency resolution. Both are raw magnitudes, no log
-compression or Mel warping.
+`AudioClip` checks the samples read from a WAV file. The two transforms
+take plain float arrays of waveforms, one per row of the last axis, so a
+whole (B, n) batch goes through one call: (a) an STFT magnitude
+spectrogram, (B, F, T), preserving time-frequency structure and (b) a
+single magnitude spectrum of the whole signal at full frequency
+resolution, (B, n//2 + 1). Both are raw magnitudes, no log compression or
+Mel warping.
 """
 
 from __future__ import annotations
@@ -38,46 +41,6 @@ class AudioClip:
     @property
     def duration(self) -> float:
         return self.samples.size / self.sample_rate
-
-
-@dataclass(frozen=True)
-class Spectrogram:
-    """F x T matrix of non-negative STFT magnitudes."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.ndim != 2:
-            raise DataError("Spectrogram requires a 2-D array")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
-            raise DataError("Spectrogram magnitudes must be finite and non-negative")
-
-    @property
-    def freq_bins(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def frames(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Length-F' vector of non-negative whole-signal DFT magnitudes."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise DataError("Spectrum requires a non-empty 1-D array")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
-            raise DataError("Spectrum magnitudes must be finite and non-negative")
-
-    @property
-    def bins(self) -> int:
-        return self.values.size
 
 
 def load_wav(path) -> AudioClip:
@@ -119,27 +82,33 @@ def hann_window(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def stft_magnitude(clip: AudioClip, window: int = 1024, hop: int = 512) -> Spectrogram:
-    """Hann-windowed STFT magnitudes, no padding.
+def stft_magnitude(samples: np.ndarray, window: int = 1024, hop: int = 512) -> np.ndarray:
+    """Hann-windowed STFT magnitudes of the last axis, no padding.
 
-    F = window/2 + 1 rows and T = 1 + floor((len - window)/hop) columns;
-    entries are unscaled DFT magnitudes of each windowed frame.
+    A (..., n) float array gives an (..., F, T) array with
+    F = window/2 + 1 and T = 1 + floor((n - window)/hop); entries are
+    unscaled DFT magnitudes of each windowed frame. Raises DataError when
+    n is shorter than the window.
     """
-    x = clip.samples
-    if len(x) < window:
-        raise DataError(f"clip length {len(x)} shorter than window {window}")
-    frames = 1 + (len(x) - window) // hop
+    x = np.asarray(samples, dtype=np.float64)
+    n = x.shape[-1]
+    if n < window:
+        raise DataError(f"clip length {n} shorter than window {window}")
+    frames = 1 + (n - window) // hop
     idx = np.arange(window)[None, :] + hop * np.arange(frames)[:, None]
-    segments = x[idx] * hann_window(window)[None, :]
-    mags = np.abs(np.fft.rfft(segments, axis=1))  # (T, F)
-    return Spectrogram(mags.T)
+    # take, not x[..., idx], keeps the frames C-ordered, so the result is a
+    # view of C-ordered (..., T, F) magnitudes: the layout of one clip's
+    # transposed STFT, which the model's sums, and so its bytes, depend on
+    segments = np.take(x, idx, axis=-1) * hann_window(window)    # (..., T, window)
+    mags = np.abs(np.fft.rfft(segments, axis=-1))                # (..., T, F)
+    return np.swapaxes(mags, -1, -2)
 
 
-def utterance_spectrum(clip: AudioClip) -> Spectrum:
-    """Magnitude spectrum of the entire signal, scaled by 1/len.
+def utterance_spectrum(samples: np.ndarray) -> np.ndarray:
+    """Magnitude spectrum of the whole signal along the last axis, scaled by 1/n.
 
-    No windowing; F' = floor(len/2) + 1 bins. The 1/len scaling keeps
-    magnitudes comparable across clip lengths.
+    A (..., n) float array gives (..., n//2 + 1) bins. No windowing; the
+    1/n scaling keeps magnitudes comparable across clip lengths.
     """
-    x = clip.samples
-    return Spectrum(np.abs(np.fft.rfft(x)) / len(x))
+    x = np.asarray(samples, dtype=np.float64)
+    return np.abs(np.fft.rfft(x, axis=-1)) / x.shape[-1]

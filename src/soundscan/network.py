@@ -21,7 +21,7 @@ from . import nn
 from .autodiff import Tensor
 from .checkpoint import load_container
 from .config import ModelConfig, RunConfig, parse_echo_text
-from .dsp import AudioClip, fix_length, load_wav, stft_magnitude, utterance_spectrum
+from .dsp import fix_length, load_wav, stft_magnitude, utterance_spectrum
 from .errors import CheckpointError, ConfigError, DataError
 from .scanning import scan_array, usable_kernels
 
@@ -215,13 +215,9 @@ def load_waves(rows, cfg: ModelConfig) -> np.ndarray:
 
 
 def features_for_batch(waves: np.ndarray, cfg: ModelConfig):
-    """(spectrograms (B, F, T), spectra (B, bins)) for length-fixed waveforms."""
-    specs, spectra = [], []
-    for samples in waves:
-        clip = AudioClip(samples, cfg.sample_rate)
-        specs.append(stft_magnitude(clip, cfg.stft_window, cfg.stft_hop).values)
-        spectra.append(utterance_spectrum(clip).values)
-    return np.stack(specs), np.stack(spectra)
+    """(spectrograms (B, F, T), spectra (B, bins)) for a (B, n) batch of
+    length-fixed waveforms, one transform call each."""
+    return stft_magnitude(waves, cfg.stft_window, cfg.stft_hop), utterance_spectrum(waves)
 
 
 def load_model(path) -> tuple[MultiScaleNet, RunConfig]:

@@ -1,7 +1,10 @@
 """Multi-scale kernel-box scanning over spectrograms.
 
 A kernel box of size (h, w) slides over an F x T spectrogram on a grid of
-frequency/time anchors and stacks the extracted patches. Anchors either
+frequency/time anchors, which a `ScanPlan` holds with its box.
+`scan_array` is the one patch gather: it takes a plain (..., F, T) array,
+one spectrogram or a whole batch, and a plan's box and anchors, and stacks
+the patches row-major over (frequency anchor, time anchor). Anchors either
 follow fixed step sizes or step sizes derived from requested scan counts;
 in both cases a final anchor at the far edge is appended, so the first and
 last rows and columns are always covered. Cells in between are covered only
@@ -18,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Spectrogram
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -61,17 +63,6 @@ class ScanPlan:
     def patch_cells(self) -> int:
         """Cells in the plan's patch stack: patch_count * h * w."""
         return self.patch_count * self.box.h * self.box.w
-
-
-@dataclass(frozen=True)
-class PatchStack:
-    """The N = n_f * n_t patches one kernel extracted, shape (N, h, w)."""
-
-    patches: np.ndarray
-    box: KernelBox
-
-    def __len__(self):
-        return self.patches.shape[0]
 
 
 def _check_fits(F: int, T: int, box: KernelBox) -> None:
@@ -128,22 +119,10 @@ def plan_from_counts(F: int, T: int, box: KernelBox, n_f: int, n_t: int) -> Scan
     return plan_from_steps(F, T, box, f_step, t_step)
 
 
-def scan(spec: Spectrogram, plan: ScanPlan) -> PatchStack:
-    """Extract the planned patches, row-major over (frequency anchor, time anchor)."""
-    values = spec.values
-    F, T = values.shape
-    box, fp, tp = plan.box, plan.f_positions, plan.t_positions
-    _check_fits(F, T, box)
-    if plan.patch_count == 0:
-        raise DataError("scan plan has no anchors")
-    if min(fp) < 0 or max(fp) > F - box.h or min(tp) < 0 or max(tp) > T - box.w:
-        raise DataError(f"scan plan exceeds the {F}x{T} spectrogram for kernel {box}")
-    return PatchStack(scan_array(values, box.h, box.w, fp, tp), box)
-
-
 def scan_array(values: np.ndarray, h: int, w: int, fp, tp) -> np.ndarray:
     """Gather (len(fp)*len(tp), h, w) patches from a 2-D array (or a batch
-    of them, leading axes preserved); fp and tp are anchor sequences."""
+    of them, leading axes preserved), row-major over (fp, tp); fp and tp
+    are anchor sequences, such as a plan's f_positions and t_positions."""
     fp = np.asarray(fp, dtype=np.intp)
     tp = np.asarray(tp, dtype=np.intp)
     f_idx = (fp[:, None] + np.arange(h)[None, :]).reshape(-1)     # (n_f*h,)

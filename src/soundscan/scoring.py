@@ -278,10 +278,16 @@ class PrototypeStore:
         for name in arrays:
             if not name.startswith(("proto/", "meta/")):
                 raise CheckpointError(f"{path}: not a prototype store: holds {name!r}")
-        store = cls("per-type" if arrays["meta/mode"][0] == 1.0 else "per-id")
+        mode = arrays["meta/mode"]
+        if mode.size != 1 or mode.flat[0] not in (0.0, 1.0):
+            raise CheckpointError(f"{path}: meta/mode is not one value of 0 or 1")
+        store = cls("per-type" if mode.flat[0] == 1.0 else "per-id")
         for name, centroids in arrays.items():
             if not name.startswith("proto/"):
                 continue
+            if centroids.ndim != 2 or len(centroids) == 0:
+                raise CheckpointError(f"{path}: {name!r} is not a 2-D array with "
+                                      f"at least one centroid row")
             key, _, domain = name[len("proto/"):].partition("\x1f")
             store.add(PrototypeSet(key, domain, centroids))
         run_cfg = None

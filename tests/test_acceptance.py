@@ -20,7 +20,7 @@ from soundscan.data import SynthConfig, synth_dataset
 from soundscan.errors import DataError
 from soundscan.metrics import LabeledScores, aggregate, auc, pauc
 from soundscan.network import MultiScaleNet, load_model
-from soundscan.scanning import KernelBox, coverage_map, default_kernel_set, plan_from_steps, scan
+from soundscan.scanning import KernelBox, coverage_map, default_kernel_set, plan_from_steps, scan_array
 from soundscan.scoring import cluster_prototypes, kmeans, score_test_rows
 from soundscan.training import SubClusterHead, adacos_loss, train
 
@@ -181,8 +181,7 @@ def test_criterion_2_scanning_suite():
                                     int(rng.integers(1, 9)))
         assert all(0 <= f <= F - h for f in plan.f_positions)
         assert all(0 <= t <= T - w for t in plan.t_positions)
-        from soundscan.dsp import Spectrogram
-        stack = scan(Spectrogram(np.zeros((F, T))), plan)
+        stack = scan_array(np.zeros((F, T)), h, w, plan.f_positions, plan.t_positions)
         assert len(stack) == plan.n_f * plan.n_t
 
     # paper configuration: every kernel's anchor counts match enumeration

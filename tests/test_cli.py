@@ -482,6 +482,31 @@ def test_pipeline_smoke(capsys, tmp_path, tiny_run_cfg):
     assert report[-1].startswith("aggregate_mean,")
 
 
+@pytest.mark.parametrize("command", ["eval", "score", "embed"])
+def test_output_in_a_missing_directory_is_exit_3(capsys, tmp_path, tiny_corpus,
+                                                 tiny_checkpoint, command):
+    _, root = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    manifest = str(root / "manifest.csv")
+    out = tmp_path / "nodir" / "out"
+    if command == "eval":
+        names = _ten_normal_three_anomaly_truth(tmp_path)
+        scores_csv = tmp_path / "scores.csv"
+        scores_csv.write_text("filename,score\n" + "".join(
+            f"{name},{0.1 * i:.6f}\n" for i, name in enumerate(names)))
+        argv = ["eval", "--scores", str(scores_csv), "--truth", str(tmp_path / "truth.csv")]
+    elif command == "score":
+        argv = ["score", "--set", "seed=3", "--set", "prototypes=2",
+                "--train-manifest", manifest, "--test-manifest", manifest,
+                "--checkpoint", str(ckpt)]
+    else:
+        argv = ["embed", "--manifest", manifest, "--checkpoint", str(ckpt)]
+    code, _, err = run(capsys, *argv, "--out", str(out))
+    assert code == 3, err
+    assert f"cannot write {out}" in err
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_eval_missing_score_names_file(capsys, tmp_path, tiny_corpus):
     rows, root = tiny_corpus
     scores_csv = tmp_path / "partial.csv"

@@ -157,7 +157,7 @@ def test_detuned_anomaly_shifts_second_harmonic(tmp_path):
     # at 1 s / 8 kHz, a 6% detune moves the 2nd harmonic by 48 one-Hz bins
     def second_peak(path):
         clip = dsp.load_wav(path)
-        spectrum = dsp.utterance_spectrum(clip).values
+        spectrum = dsp.utterance_spectrum(clip.samples)
         lo, hi = 700, 900  # window around 2 * 400 Hz
         return lo + int(np.argmax(spectrum[lo:hi]))
 
@@ -179,7 +179,7 @@ def test_synth_separable_by_spectral_peak_oracle(tmp_path):
     test_rows = [r for r in rows if r.split == "test"]
     for r in test_rows:
         clip = dsp.load_wav(r.path)
-        spectrum = dsp.utterance_spectrum(clip).values
+        spectrum = dsp.utterance_spectrum(clip.samples)
         target = 2 * f0[r.machine_type]
         lo, hi = int(target * 0.85), int(target * 1.15)
         peak = lo + int(np.argmax(spectrum[lo:hi]))

@@ -9,11 +9,10 @@ from soundscan import autodiff as ad
 from soundscan import network, nn
 from soundscan.autodiff import Tensor
 from soundscan.config import ModelConfig, micro_preset
-from soundscan.dsp import Spectrogram
 from soundscan.errors import ConfigError
 from soundscan.network import (MultiScaleNet, PatchEncoder, SpectrogramEncoder,
                                SpectrumEncoder, features_for_batch)
-from soundscan.scanning import KernelBox, scan, scan_array
+from soundscan.scanning import KernelBox, scan_array
 
 
 def tiny_cfg(**overrides):
@@ -254,7 +253,8 @@ def test_single_kernel_branch_is_encoder_plus_linear():
     spec = np.random.default_rng(7).uniform(0, 1, (1, cfg.freq_bins, cfg.frames))
     plans = model.patch_branch.plans
     assert len(plans) == 1
-    stack = Tensor(scan(Spectrogram(spec[0]), plans[0]).patches[None])
+    p = plans[0]
+    stack = Tensor(scan_array(spec[0], p.box.h, p.box.w, p.f_positions, p.t_positions)[None])
     with ad.no_grad():
         emb = model.patch_branch.encoder(stack)
         merged = model.patch_branch.merge(emb).relu()
@@ -351,6 +351,27 @@ def test_default_config_embed_dim_640():
     model = MultiScaleNet(ModelConfig())
     assert model.embed_dim == 256 + 256 + 128 == 640
     assert len(model.patch_branch.plans) == 12
+
+
+def test_features_for_batch_equal_a_per_clip_fft_reference():
+    cfg = micro_preset(seed=2).model
+    waves = np.random.default_rng(12).uniform(-0.5, 0.5, (5, cfg.clip_samples))
+    specs, spectra = features_for_batch(waves, cfg)
+    window, hop, n = cfg.stft_window, cfg.stft_hop, cfg.clip_samples
+    hann = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
+    ref_specs, ref_spectra = [], []
+    for wave in waves:
+        frames = np.stack([wave[s:s + window] * hann for s in range(0, n - window + 1, hop)])
+        ref_specs.append(np.abs(np.fft.rfft(frames, axis=1)).T)
+        ref_spectra.append(np.abs(np.fft.rfft(wave)) / n)
+    ref_specs, ref_spectra = np.stack(ref_specs), np.stack(ref_spectra)
+    assert specs.shape == (5, cfg.freq_bins, cfg.frames)
+    assert spectra.shape == (5, cfg.spectrum_bins)
+    assert np.array_equal(specs, ref_specs)
+    assert np.array_equal(spectra, ref_spectra)
+    # the memory layout too: the spectrogram encoder's sums depend on it, so
+    # equal values in another layout train other bytes
+    assert specs.strides == ref_specs.strides
 
 
 def test_forward_unit_norm_and_determinism():

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from soundscan import scanning
-from soundscan.dsp import Spectrogram
 from soundscan.errors import ConfigError
-from soundscan.scanning import KernelBox, coverage_map, default_kernel_set, plan_from_steps, scan, steps_from_counts
+from soundscan.scanning import KernelBox, coverage_map, default_kernel_set, plan_from_steps, scan_array, steps_from_counts
+
+
+def patches(values, plan):
+    """The plan's patches, gathered as `MultiScaleBranch.passes` gathers them."""
+    return scan_array(values, plan.box.h, plan.box.w, plan.f_positions, plan.t_positions)
 
 
 def test_steps_single_scan_uses_span():
@@ -50,12 +54,11 @@ def test_plan_appends_boundary_anchor():
 def test_scan_full_size_patch_is_identity():
     rng = np.random.default_rng(0)
     values = rng.uniform(0, 1, (20, 12))
-    spec = Spectrogram(values)
     box = KernelBox(20, 12)
     plan = plan_from_steps(20, 12, box, 0, 0)
-    stack = scan(spec, plan)
-    assert len(stack) == 1
-    np.testing.assert_array_equal(stack.patches[0], values)
+    stack = patches(values, plan)
+    assert stack.shape == (1, 20, 12)
+    np.testing.assert_array_equal(stack[0], values)
 
 
 def test_scan_coordinate_marker():
@@ -65,11 +68,11 @@ def test_scan_coordinate_marker():
     values = np.tile(np.arange(F, dtype=float)[:, None], (1, T))
     box = KernelBox(32, 16)
     plan = plan_from_steps(F, T, box, 8, 32)
-    stack = scan(Spectrogram(values), plan)
+    stack = patches(values, plan)
     assert len(stack) == plan.n_f * plan.n_t == 10
     for i, f in enumerate(plan.f_positions):
         for j in range(plan.n_t):
-            patch = stack.patches[i * plan.n_t + j]
+            patch = stack[i * plan.n_t + j]
             expect = f + np.arange(box.h, dtype=float)
             np.testing.assert_array_equal(patch[:, 0], expect)
 
@@ -79,12 +82,27 @@ def test_scan_row_major_order():
     values = np.arange(F * T, dtype=float).reshape(F, T)
     box = KernelBox(8, 8)
     plan = plan_from_steps(F, T, box, 8, 8)
-    stack = scan(Spectrogram(values), plan)
+    stack = patches(values, plan)
     # order: (f0,t0), (f0,t1), (f1,t0), (f1,t1)
-    assert stack.patches[0][0, 0] == values[0, 0]
-    assert stack.patches[1][0, 0] == values[0, 8]
-    assert stack.patches[2][0, 0] == values[8, 0]
-    assert stack.patches[3][0, 0] == values[8, 8]
+    assert stack[0][0, 0] == values[0, 0]
+    assert stack[1][0, 0] == values[0, 8]
+    assert stack[2][0, 0] == values[8, 0]
+    assert stack[3][0, 0] == values[8, 8]
+
+
+def test_scan_batch_equals_per_clip_gathers_stacked():
+    # MultiScaleBranch.passes gathers a whole (B, F, T) batch at once
+    rng = np.random.default_rng(11)
+    batch = rng.uniform(0, 1, (3, 40, 30))
+    for box, f_step, t_step in ((KernelBox(16, 8), 8, 11), (KernelBox(40, 30), 0, 0),
+                                (KernelBox(5, 7), 3, 9)):
+        plan = plan_from_steps(40, 30, box, f_step, t_step)
+        stack = patches(batch, plan)
+        assert stack.shape == (3, plan.patch_count, box.h, box.w)
+        np.testing.assert_array_equal(stack, np.stack([patches(clip, plan) for clip in batch]))
+    # any leading axes are kept
+    nested = rng.uniform(0, 1, (2, 2, 40, 30))
+    np.testing.assert_array_equal(patches(nested, plan)[1, 0], patches(nested[1, 0], plan))
 
 
 def test_default_kernel_set():
@@ -148,9 +166,9 @@ def test_randomized_coverage_bounds_and_count_law():
         assert list(plan.f_positions) == sorted(set(plan.f_positions))
         assert coverage_map(F, T, plan).min() >= 1
         values = rng.uniform(0, 1, (F, T))
-        stack = scan(Spectrogram(values), plan)
+        stack = patches(values, plan)
         assert len(stack) == plan.n_f * plan.n_t
-        assert stack.patches.size == plan.patch_cells
+        assert stack.size == plan.patch_cells
 
         wide = plan_from_steps(F, T, box, int(rng.integers(1, F + 4)), int(rng.integers(1, T + 4)))
         assert all(0 <= f <= F - h for f in wide.f_positions)
@@ -176,6 +194,4 @@ def test_scan_deterministic():
     values = rng.uniform(0, 1, (64, 48))
     box = KernelBox(32, 16)
     plan = plan_from_steps(64, 48, box, 8, 32)
-    a = scan(Spectrogram(values), plan)
-    b = scan(Spectrogram(values), plan)
-    np.testing.assert_array_equal(a.patches, b.patches)
+    np.testing.assert_array_equal(patches(values, plan), patches(values, plan))

@@ -452,6 +452,21 @@ def test_store_load_rejects_stray_arrays_and_a_foreign_echo(tmp_path, rng):
         PrototypeStore.load(path)
 
 
+@pytest.mark.parametrize("arrays, match", [
+    ({"meta/mode": np.zeros(0)}, "meta/mode"),
+    ({"meta/mode": np.array([0.5])}, "meta/mode"),
+    ({"meta/mode": np.array([1.0, 1.0])}, "meta/mode"),
+    ({"meta/mode": np.array([0.0]), "proto/fan/id_00\x1f": np.ones(6)}, "fan/id_00"),
+    ({"meta/mode": np.array([0.0]), "proto/fan/id_00\x1f": np.ones((0, 6))}, "fan/id_00"),
+], ids=["empty-mode", "half-mode", "two-modes", "1-d-centroids", "no-centroid-rows"])
+def test_store_load_rejects_a_bad_mode_or_centroid_shape(tmp_path, arrays, match):
+    path = tmp_path / "store.bin"
+    save_container(path, arrays, "")
+    with pytest.raises(CheckpointError, match=match) as info:
+        PrototypeStore.load(path)
+    assert str(path) in str(info.value)
+
+
 def test_sets_for_follows_add_order_and_replacement(rng):
     store = PrototypeStore("per-type")
     sets = {(key, domain): PrototypeSet(key, domain, unit_rows(rng.standard_normal((2, 3))))
