@@ -32,12 +32,12 @@ the next layer's input. Conv weights keep the stored (C_out, C_in, kh, kw)
 and (C_out, C_in, k) shapes.
 
 Grad mode is one process-wide flag, not one per thread. ``no_grad()``
-belongs to the thread that starts workers: it enters the context once
-around the whole pool, and the workers never enter it themselves, since
-their save and restore of the flag would race. The helper threads that
-``branch_workers`` opens run the branches of a ``branches`` node, forward
-and backward, through ``workers.run_jobs``, only while recording is on;
-they read the flag and never set it.
+belongs to the thread that opens a ``workers.pool``: it enters the context
+once around the whole pool, and the workers never enter it themselves,
+since their save and restore of the flag would race. The branches of a
+``branches`` node run, forward and backward, through ``workers.run_jobs``:
+on the threads of the pool that the calling thread opened, inline without
+one or inside another job; they read the flag and never set it.
 """
 
 from __future__ import annotations
@@ -49,12 +49,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .workers import helper_threads, run_jobs
+from .workers import run_jobs
 
 _seq_counter = itertools.count()
 _grad_enabled = True
 _checked = False
-_branch_pool = ()                   # the helper threads while branch_workers is open
 _branch_state = threading.local()   # .updates: buffer updates queued by a running branch
 
 
@@ -815,19 +814,6 @@ def _update_buffers(update) -> None:
         queue.append(update)
 
 
-@contextmanager
-def branch_workers(workers: int):
-    """Run the branches of each `branches` node on `workers` threads, the
-    calling thread among them, while the context is open."""
-    global _branch_pool
-    with helper_threads(workers - 1) as helpers:
-        previous, _branch_pool = _branch_pool, helpers
-        try:
-            yield
-        finally:
-            _branch_pool = previous
-
-
 class _Seeds(dict):
     """Gradients at a branch node's outputs by branch index; the reverse walk
     adds up what each output hands the node."""
@@ -852,28 +838,27 @@ def branches(calls) -> list:
     one tape node.
 
     A branch may reach tensors from outside only through leaves: parameters
-    and constant inputs. While `branch_workers` is open and grad recording
-    is on, the branches run on its threads through `workers.run_jobs`,
-    costed by input size; otherwise, and inside another branch, they run
-    inline in order. Running-buffer updates made inside a branch are
-    applied at the join in branch order, and none when a branch raises, so
-    results do not depend on the thread count. Backward walks each
-    branch's graph with the walk that `Tensor.backward` uses, seeded with
-    that branch's output gradient, on the thread that ran its forward, as
-    the runner splits the same costs the same way: the tape is freed into
-    the allocator arena that the backward allocates from, and no thread's
-    arena grows to hold another thread's branches. A leaf's gradient
-    contributions are added latest branch first, and within a branch
-    latest op first: the order of one walk over the branches built one
-    after another.
+    and constant inputs. The branches run through `workers.run_jobs`,
+    costed by input size: on the threads of the `workers.pool` that the
+    calling thread opened, and inline in order without one or inside
+    another job (another branch, an embedding chunk). Running-buffer
+    updates made inside a branch are applied at the join in branch order,
+    and none when a branch raises, so results do not depend on the thread
+    count. Backward walks each branch's graph with the walk that
+    `Tensor.backward` uses, seeded with that branch's output gradient, on
+    the thread that ran its forward, as the runner splits the same costs
+    the same way: the tape is freed into the allocator arena that the
+    backward allocates from, and no thread's arena grows to hold another
+    thread's branches. A leaf's gradient contributions are added latest
+    branch first, and within a branch latest op first: the order of one
+    walk over the branches built one after another.
     """
     calls = list(calls)
     start = next(_seq_counter)
     queues = [[] for _ in calls]
     costs = [x.size for _, x in calls]
     outs = run_jobs([functools.partial(_run_branch, fn, x, queue)
-                     for (fn, x), queue in zip(calls, queues)],
-                    costs, _branch_pool if _grad_enabled else ())
+                     for (fn, x), queue in zip(calls, queues)], costs)
     for queue in queues:
         for update in queue:
             _update_buffers(update)
@@ -886,7 +871,7 @@ def branches(calls) -> list:
 
     def backward(seeds):
         jobs = [functools.partial(_walk, nodes, seeds.get(i)) for i, nodes in enumerate(graphs)]
-        totals = _summed(run_jobs(jobs, costs, _branch_pool))
+        totals = _summed(run_jobs(jobs, costs))
         return tuple(totals.get(leaf) for leaf in leaves)
 
     node = Tensor(np.zeros(0))

@@ -11,7 +11,7 @@ import argparse
 import math
 import sys
 
-from . import checkpoint, config, data, metrics, scanning, scoring
+from . import checkpoint, config, data, metrics, scanning, scoring, workers
 from .errors import ConfigError, DataError
 
 
@@ -25,19 +25,6 @@ def _add_common(parser, needs_seed=True):
                              "one per usable core while BLAS is held to one "
                              "thread) and, with threadpoolctl, the BLAS threads")
     parser.set_defaults(needs_seed=needs_seed)
-
-
-def _cap_threads(count):
-    if count is None:
-        return
-    if count < 1:
-        raise ConfigError(f"--threads must be >= 1, got {count}")
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(limits=count)
-    except ImportError:
-        print("soundscan: warning: threadpoolctl unavailable, --threads caps "
-              "the worker threads only, not BLAS", file=sys.stderr)
 
 
 def _build_parser():
@@ -245,7 +232,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _cap_threads(args.threads)
+        if args.threads is not None:
+            if args.threads < 1:
+                raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+            workers.cap_blas_threads(args.threads)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"soundscan: error: config: {exc}", file=sys.stderr)

@@ -166,9 +166,14 @@ class SynthConfig(SynthSettings):
 
     DETUNE_FACTOR = 1.06
     HARMONIC_AMPS = (1.0, 0.5, 0.25)
+    CLICK_SAMPLES = 32      # the length of one transient click
 
     def validate(self) -> None:
         super().validate()
+        n = int(round(self.duration_seconds * self.sample_rate))
+        if self.anomaly_kind == "transient" and n <= self.CLICK_SAMPLES:
+            raise ConfigError(f"synth_anomaly=transient needs clips longer than "
+                              f"{self.CLICK_SAMPLES} samples, got {n}")
         nyquist = self.sample_rate / 2
         top = max(self.base_freqs[:self.classes]) * len(self.HARMONIC_AMPS) * self.DETUNE_FACTOR
         if top >= nyquist:
@@ -197,9 +202,9 @@ def _make_clip(cfg: SynthConfig, f0: float, rng, anomalous: bool) -> np.ndarray:
     n = len(x)
     if cfg.anomaly_kind == "transient":
         for _ in range(int(rng.integers(4, 9))):
-            pos = int(rng.integers(0, n - 32))
-            click = 0.4 * np.exp(-np.arange(32) / 6.0) * rng.choice([-1.0, 1.0])
-            x[pos:pos + 32] += click
+            pos = int(rng.integers(0, n - cfg.CLICK_SAMPLES))
+            click = 0.4 * np.exp(-np.arange(cfg.CLICK_SAMPLES) / 6.0) * rng.choice([-1.0, 1.0])
+            x[pos:pos + cfg.CLICK_SAMPLES] += click
     else:  # band-noise between the 1st and 2nd harmonics
         noise = rng.standard_normal(n)
         spectrum = np.fft.rfft(noise)

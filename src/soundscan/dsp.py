@@ -97,8 +97,7 @@ def stft_magnitude(samples: np.ndarray, window: int = 1024, hop: int = 512) -> n
     frames = 1 + (n - window) // hop
     idx = np.arange(window)[None, :] + hop * np.arange(frames)[:, None]
     # take, not x[..., idx], keeps the frames C-ordered, so the result is a
-    # view of C-ordered (..., T, F) magnitudes: the layout of one clip's
-    # transposed STFT, which the model's sums, and so its bytes, depend on
+    # view of C-ordered (..., T, F) magnitudes: the layout the model computes in
     segments = np.take(x, idx, axis=-1) * hann_window(window)    # (..., T, window)
     mags = np.abs(np.fft.rfft(segments, axis=-1))                # (..., T, F)
     return np.swapaxes(mags, -1, -2)

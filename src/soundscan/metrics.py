@@ -119,8 +119,7 @@ def _first_five(paths) -> str:
     return ", ".join(paths[:5]) + ("" if len(paths) <= 5 else f" (+{len(paths) - 5} more)")
 
 
-def evaluate(score_map: dict, truth_rows, grouping: str, kind: str,
-             p: float = 0.1) -> MetricReport:
+def evaluate(score_map: dict, truth_rows, grouping: str, kind: str) -> MetricReport:
     """Per-group AUC and pAUC from a {path: score} map plus truth rows,
     aggregated over the pooled list of all per-group AUC and pAUC values.
     Every labeled test row needs a score, and every score a truth row."""
@@ -150,7 +149,7 @@ def evaluate(score_map: dict, truth_rows, grouping: str, kind: str,
             group_key=key,
         )
         a = auc(ls)
-        pa = pauc(ls, p)
+        pa = pauc(ls)
         per_group.append((key, a, pa))
         pooled.extend([a, pa])
     return MetricReport(per_group=tuple(per_group), aggregate=aggregate(pooled, kind),

@@ -37,7 +37,7 @@ class SpectrogramEncoder(nn.Module):
     def __init__(self, F, T, stem_channels, stage_channels, reduction, rng):
         super().__init__()
         self.se_in = nn.MultiAxisSE(1, F, T, reduction, rng)
-        self.stem = nn.Conv2d(1, stem_channels, (7, 7), (2, 2), (3, 3), rng, bias=False)
+        self.stem = nn.Conv2d(1, stem_channels, (7, 7), (2, 2), (3, 3), rng)
         self.stem_bn = nn.BatchNorm2d(stem_channels)
         h, w = conv_out(F, 7, 2, 3), conv_out(T, 7, 2, 3)
         h, w = conv_out(h, 3, 2, 1), conv_out(w, 3, 2, 1)  # stem max pool
@@ -184,13 +184,18 @@ class MultiScaleNet(nn.Module):
 
     def forward(self, spec_batch: np.ndarray, spectrum_batch: np.ndarray) -> Tensor:
         spec_batch = np.asarray(spec_batch, dtype=np.float64)
-        spectrum_batch = np.asarray(spectrum_batch, dtype=np.float64)
         B, F, T = spec_batch.shape
         if (F, T) != (self.cfg.freq_bins, self.cfg.frames):
             raise DataError(f"spectrogram batch is {F}x{T}, model expects "
                             f"{self.cfg.freq_bins}x{self.cfg.frames}")
+        # the encoders' sums, and so the embedding's bytes, depend on memory
+        # order, so both inputs are put in one layout: the spectrogram as a
+        # view of C-ordered (B, T, F), which is what stft_magnitude returns,
+        # so a batch from features_for_batch is not copied
+        spec_batch = np.ascontiguousarray(spec_batch.swapaxes(1, 2)).swapaxes(1, 2)
+        spectrum_batch = np.ascontiguousarray(spectrum_batch, dtype=np.float64)
         # the encoders share no activations: one branch node runs them, on
-        # the branch workers when a training loop has opened them
+        # the worker pool when a training loop has opened one
         e_spec, *scales, e_spectrum = ad.branches(
             [(self.spectrogram_encoder, Tensor(spec_batch.reshape(B, F, T, 1))),
              *self.patch_branch.passes(spec_batch),

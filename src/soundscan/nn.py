@@ -103,34 +103,36 @@ def he_normal(rng, shape, fan_in) -> np.ndarray:
 
 
 class Linear(Module):
-    def __init__(self, d_in, d_out, rng, bias=True):
+    def __init__(self, d_in, d_out, rng):
         super().__init__()
         self.weight = Parameter(he_normal(rng, (d_out, d_in), d_in))
-        self.bias = Parameter(np.zeros(d_out)) if bias else None
+        self.bias = Parameter(np.zeros(d_out))
 
     def forward(self, x):
         return ad.linear(x, self.weight, self.bias)
 
 
 class Conv2d(Module):
-    def __init__(self, c_in, c_out, kernel, stride=(1, 1), padding=(0, 0), rng=None, bias=True):
+    """A bias-free 2-D convolution: every one feeds a batch norm, whose shift
+    is the bias."""
+
+    def __init__(self, c_in, c_out, kernel, stride=(1, 1), padding=(0, 0), rng=None):
         super().__init__()
         kh, kw = kernel
         self.stride = stride
         self.padding = padding
         self.weight = Parameter(he_normal(rng, (c_out, c_in, kh, kw), c_in * kh * kw))
-        self.bias = Parameter(np.zeros(c_out)) if bias else None
 
     def forward(self, x):
-        return ad.conv2d(x, self.weight, self.bias, self.stride, self.padding)
+        return ad.conv2d(x, self.weight, None, self.stride, self.padding)
 
 
 class Conv1d(Module):
-    def __init__(self, c_in, c_out, kernel, stride=1, rng=None, bias=True):
+    def __init__(self, c_in, c_out, kernel, stride=1, rng=None):
         super().__init__()
         self.stride = stride
         self.weight = Parameter(he_normal(rng, (c_out, c_in, kernel), c_in * kernel))
-        self.bias = Parameter(np.zeros(c_out)) if bias else None
+        self.bias = Parameter(np.zeros(c_out))
 
     def forward(self, x):
         return ad.conv1d(x, self.weight, self.bias, self.stride)
@@ -152,8 +154,8 @@ class BatchNorm2d(Module):
 
 
 def conv_bn(conv: Conv2d, bn: BatchNorm2d, x, relu: bool = False, residual=None):
-    """bn(conv(x)) for a bias-free conv, plus `residual` when given, then a
-    relu when `relu` is set.
+    """bn(conv(x)), plus `residual` when given, then a relu when `relu` is
+    set.
 
     Training mode records the whole chain as one `ad.conv_bn` node, which
     normalizes by batch statistics and keeps no conv or norm output on the
@@ -182,12 +184,12 @@ class ResBlock2d(Module):
     def __init__(self, c_in, c_out, stride, rng):
         super().__init__()
         s = (stride, stride) if isinstance(stride, int) else stride
-        self.conv1 = Conv2d(c_in, c_out, (3, 3), s, (1, 1), rng, bias=False)
+        self.conv1 = Conv2d(c_in, c_out, (3, 3), s, (1, 1), rng)
         self.bn1 = BatchNorm2d(c_out)
-        self.conv2 = Conv2d(c_out, c_out, (3, 3), (1, 1), (1, 1), rng, bias=False)
+        self.conv2 = Conv2d(c_out, c_out, (3, 3), (1, 1), (1, 1), rng)
         self.bn2 = BatchNorm2d(c_out)
         if s != (1, 1) or c_in != c_out:
-            self.proj = Conv2d(c_in, c_out, (1, 1), s, (0, 0), rng, bias=False)
+            self.proj = Conv2d(c_in, c_out, (1, 1), s, (0, 0), rng)
             self.proj_bn = BatchNorm2d(c_out)
         else:
             self.proj = None

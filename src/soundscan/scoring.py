@@ -18,7 +18,7 @@ from .errors import CheckpointError, ConfigError, DataError
 from .metrics import GROUPINGS, group_key_for
 from .network import features_for_batch, load_waves
 from . import autodiff as ad
-from .workers import helper_threads, run_jobs, worker_pool
+from .workers import pool, run_jobs
 
 # Rows per forward pass. Fixed, so that a row's embedding depends only on the
 # rows that share its chunk, never on the number of workers.
@@ -98,13 +98,14 @@ def _assign(x, x2, centroids):
     return d2, d2.argmin(axis=1)
 
 
-def _lloyd(x, x2, centroids, max_iter, tol):
-    """One restart from its k-means++ centroids: Lloyd rounds, then the
+def _lloyd(x, x2, centroids):
+    """One restart from its k-means++ centroids: at most 100 Lloyd rounds,
+    until one lowers the inertia by at most 1e-6 of it, then the
     single-point refine; (centroids, inertia). Draws no random numbers."""
     k = len(centroids)
     rows = np.arange(len(x))
     inertia = np.inf
-    for _ in range(max_iter):
+    for _ in range(100):
         d2, labels = _assign(x, x2, centroids)
         fit = d2[rows, labels]
         new_inertia = float(fit.sum())
@@ -113,7 +114,7 @@ def _lloyd(x, x2, centroids, max_iter, tol):
         centroids = sums / np.maximum(counts, 1.0)[:, None]
         # reseed empty clusters at the worst-fit point
         centroids[counts == 0] = x[fit.argmax()]
-        if inertia - new_inertia <= tol * max(new_inertia, 1e-30):
+        if inertia - new_inertia <= 1e-6 * max(new_inertia, 1e-30):
             break
         inertia = new_inertia
     return _single_point_refine(x, x2, centroids, k)
@@ -189,8 +190,7 @@ def _single_point_refine(x, x2, centroids, k, max_sweeps=50):
     return centroids, float(diff.sum())
 
 
-def kmeans(embeddings: np.ndarray, prototypes: int, seed,
-           max_iter: int = 100, tol: float = 1e-6, n_init: int = 10,
+def kmeans(embeddings: np.ndarray, prototypes: int, seed, n_init: int = 10,
            return_inertia: bool = False, max_workers=None):
     """Lloyd K-Means with k-means++ seeding and best-of-n_init restarts.
 
@@ -198,9 +198,8 @@ def kmeans(embeddings: np.ndarray, prototypes: int, seed,
     count degrade to one centroid per sample; output centroids are
     re-normalized to unit length. The n_init seedings are drawn in order
     from the one seeded generator; the restarts' Lloyd and refine passes
-    draw nothing, so `workers.run_jobs` runs them, at cost 1 each, on one
-    thread per usable core capped by `max_workers`, while BLAS is held to
-    one thread (see workers.worker_pool); below KMEANS_POOL_CELLS input
+    draw nothing, so `workers.run_jobs` runs them, at cost 1 each, in a
+    `workers.pool` capped by `max_workers`; below KMEANS_POOL_CELLS input
     cells they run on the calling thread alone. The best restart is the
     first with the lowest inertia, so the result is the same for every
     worker count. A failing restart is re-raised (see run_jobs).
@@ -213,13 +212,11 @@ def kmeans(embeddings: np.ndarray, prototypes: int, seed,
     x = _normalize_rows(x)
     x2 = _row_sq(x)
     k = min(prototypes, len(x))
-    workers, blas_limit = worker_pool(n_init if x.size >= KMEANS_POOL_CELLS else 1,
-                                      max_workers)
-    with blas_limit, helper_threads(workers - 1) as helpers:
+    with pool(n_init if x.size >= KMEANS_POOL_CELLS else 1, max_workers):
         rng = np.random.default_rng(seed)
-        restarts = [functools.partial(_lloyd, x, x2, _kmeans_pp_init(x, x2, k, rng),
-                                      max_iter=max_iter, tol=tol) for _ in range(n_init)]
-        results = run_jobs(restarts, [1] * n_init, helpers)
+        restarts = [functools.partial(_lloyd, x, x2, _kmeans_pp_init(x, x2, k, rng))
+                    for _ in range(n_init)]
+        results = run_jobs(restarts, [1] * n_init)
     best = None
     best_inertia = np.inf
     for centroids, inertia in results:
@@ -309,9 +306,8 @@ def embed_rows(model, rows, max_workers=None) -> np.ndarray:
     """Embeddings for manifest rows, in row order.
 
     The rows go through the eval-mode model in fixed chunks of EMBED_CHUNK,
-    which `workers.run_jobs` runs, at their row count each, on one thread
-    per usable core capped by `max_workers`, while BLAS is held to one
-    thread (see workers.worker_pool). The result is the same for every
+    which `workers.run_jobs` runs, at their row count each, in a
+    `workers.pool` capped by `max_workers`. The result is the same for every
     worker count. A failing chunk is re-raised (see run_jobs).
     """
     if model.training:
@@ -320,12 +316,11 @@ def embed_rows(model, rows, max_workers=None) -> np.ndarray:
     chunks = [rows[i:i + EMBED_CHUNK] for i in range(0, len(rows), EMBED_CHUNK)]
     if not chunks:
         return np.zeros((0, model.embed_dim))
-    workers, blas_limit = worker_pool(len(chunks), max_workers)
     # grad mode is process-wide: it is switched off here, once, around the
     # jobs; a worker entering no_grad itself would race on the restore
-    with ad.no_grad(), blas_limit, helper_threads(workers - 1) as helpers:
+    with ad.no_grad(), pool(len(chunks), max_workers):
         out = run_jobs([functools.partial(_embed_chunk, model, chunk) for chunk in chunks],
-                       [len(chunk) for chunk in chunks], helpers)
+                       [len(chunk) for chunk in chunks])
     return np.concatenate(out, axis=0)
 
 

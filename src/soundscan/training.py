@@ -17,7 +17,7 @@ from .config import RunConfig, config_text
 from .checkpoint import atomic_write, save_container
 from .errors import ConfigError, DataError
 from .network import MultiScaleNet, features_for_batch, load_waves
-from .workers import worker_pool
+from .workers import pool
 
 
 # -- label space ---------------------------------------------------------------
@@ -218,14 +218,16 @@ def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
 
     Writes one log line per epoch (epoch, mean loss, scale, seconds) to
     `log_stream` (default stdout) and optionally a CSV log; saves a
-    checkpoint container when `out_checkpoint` is given. The model's
-    branch sub-graphs run on one thread per usable core, capped by
-    `max_workers`, while BLAS is held to one thread (see
-    workers.worker_pool); at a given BLAS thread count the result is the
-    same for every worker count.
+    checkpoint container when `out_checkpoint` is given; a missing directory
+    for either output is a DataError before any WAV is read. The model's
+    branch sub-graphs run in a `workers.pool` capped by `max_workers`; at a
+    given BLAS thread count the result is the same for every worker count.
     """
     model_cfg, train_cfg = run_cfg.model, run_cfg.train
     run_cfg.validate(require_seed=True)
+    for path in (out_checkpoint, log_path):
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise DataError(f"cannot write {path}: no such directory")
     stream = sys.stdout if log_stream is None else log_stream
 
     train_rows = [r for r in rows if r.split == "train"]
@@ -255,8 +257,7 @@ def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
     log_rows = []
     M = len(train_rows)
     # the spectrogram encoder, one patch pass per scan plan and the spectrum encoder
-    workers, blas_limit = worker_pool(len(model.patch_branch.plans) + 2, max_workers)
-    with blas_limit, ad.branch_workers(workers):
+    with pool(len(model.patch_branch.plans) + 2, max_workers):
         for epoch in range(1, train_cfg.epochs + 1):
             tic = time.perf_counter()
             order = data_rng.permutation(M)

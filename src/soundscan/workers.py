@@ -1,21 +1,27 @@
-"""Worker threads for independent numpy jobs, and the one runner for them.
+"""Worker threads for independent numpy jobs: the one pool and the one runner.
 
 Embedding (chunks of rows), training (the branch sub-graphs of each step)
 and K-Means (the restarts of one call) run numpy work on threads; numpy
-releases the interpreter lock inside its kernels. Each takes its thread
-count and BLAS context from `worker_pool`, opens the threads besides its
-own as `helper_threads`, and hands its jobs, each with a cost, to
-`run_jobs`: the one place where jobs meet threads.
+releases the interpreter lock inside its kernels. Each opens `pool`, which
+sizes the threads for its jobs, holds BLAS to one thread while several run
+and opens the threads besides the caller's; inside it, `run_jobs` shares
+jobs out by cost over those threads. A thread that opened no pool, or that
+is running a job, runs its jobs inline. Thread and BLAS counts are
+decided here only: `cap_blas_threads` is the process-wide BLAS cap of the
+CLI's `--threads`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-_state = threading.local()      # .in_job while a thread runs jobs of run_jobs
+# per thread: .helpers, the helper threads of the pool it opened;
+# .in_job while it runs jobs of run_jobs
+_state = threading.local()
 
 
 def usable_cpus() -> int:
@@ -40,39 +46,57 @@ def blas_env_single_threaded() -> bool:
     return True
 
 
-def worker_pool(tasks: int, max_workers=None):
-    """(worker count, context to run the pool in) for `tasks` independent tasks.
+def cap_blas_threads(count: int) -> None:
+    """Cap BLAS at `count` threads for the rest of the process, by
+    threadpoolctl; without it, warn on stderr and leave BLAS as it is."""
+    try:
+        import threadpoolctl
+    except ImportError:
+        print("soundscan: warning: threadpoolctl unavailable, --threads caps "
+              "the worker threads only, not BLAS", file=sys.stderr)
+        return
+    threadpoolctl.threadpool_limits(limits=count)
+
+
+@contextlib.contextmanager
+def pool(tasks: int, max_workers=None):
+    """Open worker threads for `tasks` independent tasks on this thread;
+    yields the worker count, this thread among them.
 
     One worker per usable core, capped by `max_workers` and by `tasks`.
     Each worker's matmuls would start their own BLAS threads on top of the
     pool, so several workers run only with BLAS held to one thread: by
     threadpoolctl, or by the environment. Where neither holds it, one
     worker leaves the cores to BLAS. With threadpoolctl and more than one
-    usable core the context holds BLAS to one thread whatever the worker
+    usable core the pool holds BLAS to one thread whatever the worker
     count, so that the rounding, which depends on the BLAS thread count,
-    does not depend on `max_workers` or on `tasks`. A `max_workers` below 1
-    raises ValueError.
+    does not depend on `max_workers` or on `tasks`. The helper threads, one
+    executor each so that a job can be sent to a given thread, serve this
+    thread's `run_jobs` calls until the pool closes, which restores the
+    pool that was open before. A `max_workers` below 1 raises ValueError.
     """
     if max_workers is not None and max_workers < 1:
         raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     cpus = usable_cpus()
     workers = min(cpus, max_workers or tasks, tasks)
+    blas_limit = contextlib.nullcontext()
     if cpus <= 1:
-        return 1, contextlib.nullcontext()
-    try:
-        import threadpoolctl
-    except ImportError:
-        return (workers if blas_env_single_threaded() else 1), contextlib.nullcontext()
-    return workers, threadpoolctl.threadpool_limits(limits=1)
-
-
-@contextlib.contextmanager
-def helper_threads(count: int):
-    """`count` helper threads for `run_jobs`, one executor each so that a job
-    can be sent to a given thread; shut down when the context closes."""
-    with contextlib.ExitStack() as stack:
-        yield [stack.enter_context(ThreadPoolExecutor(1, thread_name_prefix="soundscan-worker"))
-               for _ in range(count)]
+        workers = 1
+    else:
+        try:
+            import threadpoolctl
+        except ImportError:
+            workers = workers if blas_env_single_threaded() else 1
+        else:
+            blas_limit = threadpoolctl.threadpool_limits(limits=1)
+    with blas_limit, contextlib.ExitStack() as stack:
+        helpers = [stack.enter_context(ThreadPoolExecutor(1, thread_name_prefix="soundscan-worker"))
+                   for _ in range(workers - 1)]
+        outer, _state.helpers = getattr(_state, "helpers", ()), helpers
+        try:
+            yield workers
+        finally:
+            _state.helpers = outer
 
 
 def _share_out(costs, threads: int) -> list:
@@ -86,16 +110,16 @@ def _share_out(costs, threads: int) -> list:
     return shares
 
 
-def run_jobs(jobs, costs, helpers=()) -> list:
+def run_jobs(jobs, costs) -> list:
     """[job() for job in jobs], the calling thread among those that run them.
 
-    Without helpers, or inside a job, the caller runs the jobs in order.
-    With them, the jobs are shared out by cost (`_share_out`), the same way
-    for the same costs. A failure stops the jobs not yet started; once the
-    started ones have ended, the failure first in job order is raised.
+    With no `pool` open on the calling thread, or inside a job, the caller
+    runs the jobs in order. Otherwise the jobs are shared out by cost over
+    the pool's threads (`_share_out`), the same way for the same costs. A
+    failure stops the jobs not yet started; once the started ones have
+    ended, the failure first in job order is raised.
     """
-    if getattr(_state, "in_job", False):
-        helpers = ()
+    helpers = () if getattr(_state, "in_job", False) else getattr(_state, "helpers", ())
     shares = _share_out(costs, 1 + len(helpers)) if helpers else [range(len(jobs))]
     results, errors = [None] * len(jobs), {}
 

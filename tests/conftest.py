@@ -78,3 +78,18 @@ def fake_threadpoolctl(monkeypatch):
     monkeypatch.setitem(sys.modules, "threadpoolctl",
                         types.SimpleNamespace(threadpool_limits=FakeLimits))
     return state
+
+
+@pytest.fixture()
+def many_cpus(monkeypatch):
+    """Four usable cores and BLAS held to one thread by the environment, so a
+    `workers.pool` opens as many workers as its tasks, up to four, on any
+    machine."""
+    import sys
+
+    from soundscan import workers
+
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")

@@ -6,6 +6,7 @@ import pytest
 from gradcheck import channels_last, check_gradients
 
 from soundscan import autodiff as ad
+from soundscan import workers as pools
 from soundscan.autodiff import Adam, Parameter, Tensor
 
 
@@ -654,7 +655,7 @@ def _shared_weight_branches(rng):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_grad_branches_sharing_a_parameter(workers):
+def test_grad_branches_sharing_a_parameter(workers, many_cpus):
     rng = np.random.default_rng(40)
     w = leaf(rng, (3, 4))
     x1 = Tensor(rng.standard_normal((2, 4)))
@@ -665,23 +666,23 @@ def test_grad_branches_sharing_a_parameter(workers):
                               (lambda x: ad.linear(x, w) ** 2, x2)])
         return (y1 ** 2).sum() + y2.sum() * 0.5
 
-    with ad.branch_workers(workers):
+    with pools.pool(workers):
         check_gradients(build, [w])
 
 
-def test_branches_match_one_serial_walk_bit_for_bit():
+def test_branches_match_one_serial_walk_bit_for_bit(many_cpus):
     rng = np.random.default_rng(41)
     w, b, inputs, fn, loss = _shared_weight_branches(rng)
     loss([fn(x) for x in inputs]).backward()
     reference = (w.grad, b.grad)
     for workers in (1, 2, 3):
         w.grad = b.grad = None
-        with ad.branch_workers(workers):
+        with pools.pool(workers):
             loss(ad.branches([(fn, x) for x in inputs])).backward()
         assert np.array_equal(w.grad, reference[0]) and np.array_equal(b.grad, reference[1])
 
 
-def test_branch_buffers_update_in_branch_order_and_not_on_failure():
+def test_branch_buffers_update_in_branch_order_and_not_on_failure(many_cpus):
     from soundscan import nn
 
     rng = np.random.default_rng(42)
@@ -698,7 +699,7 @@ def test_branch_buffers_update_in_branch_order_and_not_on_failure():
 
     for workers in (1, 2, 3):
         bn = nn.BatchNorm2d(3)
-        with ad.branch_workers(workers):
+        with pools.pool(workers):
             with pytest.raises(BranchFailure, match="one branch failed"):
                 ad.branches([(bn, inputs[0]), (fail, inputs[1]), (bn, inputs[2])])
             assert np.array_equal(bn.running_mean, np.zeros(3))
@@ -725,26 +726,17 @@ def test_branch_reaching_a_recorded_outside_tensor_is_refused():
         ad.branches([(lambda x: x * hidden, Tensor(np.ones((2, 3))))])
 
 
-def test_branches_run_inline_without_grad_recording():
-    import threading
-
+def test_branches_record_no_tape_without_grad_recording(many_cpus):
     rng = np.random.default_rng(45)
     w, b, inputs, fn, _ = _shared_weight_branches(rng)
-    threads = []
-
-    def recording(x):
-        threads.append(threading.get_ident())
-        return fn(x)
-
-    with ad.branch_workers(3), ad.no_grad():
-        outs = ad.branches([(recording, x) for x in inputs])
-    assert set(threads) == {threading.get_ident()}
+    with pools.pool(3), ad.no_grad():
+        outs = ad.branches([(fn, x) for x in inputs])
     assert all(out._backward is None for out in outs)
     for out, x in zip(outs, inputs):
         assert np.array_equal(out.data, fn(x).data)
 
 
-def test_nested_branch_nodes_run_inline_inside_a_branch():
+def test_nested_branch_nodes_run_inline_inside_a_branch(many_cpus):
     rng = np.random.default_rng(46)
     w = leaf(rng, (3, 4))
     x1 = Tensor(rng.standard_normal((2, 4)))
@@ -759,11 +751,11 @@ def test_nested_branch_nodes_run_inline_inside_a_branch():
         y1, y2 = ad.branches([(inner, x1), (lambda x: ad.linear(x, w) ** 2, x2)])
         return y1.sum() + (y2 ** 2).sum()
 
-    with ad.branch_workers(2):
+    with pools.pool(2):
         check_gradients(build, [w])
 
 
-def test_branch_workers_under_thread_switch_stress():
+def test_branch_workers_under_thread_switch_stress(many_cpus):
     # more workers than cores and a short switch interval: branches built
     # and walked side by side must still match one serial walk bit for bit
     import sys
@@ -782,7 +774,7 @@ def test_branch_workers_under_thread_switch_stress():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ad.branch_workers(4):
+        with pools.pool(4):
             outs = ad.branches([(fn, x) for x in inputs])
             (ad.concat(outs, axis=1) ** 2).sum().backward()
     finally:

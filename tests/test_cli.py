@@ -81,6 +81,42 @@ def test_synth_above_nyquist_is_exit_2(capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seconds", ["0.001", "0.002"])   # 16 and 32 samples at 16 kHz
+def test_synth_transient_on_clips_of_32_samples_or_fewer_is_exit_2(capsys, tmp_path,
+                                                                   seconds):
+    out = tmp_path / "d"
+    code, _, err = run(capsys, "synth", "--set", "seed=1", "--set", "synth_anomaly=transient",
+                       "--set", f"clip_seconds={seconds}", "--set", "stft_window=8",
+                       "--set", "stft_hop=4", "--set", "synth_base_freqs=100,150,200,250",
+                       "--out", str(out))
+    assert code == 2, err
+    assert "error: config" in err and "synth_anomaly" in err
+    assert not out.exists()
+
+
+def test_synth_transient_micro_corpus_is_exit_0(capsys, tmp_path):
+    from soundscan.config import micro_preset
+
+    cfg = micro_preset(seed=1)
+    cfg.synth.classes, cfg.synth.base_freqs = 2, (400.0, 700.0)
+    cfg.synth.train_clips, cfg.synth.test_normal, cfg.synth.test_anomaly = 2, 1, 2
+    cfg.synth.anomaly_kind = "transient"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(config_text(cfg))
+    code, _, err = run(capsys, "synth", "--config", str(cfg_path), "--out", str(tmp_path / "d"))
+    assert code == 0, err
+    manifest = (tmp_path / "d" / "manifest.csv").read_text().splitlines()
+    assert len(manifest) == 1 + 2 * (2 + 1 + 2)
+
+
+def test_threads_below_one_is_exit_2(capsys, tmp_path):
+    code, _, err = run(capsys, "synth", "--set", "seed=0", "--threads", "0",
+                       "--out", str(tmp_path / "d"))
+    assert code == 2
+    assert "error: config" in err and "--threads must be >= 1" in err
+    assert not (tmp_path / "d").exists()
+
+
 def test_missing_seed_is_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "synth", "--out", str(tmp_path / "c"))
     assert code == 2
@@ -505,6 +541,29 @@ def test_output_in_a_missing_directory_is_exit_3(capsys, tmp_path, tiny_corpus,
     assert code == 3, err
     assert f"cannot write {out}" in err
     assert not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize("option", ["--out-checkpoint", "--log"])
+def test_train_output_in_a_missing_directory_is_exit_3_before_training(
+        capsys, tmp_path, tiny_corpus, tiny_run_cfg, monkeypatch, option):
+    from soundscan import training
+
+    _, root = tiny_corpus
+    steps = []
+    monkeypatch.setattr(training, "_train_step", lambda *args: steps.append(args) or 0.0)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(config_text(tiny_run_cfg))
+    missing = tmp_path / "nodir" / "out"
+    outputs = {"--out-checkpoint": str(tmp_path / "m.ckpt"), "--log": str(tmp_path / "l.csv")}
+    outputs[option] = str(missing)
+    argv = ["train", "--config", str(cfg_path), "--manifest", str(root / "manifest.csv")]
+    for name, path in outputs.items():
+        argv += [name, path]
+    code, _, err = run(capsys, *argv)
+    assert code == 3, err
+    assert "error: data" in err and str(missing) in err
+    assert steps == []
+    assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "l.csv").exists()
 
 
 def test_eval_missing_score_names_file(capsys, tmp_path, tiny_corpus):

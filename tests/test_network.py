@@ -1,5 +1,7 @@
 """Network assembly: axis gating, the three encoders, fusion, weight sharing."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -165,7 +167,7 @@ def _give_norms_state(module, rng):
 
 
 def _unfused(conv, bn, x, relu=False, residual=None):
-    out = ad.batch_norm2d(ad.conv2d(x, conv.weight, conv.bias, conv.stride, conv.padding),
+    out = ad.batch_norm2d(ad.conv2d(x, conv.weight, None, conv.stride, conv.padding),
                           bn.gamma, bn.beta, bn.running_mean, bn.running_var,
                           training=False, eps=bn.eps)
     if residual is not None:
@@ -372,6 +374,20 @@ def test_features_for_batch_equal_a_per_clip_fft_reference():
     # the memory layout too: the spectrogram encoder's sums depend on it, so
     # equal values in another layout train other bytes
     assert specs.strides == ref_specs.strides
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_embedding_bytes_do_not_depend_on_the_input_layout(training):
+    cfg = micro_preset(seed=2).model
+    model = MultiScaleNet(cfg).train(training)
+    waves = np.random.default_rng(15).uniform(-0.5, 0.5, (3, cfg.clip_samples))
+    specs, spectra = features_for_batch(waves, cfg)
+    # a training-mode forward records the tape, as a training step does
+    with contextlib.nullcontext() if training else ad.no_grad():
+        reference = model(specs, spectra).data
+        for order in "CF":
+            got = model(np.array(specs, order=order), np.array(spectra, order=order)).data
+            assert np.array_equal(got, reference), order
 
 
 def test_forward_unit_norm_and_determinism():

@@ -313,25 +313,6 @@ def test_kmeans_rejects_zero_workers():
         kmeans(clustered_group(20, 4), 2, seed=0, max_workers=0)
 
 
-def test_worker_pool_holds_blas_to_one_thread_whatever_the_cap(monkeypatch,
-                                                                fake_threadpoolctl):
-    from soundscan import workers
-
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
-    for args, count in (((3, 1), 1), ((3, 2), 2), ((1,), 1), ((3,), 2)):
-        fake_threadpoolctl["calls"].clear()
-        got, limit = workers.worker_pool(*args)
-        assert got == count, args
-        with limit:
-            assert fake_threadpoolctl["limit"] == 1, args
-        assert fake_threadpoolctl["calls"] == [1], args
-    # one usable core: no worker threads, so nothing to hold BLAS down for
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
-    fake_threadpoolctl["calls"].clear()
-    assert workers.worker_pool(3)[0] == 1
-    assert fake_threadpoolctl["calls"] == []
-
-
 # -- cosine scores --------------------------------------------------------------------
 
 def test_cosine_distance_reference_points():

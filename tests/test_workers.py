@@ -1,10 +1,12 @@
-"""The one job runner: how jobs meet threads, fail and nest."""
+"""The one pool and the one job runner: how jobs meet threads, fail and nest."""
 
+import contextlib
 import threading
 
 import pytest
 
-from soundscan.workers import helper_threads, run_jobs
+from soundscan import workers
+from soundscan.workers import pool, run_jobs
 
 
 def _recording(log, i):
@@ -15,27 +17,34 @@ def _recording(log, i):
     return job
 
 
-def test_without_helpers_the_caller_runs_the_jobs_in_order():
-    log = []
-    with helper_threads(0) as helpers:
-        assert helpers == []
-        out = run_jobs([_recording(log, i) for i in range(5)], [1, 9, 3, 9, 2], helpers)
-    assert out == [0, 1, 2, 3, 4]
-    assert log == [(i, threading.get_ident()) for i in range(5)]
+def _by_thread(log) -> dict:
+    by_thread = {}
+    for i, ident in log:
+        by_thread.setdefault(ident, []).append(i)
+    return by_thread
 
 
-def test_the_same_costs_split_the_same_way_longest_first_with_the_caller_as_thread_0():
+def test_without_helpers_the_caller_runs_the_jobs_in_order(many_cpus):
+    # no pool open on this thread, then a pool of one worker
+    for context in (contextlib.nullcontext(), pool(5, max_workers=1)):
+        log = []
+        with context:
+            out = run_jobs([_recording(log, i) for i in range(5)], [1, 9, 3, 9, 2])
+        assert out == [0, 1, 2, 3, 4]
+        assert log == [(i, threading.get_ident()) for i in range(5)]
+
+
+def test_the_same_costs_split_the_same_way_longest_first_with_the_caller_as_thread_0(
+        many_cpus):
     costs = [2, 7, 3, 7, 1, 4]
     splits = []
-    with helper_threads(2) as helpers:
+    with pool(3) as count:
+        assert count == 3
         for _ in range(3):
             log = []
-            out = run_jobs([_recording(log, i) for i in range(len(costs))], costs, helpers)
+            out = run_jobs([_recording(log, i) for i in range(len(costs))], costs)
             assert out == list(range(len(costs)))
-            by_thread = {}
-            for i, ident in log:
-                by_thread.setdefault(ident, []).append(i)
-            splits.append(by_thread)
+            splits.append(_by_thread(log))
     # longest first, each to the least-loaded thread, ties to the lower one:
     # 7 -> t0, 7 -> t1, 4 -> t2, 3 -> t2, 2 -> t0, 1 -> t1
     caller = threading.get_ident()
@@ -44,7 +53,33 @@ def test_the_same_costs_split_the_same_way_longest_first_with_the_caller_as_thre
     assert splits[1] == splits[2] == splits[0]
 
 
-def test_the_first_failure_in_job_order_is_raised_and_later_jobs_never_start():
+def test_run_jobs_uses_the_pool_its_own_thread_opened(many_cpus):
+    entered, done = threading.Event(), threading.Event()
+
+    def opener():
+        with pool(3):
+            entered.set()
+            done.wait(5)
+
+    other = threading.Thread(target=opener)
+    other.start()
+    try:
+        assert entered.wait(5)
+        # another thread's open pool does not reach this thread's runs
+        log = []
+        run_jobs([_recording(log, i) for i in range(4)], [1] * 4)
+        assert log == [(i, threading.get_ident()) for i in range(4)]
+    finally:
+        done.set()
+        other.join(5)
+    assert not other.is_alive()
+    with pool(2):
+        log = []
+        run_jobs([_recording(log, i) for i in range(4)], [1] * 4)
+    assert len(_by_thread(log)) == 2
+
+
+def test_the_first_failure_in_job_order_is_raised_and_later_jobs_never_start(many_cpus):
     class JobFailed(Exception):
         pass
 
@@ -67,29 +102,83 @@ def test_the_first_failure_in_job_order_is_raised_and_later_jobs_never_start():
             return i
         return run
 
-    with helper_threads(1) as helpers:
+    with pool(2):
         with pytest.raises(KeyError, match="job 0"):
-            run_jobs([job(i) for i in range(6)], [1] * 6, helpers)
+            run_jobs([job(i) for i in range(6)], [1] * 6)
     # the caller runs 0, 2, 4 and the helper 1, 3, 5: each stops after its failure
     assert sorted(started) == [0, 1]
 
 
-def test_a_run_nested_inside_a_job_stays_on_that_jobs_thread():
+def test_a_run_nested_inside_a_job_stays_on_that_jobs_thread(many_cpus):
     threads = {}    # outer job -> (its thread, the threads of its nested jobs in order)
 
-    def outer(i, spare):
+    def outer(i):
         def run():
-            log = []
-            out = run_jobs([_recording(log, j) for j in range(3)], [1, 1, 1], spare)
+            # each job opens idle helpers of its own, so that a runner
+            # sending the nested jobs out fails here instead of waiting on
+            # a busy thread
+            with pool(3):
+                log = []
+                out = run_jobs([_recording(log, j) for j in range(3)], [1, 1, 1])
             threads[i] = (threading.get_ident(), log)
             return out
         return run
 
-    # the nested runs are handed idle helpers of their own, so that a runner
-    # sending them out fails here instead of waiting on a busy thread
-    with helper_threads(2) as helpers, helper_threads(2) as spare:
-        out = run_jobs([outer(i, spare) for i in range(3)], [1, 1, 1], helpers)
+    with pool(3):
+        out = run_jobs([outer(i) for i in range(3)], [1, 1, 1])
     assert out == [[0, 1, 2]] * 3
     assert len({ident for ident, _ in threads.values()}) == 3
     for ident, log in threads.values():
         assert log == [(j, ident) for j in range(3)]     # inline, in order
+
+
+def test_pool_restores_the_outer_pool_on_exit_and_on_error(many_cpus):
+    def threads_used():
+        log = []
+        run_jobs([_recording(log, i) for i in range(6)], [1] * 6)
+        return len(_by_thread(log))
+
+    class Raised(Exception):
+        pass
+
+    with pool(3):
+        assert threads_used() == 3
+        with pool(2):
+            assert threads_used() == 2
+        assert threads_used() == 3
+        with pytest.raises(Raised):
+            with pool(1):
+                assert threads_used() == 1
+                raise Raised()
+        assert threads_used() == 3
+    assert threads_used() == 1
+
+
+def test_pool_rejects_fewer_than_one_worker():
+    with pytest.raises(ValueError, match="max_workers"):
+        with pool(3, max_workers=0):
+            pass
+
+
+def test_pool_holds_blas_to_one_thread_whatever_the_cap(monkeypatch, fake_threadpoolctl):
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    for args, count in (((3, 1), 1), ((3, 2), 2), ((1,), 1), ((3,), 2)):
+        fake_threadpoolctl["calls"].clear()
+        with pool(*args) as got:
+            assert got == count, args
+            assert fake_threadpoolctl["limit"] == 1, args
+        assert fake_threadpoolctl["calls"] == [1], args
+    # one usable core: no worker threads, so nothing to hold BLAS down for
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
+    fake_threadpoolctl["calls"].clear()
+    with pool(3) as got:
+        assert got == 1
+    assert fake_threadpoolctl["calls"] == []
+
+
+def test_cap_blas_threads_without_threadpoolctl_warns(monkeypatch, capsys):
+    import sys
+
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+    workers.cap_blas_threads(2)
+    assert "threadpoolctl unavailable" in capsys.readouterr().err
