@@ -36,8 +36,9 @@ def atomic_write(path, binary: bool = False):
     """Open a new temp file in `path`'s directory for writing (UTF-8 text, or
     bytes), and rename it onto `path` when the block ends. A write that fails
     partway leaves the old file as it was and no temp file behind. A temp
-    file that cannot be created (a missing or read-only directory) is a
-    DataError naming `path`."""
+    file that cannot be created (a missing or read-only directory), or that
+    cannot be renamed onto `path` (an existing directory), is a DataError
+    naming `path`."""
     path = os.fspath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
@@ -49,7 +50,10 @@ def atomic_write(path, binary: bool = False):
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
     except BaseException:
         try:
             os.remove(tmp)

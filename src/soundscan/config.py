@@ -7,6 +7,7 @@ checkpoints so a model can be rebuilt from its checkpoint alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigError
@@ -217,20 +218,23 @@ KEY_TABLE = {key: (section.name, f.name, _PARSERS[f.type])
 
 def _check_values(settings) -> None:
     """Raise ConfigError for a config key of `settings`, one RunConfig
-    section, whose value lies outside its choices or below its integer
-    floor. Fields that a subclass adds are not keys and are not checked."""
+    section, whose value lies outside its choices, below its integer floor,
+    or, for a float or a float list entry, is not finite. Fields that a
+    subclass adds are not keys and are not checked."""
     section = next(s for s in fields(RunConfig) if isinstance(settings, s.default_factory))
     for key, f in _section_keys(section):
         value = getattr(settings, f.name)
         choices = f.metadata.get("choices")
         if choices is not None and value not in choices:
             raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
+        entries = value if isinstance(value, tuple) else (value,)
+        what = f"every {key} entry" if isinstance(value, tuple) else key
         if f.type.startswith(("int", "tuple[int,")) and value is not None:
             floor = f.metadata.get("floor", 1)
-            entries = value if isinstance(value, tuple) else (value,)
             if any(v < floor for v in entries):
-                what = f"every {key} entry" if isinstance(value, tuple) else key
                 raise ConfigError(f"{what} must be >= {floor}, got {_show(value)}")
+        if f.type.startswith(("float", "tuple[float,")) and not all(map(math.isfinite, entries)):
+            raise ConfigError(f"{what} must be finite, got {_show(value)}")
 
 
 def apply_overrides(cfg: RunConfig, pairs) -> RunConfig:
@@ -265,7 +269,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
 
 
 def parse_echo_text(echo: str) -> RunConfig:
-    """Parse the config echo that an artifact carries.
+    """Parse and validate the config echo that an artifact carries.
 
     Echoes written before `label_schema` was retired carry a
     `label_schema=` line; it is blanked here, and only here, so that a
@@ -273,7 +277,9 @@ def parse_echo_text(echo: str) -> RunConfig:
     """
     lines = ["" if line.split("#", 1)[0].partition("=")[0].strip() == "label_schema"
              else line for line in echo.splitlines()]
-    return parse_config_text("\n".join(lines))
+    cfg = parse_config_text("\n".join(lines))
+    cfg.validate()
+    return cfg
 
 
 def load_config(path) -> RunConfig:

@@ -1,5 +1,10 @@
 """Detection metrics: AUC, partial AUC at low false-positive rates, and
-mean / harmonic-mean aggregation across groups."""
+mean / harmonic-mean aggregation across groups.
+
+Both AUCs are one pair count, the Mann-Whitney U: each anomaly scores 1
+per normal it outscores and 1/2 per normal it ties. pAUC counts against
+the top floor(p*N-) normals only; AUC is pAUC at p = 1.
+"""
 
 from __future__ import annotations
 
@@ -23,6 +28,8 @@ class LabeledScores:
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
         if self.scores.shape != self.labels.shape or self.scores.ndim != 1:
             raise DataError("scores and labels must be equal-length 1-D lists")
+        if not np.isfinite(self.scores).all():
+            raise DataError(f"group {self.group_key!r}: a score is not finite")
 
 
 @dataclass(frozen=True)
@@ -30,29 +37,6 @@ class MetricReport:
     per_group: tuple            # (group_key, auc, pauc) triples
     aggregate: float
     kind: str                   # "mean" or "harmonic"
-
-
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """Ranks starting at 1; ties share their average rank."""
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(len(x))
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * ((i + 1) + (j + 1))
-        i = j + 1
-    return ranks
-
-
-def _pair_auc(pos: np.ndarray, neg: np.ndarray) -> float:
-    """Mann-Whitney statistic via rank sums; ties count one half."""
-    scores = np.concatenate([pos, neg])
-    ranks = _average_ranks(scores)
-    n_pos, n_neg = len(pos), len(neg)
-    numerator = ranks[:n_pos].sum() - n_pos * (n_pos + 1) / 2.0
-    return numerator / (n_pos * n_neg)
 
 
 def _split(ls: LabeledScores):
@@ -66,16 +50,13 @@ def _split(ls: LabeledScores):
 
 def auc(ls: LabeledScores) -> float:
     """Fraction of (anomaly, normal) pairs ranked correctly; ties 0.5."""
-    pos, neg = _split(ls)
-    return _pair_auc(pos, neg)
+    return pauc(ls, 1.0)
 
 
 def pauc(ls: LabeledScores, p: float = 0.1) -> float:
-    """AUC of all anomalies against only the floor(p*N-) top-scoring normals.
-
-    Boundary ties resolve by score order then input order. p=1 reduces to
-    plain AUC exactly.
-    """
+    """AUC of all anomalies against only the k = floor(p*N-) top-scoring
+    normals: 2U / (2 N+ k), where two searchsorted calls on the k sorted
+    normals give twice the pair count U. p=1 is plain AUC."""
     if not 0 < p <= 1:
         raise DataError(f"p must lie in (0, 1], got {p}")
     pos, neg = _split(ls)
@@ -83,8 +64,9 @@ def pauc(ls: LabeledScores, p: float = 0.1) -> float:
     if k < 1:
         raise DataError(f"group {ls.group_key!r}: floor({p} * {len(neg)}) negatives "
                         "is zero; too few normals for pAUC")
-    order = np.argsort(-neg, kind="stable")
-    return _pair_auc(pos, neg[order[:k]])
+    top = np.sort(neg)[len(neg) - k:]
+    twice_u = (np.searchsorted(top, pos, "left") + np.searchsorted(top, pos, "right")).sum()
+    return float(twice_u) / (2 * len(pos) * k)
 
 
 AGGREGATE_KINDS = ("mean", "harmonic")

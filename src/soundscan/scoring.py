@@ -234,11 +234,7 @@ def anomaly_score(test_embedding: np.ndarray, prototype_sets) -> float:
     sets = [prototype_sets] if isinstance(prototype_sets, PrototypeSet) else list(prototype_sets)
     if not sets:
         raise DataError("no prototype sets supplied")
-    best = np.inf
-    for ps in sets:
-        distances = 1.0 - ps.centroids @ test_embedding
-        best = min(best, float(distances.min()))
-    return float(best)
+    return min(float((1.0 - ps.centroids @ test_embedding).min()) for ps in sets)
 
 
 class PrototypeStore:
@@ -248,15 +244,15 @@ class PrototypeStore:
         if mode not in GROUPINGS:
             raise DataError(f"unknown prototype mode {mode!r}")
         self.mode = mode
-        self.sets: dict = {}
-        self._by_group: dict = {}   # group key -> {domain: set}, in self.sets order
+        self.sets: dict = {}        # (group key, domain) -> set, in add order
 
     def add(self, ps: PrototypeSet) -> None:
         self.sets[(ps.group_key, ps.domain)] = ps
-        self._by_group.setdefault(ps.group_key, {})[ps.domain] = ps
 
     def sets_for(self, row):
-        return list(self._by_group.get(group_key_for(row, self.mode), {}).values())
+        """The sets of `row`'s group, in add order."""
+        key = group_key_for(row, self.mode)
+        return [ps for (group, _), ps in self.sets.items() if group == key]
 
     def save(self, path, echo: str = "") -> None:
         """Write the store; `echo` is the run config text that `load` returns."""
@@ -291,7 +287,6 @@ class PrototypeStore:
         try:
             if echo.strip():
                 run_cfg = parse_echo_text(echo)
-                run_cfg.validate()
         except ConfigError as exc:
             raise CheckpointError(f"{path}: config echo is not a valid run config: {exc}") from None
         return store, run_cfg

@@ -219,14 +219,17 @@ def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
     Writes one log line per epoch (epoch, mean loss, scale, seconds) to
     `log_stream` (default stdout) and optionally a CSV log; saves a
     checkpoint container when `out_checkpoint` is given; a missing directory
-    for either output is a DataError before any WAV is read. The model's
-    branch sub-graphs run in a `workers.pool` capped by `max_workers`; at a
-    given BLAS thread count the result is the same for every worker count.
+    for either output, or an output path that is a directory, is a DataError
+    before any WAV is read. The model's branch sub-graphs run in a
+    `workers.pool` capped by `max_workers`; at a given BLAS thread count the
+    result is the same for every worker count.
     """
     model_cfg, train_cfg = run_cfg.model, run_cfg.train
     run_cfg.validate(require_seed=True)
-    for path in (out_checkpoint, log_path):
-        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+    for path in filter(None, (out_checkpoint, log_path)):
+        if os.path.isdir(path):
+            raise DataError(f"cannot write {path}: is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise DataError(f"cannot write {path}: no such directory")
     stream = sys.stdout if log_stream is None else log_stream
 

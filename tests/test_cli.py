@@ -518,34 +518,55 @@ def test_pipeline_smoke(capsys, tmp_path, tiny_run_cfg):
     assert report[-1].startswith("aggregate_mean,")
 
 
-@pytest.mark.parametrize("command", ["eval", "score", "embed"])
+@pytest.mark.parametrize("command,target", [
+    pytest.param(command, target, id=command + ("" if target == "missing" else "-existing-dir"))
+    for target in ("missing", "existing-dir")
+    for command in ("eval", "score", "embed", "score-store")])
 def test_output_in_a_missing_directory_is_exit_3(capsys, tmp_path, tiny_corpus,
-                                                 tiny_checkpoint, command):
+                                                 tiny_checkpoint, command, target):
+    """An output path in a missing directory, or one that is an existing
+    directory, is a data error naming the path that leaves no temp file."""
     _, root = tiny_corpus
     ckpt, _ = tiny_checkpoint
     manifest = str(root / "manifest.csv")
-    out = tmp_path / "nodir" / "out"
+    if target == "missing":
+        out = tmp_path / "nodir" / "out"
+    else:
+        out = tmp_path / "outdir"
+        out.mkdir()
+    outputs = ["--out", str(out)]
     if command == "eval":
         names = _ten_normal_three_anomaly_truth(tmp_path)
         scores_csv = tmp_path / "scores.csv"
         scores_csv.write_text("filename,score\n" + "".join(
             f"{name},{0.1 * i:.6f}\n" for i, name in enumerate(names)))
         argv = ["eval", "--scores", str(scores_csv), "--truth", str(tmp_path / "truth.csv")]
-    elif command == "score":
+    elif command.startswith("score"):
         argv = ["score", "--set", "seed=3", "--set", "prototypes=2",
                 "--train-manifest", manifest, "--test-manifest", manifest,
                 "--checkpoint", str(ckpt)]
+        if command == "score-store":
+            outputs = ["--out", str(tmp_path / "out.csv"), "--store", str(out)]
     else:
         argv = ["embed", "--manifest", manifest, "--checkpoint", str(ckpt)]
-    code, _, err = run(capsys, *argv, "--out", str(out))
+    code, _, err = run(capsys, *argv, *outputs)
     assert code == 3, err
     assert f"cannot write {out}" in err
-    assert not (tmp_path / "nodir").exists()
+    assert not list(tmp_path.rglob("*.tmp"))
+    assert not (tmp_path / "out.csv").exists()
+    if target == "missing":
+        assert not (tmp_path / "nodir").exists()
+    else:
+        assert out.is_dir() and not any(out.iterdir())
 
 
-@pytest.mark.parametrize("option", ["--out-checkpoint", "--log"])
+@pytest.mark.parametrize("option,target", [
+    pytest.param(option, target, id=option + ("" if target == "missing" else "-existing-dir"))
+    for target in ("missing", "existing-dir") for option in ("--out-checkpoint", "--log")])
 def test_train_output_in_a_missing_directory_is_exit_3_before_training(
-        capsys, tmp_path, tiny_corpus, tiny_run_cfg, monkeypatch, option):
+        capsys, tmp_path, tiny_corpus, tiny_run_cfg, monkeypatch, option, target):
+    """An output path in a missing directory, or one that is an existing
+    directory, is refused before the first training step."""
     from soundscan import training
 
     _, root = tiny_corpus
@@ -553,7 +574,11 @@ def test_train_output_in_a_missing_directory_is_exit_3_before_training(
     monkeypatch.setattr(training, "_train_step", lambda *args: steps.append(args) or 0.0)
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(config_text(tiny_run_cfg))
-    missing = tmp_path / "nodir" / "out"
+    if target == "missing":
+        missing = tmp_path / "nodir" / "out"
+    else:
+        missing = tmp_path / "outdir"
+        missing.mkdir()
     outputs = {"--out-checkpoint": str(tmp_path / "m.ckpt"), "--log": str(tmp_path / "l.csv")}
     outputs[option] = str(missing)
     argv = ["train", "--config", str(cfg_path), "--manifest", str(root / "manifest.csv")]
@@ -564,6 +589,7 @@ def test_train_output_in_a_missing_directory_is_exit_3_before_training(
     assert "error: data" in err and str(missing) in err
     assert steps == []
     assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "l.csv").exists()
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_eval_missing_score_names_file(capsys, tmp_path, tiny_corpus):

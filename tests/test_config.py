@@ -9,7 +9,7 @@ import pytest
 from soundscan.cli import main
 from soundscan.config import (KEY_TABLE, ModelConfig, RunConfig, apply_overrides,
                               config_text, load_config, micro_preset,
-                              parse_config_text)
+                              parse_config_text, parse_echo_text)
 from soundscan.data import SynthConfig
 from soundscan.errors import ConfigError
 from soundscan.network import MultiScaleNet
@@ -28,6 +28,8 @@ def _key_fields():
 INT_KEYS = [(key, section, f) for key, section, f in _key_fields()
             if f.type in ("int", "int | None", "tuple[int, ...]")]
 NUMERIC_KEYS = [key for key, _, f in _key_fields() if f.type != "str"]
+FLOAT_KEYS = [(key, section, f) for key, section, f in _key_fields()
+              if f.type in ("float", "tuple[float, ...]")]
 
 
 def test_defaults_mirror_training_recipe():
@@ -232,6 +234,24 @@ def test_a_non_number_is_exit_2(capsys, tmp_path, tiny_corpus, micro_cli_config,
     assert "error: config:" in err
 
 
+@pytest.mark.parametrize("command", ["train", "synth"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("key,section,f", FLOAT_KEYS, ids=[key for key, _, _ in FLOAT_KEYS])
+def test_a_non_finite_float_is_exit_2(capsys, tmp_path, tiny_corpus, micro_cli_config,
+                                      command, value, key, section, f):
+    """A float key, or the first entry of a float list, that is not finite is
+    a config error naming the key: never a runtime error, never a silent run."""
+    _, root = tiny_corpus
+    default = getattr(getattr(micro_preset(), section), f.name)
+    if isinstance(default, tuple):
+        value = ",".join([value, *map(repr, default[1:])])
+    code, err = _cli(capsys, tmp_path, str(root / "manifest.csv"), micro_cli_config,
+                     command, key, value)
+    assert code == 2, err
+    assert re.search(rf"config: (every )?{key}( entry)? must be finite, got ", err), err
+    assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "corpus").exists()
+
+
 @pytest.mark.parametrize("key,value", [("stage_channels", "8,,16"),
                                        ("spectrum_strides", "16,8,"),
                                        ("synth_base_freqs", ",400.0,700.0")])
@@ -245,6 +265,14 @@ def test_an_empty_list_entry_is_exit_2(capsys, tmp_path, tiny_corpus, micro_cli_
     assert code == 2, err
     assert f"config: bad value for {key!r}" in err and "empty list entry" in err, err
     assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_echo_parsing_validates_the_config():
+    assert parse_echo_text("label_schema=x\nlr=0.5\n").train.lr == 0.5
+    with pytest.raises(ConfigError, match="^lr must be finite, got nan$"):
+        parse_echo_text("lr=nan\n")
+    with pytest.raises(ConfigError, match="^scoring_mode must be one of "):
+        parse_echo_text("scoring_mode=diagonal\n")
 
 
 def test_an_empty_list_value_is_the_empty_tuple():

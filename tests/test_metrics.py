@@ -46,6 +46,12 @@ def test_auc_all_ties_half():
     assert auc(ls([0.5] * 6, [1, 1, 1, 0, 0, 0])) == 0.5
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_labeled_scores_reject_a_non_finite_score(bad):
+    with pytest.raises(DataError, match="group 'g': a score is not finite"):
+        ls([0.1, bad, 0.3, 0.2], [0, 1, 0, 1])
+
+
 def test_auc_requires_both_classes():
     with pytest.raises(DataError):
         auc(ls([0.1, 0.2], [1, 1]))
@@ -123,6 +129,25 @@ def test_pauc_matches_brute_force_randomized():
         got = pauc(ls(scores, labels), 0.1)
         want = brute_force_pauc(scores, labels, 0.1)
         assert got == want
+
+
+def test_pauc_matches_brute_force_with_normals_tied_at_the_cut():
+    """Integer scores 0-4: normals tie across the top-k cut, so which of them
+    are kept is a choice the result must not depend on."""
+    rng = np.random.default_rng(5)
+    tied_cuts = 0
+    for _ in range(200):
+        n = int(rng.integers(12, 150))
+        scores = rng.integers(0, 5, n).astype(float)
+        labels = rng.integers(0, 2, n)
+        neg = np.sort(scores[labels == 0])[::-1]
+        if labels.sum() == 0 or len(neg) < 10:
+            continue
+        for p in (0.1, 0.25, 0.5):
+            k = int(np.floor(p * len(neg)))
+            tied_cuts += bool(neg[k - 1] == neg[k])
+            assert pauc(ls(scores, labels), p) == brute_force_pauc(scores, labels, p)
+    assert tied_cuts > 100
 
 
 def test_pauc_too_few_negatives():
