@@ -1,5 +1,6 @@
-"""Binary container for checkpoints, prototype stores, and embeddings, and
-`atomic_write`, which writes every artifact but the synthetic WAVs.
+"""Binary container for checkpoints, prototype stores, and embeddings,
+`atomic_write`, which writes every artifact but the synthetic WAVs, and
+`check_output_path`, which commands call on those paths before their work.
 
 Layout (all integers little-endian):
 
@@ -29,6 +30,16 @@ from .errors import CheckpointError, DataError
 MAGIC = b"SSCX"
 VERSION = 1
 MAX_NDIM = 64   # numpy's limit on array dimensions
+
+
+def check_output_path(path) -> None:
+    """DataError naming `path` unless it could be written: its directory
+    exists and `path` is not itself a directory. Commands call it before
+    their work, so that a bad output path costs no run."""
+    if os.path.isdir(path):
+        raise DataError(f"cannot write {path}: is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise DataError(f"cannot write {path}: no such directory")
 
 
 @contextlib.contextmanager

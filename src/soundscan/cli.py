@@ -113,6 +113,7 @@ def cmd_train(args) -> int:
 def cmd_embed(args) -> int:
     from .network import load_model
 
+    checkpoint.check_output_path(args.out)
     model, _ = load_model(args.checkpoint)
     rows = data.load_manifest(args.manifest)
     embeddings = scoring.embed_rows(model, rows, args.threads)
@@ -126,6 +127,8 @@ def cmd_score(args) -> int:
     from .network import load_model
 
     cfg = _load_run_config(args)
+    for path in filter(None, (args.out, args.store)):
+        checkpoint.check_output_path(path)
     train_rows = data.load_manifest(args.train_manifest)
     test_rows = data.load_manifest(args.test_manifest)
     model, _ = load_model(args.checkpoint)
@@ -176,6 +179,8 @@ def _read_scores(path) -> dict:
 
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
+    if args.out:
+        checkpoint.check_output_path(args.out)
     score_map = _read_scores(args.scores)
     truth = data.load_manifest(args.truth)
     report = metrics.evaluate(score_map, truth,

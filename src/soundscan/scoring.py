@@ -8,6 +8,7 @@ is the minimum cosine distance to any prototype of its group.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,18 @@ EMBED_CHUNK = 16
 # it rests on (2 vCPUs, BLAS at one thread, clustered groups, k = 16) are the
 # `pool_threshold` probe of BENCH_13.json.
 KMEANS_POOL_CELLS = 1 << 16
+
+# Restarts per K-Means job, which run their Lloyd rounds in lockstep so that
+# each round takes one product with all their centroids. Fixed, so that the
+# shapes of the products never depend on the number of workers. Larger
+# groups share more of each product but leave fewer jobs to share out; one
+# kmeans call on a clustered 990 x 640 group (k = 16, n_init = 10, 2 vCPUs,
+# BLAS at one thread), median of 9 calls (range) in ms:
+#
+#   restarts per group   1             2             5             10
+#   2 workers            167 (99-231)  122 (113-156) 110 (95-123)  153 (130-202)
+#   1 worker             225 (206-262) 201 (177-236) 161 (132-201) 169 (153-207)
+KMEANS_LOCKSTEP = 5
 
 
 @dataclass(frozen=True)
@@ -76,18 +89,26 @@ def _cluster_sums(x, labels, k):
     return onehot @ x, np.bincount(labels, minlength=k).astype(np.float64)
 
 
-def _kmeans_pp_init(x, x2, k, rng):
-    first = int(rng.integers(len(x)))
+def _seed_draws(rng, n, k):
+    """The random numbers of one k-means++ seeding over `n` rows: the first
+    row, then one uniform per further centroid, in the order it uses them."""
+    return int(rng.integers(n)), [rng.uniform() for _ in range(1, k)]
+
+
+def _kmeans_pp_init(x, x2, k, draws):
+    first, uniforms = draws
     centroids = [x[first]]
     d2 = _sq_dist(x2, x @ x[first], x2[first])
-    for _ in range(1, k):
+    for u in uniforms:
         total = d2.sum()
         if total <= 0:
-            centroids.append(x[int(rng.integers(len(x)))])
+            centroids.append(x[min(int(u * len(x)), len(x) - 1)])
             continue
-        pick = int(np.searchsorted(np.cumsum(d2 / total), rng.uniform()))
+        pick = int(np.searchsorted(np.cumsum(d2 / total), u))
         pick = min(pick, len(x) - 1)
         centroids.append(x[pick])
+        # a matrix-vector product: a column of a matrix product need not
+        # round the same
         d2 = np.minimum(d2, _sq_dist(x2, x @ x[pick], x2[pick]))
     return np.array(centroids)
 
@@ -98,26 +119,45 @@ def _assign(x, x2, centroids):
     return d2, d2.argmin(axis=1)
 
 
-def _lloyd(x, x2, centroids):
-    """One restart from its k-means++ centroids: at most 100 Lloyd rounds,
-    until one lowers the inertia by at most 1e-6 of it, then the
-    single-point refine; (centroids, inertia). Draws no random numbers."""
-    k = len(centroids)
+def _restart_group(x, x2, k, draws):
+    """The restarts seeded by `draws`, one list entry each: their Lloyd
+    rounds in lockstep, then the single-point refine of each in turn;
+    [(centroids, inertia)].
+
+    Each restart runs at most 100 Lloyd rounds, until one lowers its
+    inertia by at most 1e-6 of it. A round takes the distances of all the
+    running restarts from one product with their stacked centroids and
+    their cluster sums from one stacked one-hot product; the row or column
+    block of a restart is the product it would take alone, to the bit.
+    """
+    centroids = [_kmeans_pp_init(x, x2, k, d) for d in draws]
+    inertia = [np.inf] * len(draws)
+    running = list(range(len(draws)))
     rows = np.arange(len(x))
-    inertia = np.inf
     for _ in range(100):
-        d2, labels = _assign(x, x2, centroids)
-        fit = d2[rows, labels]
-        new_inertia = float(fit.sum())
-        assert new_inertia <= inertia + 1e-9, "Lloyd inertia increased"
-        sums, counts = _cluster_sums(x, labels, k)
-        centroids = sums / np.maximum(counts, 1.0)[:, None]
-        # reseed empty clusters at the worst-fit point
-        centroids[counts == 0] = x[fit.argmax()]
-        if inertia - new_inertia <= 1e-6 * max(new_inertia, 1e-30):
+        if not running:
             break
-        inertia = new_inertia
-    return _single_point_refine(x, x2, centroids, k)
+        stacked = np.concatenate([centroids[r] for r in running])
+        d2 = _sq_dist(x2[:, None], x @ stacked.T, _row_sq(stacked))
+        labels, fits = [], []
+        onehot = np.zeros((k * len(running), len(x)))
+        for j in range(len(running)):
+            block = d2[:, j * k:(j + 1) * k]
+            labels.append(block.argmin(axis=1))
+            fits.append(block[rows, labels[j]])
+            onehot[j * k + labels[j], rows] = 1.0
+        sums = onehot @ x
+        for j, r in enumerate(list(running)):
+            new_inertia = float(fits[j].sum())
+            assert new_inertia <= inertia[r] + 1e-9, "Lloyd inertia increased"
+            counts = np.bincount(labels[j], minlength=k).astype(np.float64)
+            centroids[r] = sums[j * k:(j + 1) * k] / np.maximum(counts, 1.0)[:, None]
+            # reseed empty clusters at the worst-fit point
+            centroids[r][counts == 0] = x[fits[j].argmax()]
+            if inertia[r] - new_inertia <= 1e-6 * max(new_inertia, 1e-30):
+                running.remove(r)
+            inertia[r] = new_inertia
+    return [_single_point_refine(x, x2, c, k) for c in centroids]
 
 
 def _first_move(x2, labels, counts, dots, sums2, start):
@@ -196,13 +236,20 @@ def kmeans(embeddings: np.ndarray, prototypes: int, seed, n_init: int = 10,
 
     Inputs are unit-normalized first; requested counts above the sample
     count degrade to one centroid per sample; output centroids are
-    re-normalized to unit length. The n_init seedings are drawn in order
-    from the one seeded generator; the restarts' Lloyd and refine passes
-    draw nothing, so `workers.run_jobs` runs them, at cost 1 each, in a
-    `workers.pool` capped by `max_workers`; below KMEANS_POOL_CELLS input
-    cells they run on the calling thread alone. The best restart is the
-    first with the lowest inertia, so the result is the same for every
-    worker count. A failing restart is re-raised (see run_jobs).
+    re-normalized to unit length. The calling thread draws the random
+    numbers of all n_init seedings up front, in order, from the one seeded
+    generator (`_seed_draws`); nothing after draws any. The restarts go in
+    fixed groups of KMEANS_LOCKSTEP, in order, and each group is one job:
+    its seedings, then its Lloyd rounds in lockstep, then each restart's
+    single-point refine (`_restart_group`). `workers.run_jobs` runs the
+    groups, at their restart count each, in a `workers.pool` capped by
+    `max_workers`; below KMEANS_POOL_CELLS input cells they run on the
+    calling thread alone. The best restart is the first with the lowest
+    inertia, so the result is the same for every worker count. A failing
+    restart ends its group's job, whose later restarts do not run, and is
+    re-raised (see run_jobs). A seeding that finds every row at distance 0
+    from its centroids, which takes fewer distinct rows than centroids,
+    picks its next row as min(floor(u * M), M - 1) from its drawn uniform u.
     """
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2 or len(x) == 0:
@@ -212,14 +259,15 @@ def kmeans(embeddings: np.ndarray, prototypes: int, seed, n_init: int = 10,
     x = _normalize_rows(x)
     x2 = _row_sq(x)
     k = min(prototypes, len(x))
-    with pool(n_init if x.size >= KMEANS_POOL_CELLS else 1, max_workers):
-        rng = np.random.default_rng(seed)
-        restarts = [functools.partial(_lloyd, x, x2, _kmeans_pp_init(x, x2, k, rng))
-                    for _ in range(n_init)]
-        results = run_jobs(restarts, [1] * n_init)
+    rng = np.random.default_rng(seed)
+    draws = [_seed_draws(rng, len(x), k) for _ in range(n_init)]
+    groups = [draws[i:i + KMEANS_LOCKSTEP] for i in range(0, n_init, KMEANS_LOCKSTEP)]
+    with pool(len(groups) if x.size >= KMEANS_POOL_CELLS else 1, max_workers):
+        results = run_jobs([functools.partial(_restart_group, x, x2, k, group)
+                            for group in groups], [len(group) for group in groups])
     best = None
     best_inertia = np.inf
-    for centroids, inertia in results:
+    for centroids, inertia in itertools.chain.from_iterable(results):
         if inertia < best_inertia:
             best, best_inertia = centroids, inertia
     unit = _normalize_rows(best)

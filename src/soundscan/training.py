@@ -14,7 +14,7 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Adam, Parameter, Tensor
 from .config import RunConfig, config_text
-from .checkpoint import atomic_write, save_container
+from .checkpoint import atomic_write, check_output_path, save_container
 from .errors import ConfigError, DataError
 from .network import MultiScaleNet, features_for_batch, load_waves
 from .workers import pool
@@ -227,10 +227,7 @@ def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
     model_cfg, train_cfg = run_cfg.model, run_cfg.train
     run_cfg.validate(require_seed=True)
     for path in filter(None, (out_checkpoint, log_path)):
-        if os.path.isdir(path):
-            raise DataError(f"cannot write {path}: is a directory")
-        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise DataError(f"cannot write {path}: no such directory")
+        check_output_path(path)
     stream = sys.stdout if log_stream is None else log_stream
 
     train_rows = [r for r in rows if r.split == "train"]

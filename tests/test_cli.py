@@ -560,6 +560,53 @@ def test_output_in_a_missing_directory_is_exit_3(capsys, tmp_path, tiny_corpus,
         assert out.is_dir() and not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command,target", [
+    pytest.param(command, target, id=command + ("" if target == "missing" else "-existing-dir"))
+    for target in ("missing", "existing-dir")
+    for command in ("eval", "score", "embed", "score-store")])
+def test_bad_output_path_is_refused_before_the_work(capsys, tmp_path, tiny_corpus,
+                                                    tiny_checkpoint, monkeypatch,
+                                                    command, target):
+    """embed, score (--out and --store) and eval check their output paths
+    before they embed, cluster or evaluate anything."""
+    from soundscan import metrics, scoring
+
+    _, root = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    manifest = str(root / "manifest.csv")
+    if target == "missing":
+        out = tmp_path / "nodir" / "out"
+    else:
+        out = tmp_path / "outdir"
+        out.mkdir()
+    work = {"eval": (metrics, "evaluate"), "embed": (scoring, "embed_rows"),
+            "score": (scoring, "cluster_prototypes"),
+            "score-store": (scoring, "cluster_prototypes")}[command]
+    calls = []
+    original = getattr(*work)
+    monkeypatch.setattr(*work, lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    if command == "eval":
+        names = _ten_normal_three_anomaly_truth(tmp_path)
+        scores_csv = tmp_path / "scores.csv"
+        scores_csv.write_text("filename,score\n" + "".join(
+            f"{name},{0.1 * i:.6f}\n" for i, name in enumerate(names)))
+        argv = ["eval", "--scores", str(scores_csv), "--truth", str(tmp_path / "truth.csv"),
+                "--out", str(out)]
+    elif command == "embed":
+        argv = ["embed", "--manifest", manifest, "--checkpoint", str(ckpt), "--out", str(out)]
+    else:
+        outputs = ((str(out), None) if command == "score"
+                   else (str(tmp_path / "out.csv"), str(out)))
+        argv = ["score", "--set", "seed=3", "--set", "prototypes=2",
+                "--train-manifest", manifest, "--test-manifest", manifest,
+                "--checkpoint", str(ckpt), "--out", outputs[0]]
+        argv += ["--store", outputs[1]] if outputs[1] else []
+    code, _, err = run(capsys, *argv)
+    assert code == 3, err
+    assert f"cannot write {out}" in err
+    assert calls == []
+
+
 @pytest.mark.parametrize("option,target", [
     pytest.param(option, target, id=option + ("" if target == "missing" else "-existing-dir"))
     for target in ("missing", "existing-dir") for option in ("--out-checkpoint", "--log")])

@@ -289,7 +289,8 @@ def test_kmeans_tied_restarts_keep_the_first(monkeypatch):
     x = np.repeat(base, 256, axis=0)
     assert x.size >= scoring.KMEANS_POOL_CELLS
     draws = np.random.default_rng(3)    # the ten seedings kmeans(seed=3) draws
-    orders = {tuple((scoring._kmeans_pp_init(x, scoring._row_sq(x), 4, draws)
+    orders = {tuple((scoring._kmeans_pp_init(x, scoring._row_sq(x), 4,
+                                             scoring._seed_draws(draws, len(x), 4))
                      @ base.T).argmax(axis=1)) for _ in range(10)}
     assert len(orders) > 1
     monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
@@ -306,6 +307,142 @@ def test_kmeans_failing_restart_reraises_its_type_and_cancels_the_rest(monkeypat
     with pytest.raises(RestartFailed):
         kmeans(clustered_group(990, 96), 16, seed=1)
     assert len(threads) < 10
+
+
+def per_restart_kmeans(embeddings, prototypes, seed, n_init=10):
+    """K-Means one restart at a time, as before the lockstep groups: each
+    seeding draws from the generator as it goes, then its own Lloyd rounds,
+    then the refine; (unit centroids, inertia)."""
+    from soundscan import scoring
+
+    def seeding(x, x2, k, rng):
+        first = int(rng.integers(len(x)))
+        centroids = [x[first]]
+        d2 = scoring._sq_dist(x2, x @ x[first], x2[first])
+        for _ in range(1, k):
+            total = d2.sum()
+            if total <= 0:
+                centroids.append(x[int(rng.integers(len(x)))])
+                continue
+            pick = int(np.searchsorted(np.cumsum(d2 / total), rng.uniform()))
+            pick = min(pick, len(x) - 1)
+            centroids.append(x[pick])
+            d2 = np.minimum(d2, scoring._sq_dist(x2, x @ x[pick], x2[pick]))
+        return np.array(centroids)
+
+    def lloyd(x, x2, centroids):
+        k = len(centroids)
+        rows = np.arange(len(x))
+        inertia = np.inf
+        for _ in range(100):
+            d2, labels = scoring._assign(x, x2, centroids)
+            fit = d2[rows, labels]
+            new_inertia = float(fit.sum())
+            assert new_inertia <= inertia + 1e-9, "Lloyd inertia increased"
+            sums, counts = scoring._cluster_sums(x, labels, k)
+            centroids = sums / np.maximum(counts, 1.0)[:, None]
+            centroids[counts == 0] = x[fit.argmax()]
+            if inertia - new_inertia <= 1e-6 * max(new_inertia, 1e-30):
+                break
+            inertia = new_inertia
+        return scoring._single_point_refine(x, x2, centroids, k)
+
+    x = scoring._normalize_rows(np.asarray(embeddings, dtype=np.float64))
+    x2 = scoring._row_sq(x)
+    k = min(prototypes, len(x))
+    rng = np.random.default_rng(seed)
+    best, best_inertia = None, np.inf
+    for _ in range(n_init):
+        centroids, inertia = lloyd(x, x2, seeding(x, x2, k, rng))
+        if inertia < best_inertia:
+            best, best_inertia = centroids, inertia
+    return scoring._normalize_rows(best), best_inertia
+
+
+def test_kmeans_lockstep_gives_the_per_restart_bytes(monkeypatch):
+    """Seedings drawn up front and Lloyd rounds in lockstep give the bytes
+    of one restart at a time, for every worker count."""
+    from soundscan import workers
+
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
+    _pin_blas_by_environment(monkeypatch)
+    cases = [(f"clustered {m}x{d}", clustered_group(m, d, seed=m), 16)
+             for m, d in ((990, 96), (1024, 64), (300, 160), (30, 160))]
+    cases += [case for case in refine_cases() if case[0] != "duplicates,k>distinct"]
+    for i, (name, x, k) in enumerate(cases):
+        ref_centroids, ref_inertia = per_restart_kmeans(x, k, seed=[13, i])
+        for count in (1, 2, 3):
+            centroids, inertia = kmeans(x, k, seed=[13, i], return_inertia=True,
+                                        max_workers=count)
+            assert np.array_equal(centroids, ref_centroids), (name, count)
+            assert inertia == ref_inertia, (name, count)
+
+
+def test_kmeans_with_fewer_distinct_rows_than_k_fits_them_exactly(monkeypatch):
+    """Seedings that run out of rows at positive distance pick from their
+    drawn uniform: k unit-norm centroids, inertia 0 up to the rounding of a
+    mean of copies, the same bytes for every worker count."""
+    from soundscan import workers
+
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
+    _pin_blas_by_environment(monkeypatch)
+    base = np.random.default_rng(42).standard_normal((4, 5))
+    x = base[[0, 1, 1, 2, 3, 3, 3]]
+    reference = kmeans(x, 6, seed=3, return_inertia=True, max_workers=1)
+    assert reference[0].shape == (6, 5)
+    np.testing.assert_allclose(np.linalg.norm(reference[0], axis=1), 1.0, rtol=1e-12)
+    assert reference[1] == pytest.approx(0.0, abs=1e-24)
+    for count in (2, 3):
+        centroids, inertia = kmeans(x, 6, seed=3, return_inertia=True, max_workers=count)
+        assert np.array_equal(centroids, reference[0]), count
+        assert inertia == reference[1], count
+
+
+@pytest.mark.parametrize("n_init", [10, 7, 3])
+def test_kmeans_runs_each_restart_group_as_one_job_on_one_thread(monkeypatch, n_init):
+    from collections import Counter
+
+    from soundscan import scoring, workers
+
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    _pin_blas_by_environment(monkeypatch)
+    jobs = []
+    run_jobs = scoring.run_jobs
+
+    def recording_run_jobs(group_jobs, costs):
+        jobs.append(list(costs))
+        return run_jobs(group_jobs, costs)
+
+    monkeypatch.setattr(scoring, "run_jobs", recording_run_jobs)
+    threads = _record_refine_threads(monkeypatch, scoring)
+    x = clustered_group(990, 96)
+    assert x.size >= scoring.KMEANS_POOL_CELLS
+    kmeans(x, 16, seed=1, n_init=n_init)
+    sizes = [min(scoring.KMEANS_LOCKSTEP, n_init - i)
+             for i in range(0, n_init, scoring.KMEANS_LOCKSTEP)]
+    assert len(sizes) == -(-n_init // scoring.KMEANS_LOCKSTEP)
+    assert jobs == [sizes]
+    # each group's refines run on one thread, a group per thread
+    assert sorted(Counter(threads).values()) == sorted(sizes)
+
+
+def test_kmeans_failing_restart_ends_its_group_only(monkeypatch):
+    from collections import Counter
+
+    from soundscan import scoring, workers
+
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    _pin_blas_by_environment(monkeypatch)
+    threads = _record_refine_threads(monkeypatch, scoring, fail_on=0)
+    with pytest.raises(RestartFailed):
+        kmeans(clustered_group(990, 96), 16, seed=1)
+    # the failing restart's group stops at it; the other group, already
+    # running on the other thread, refines all its restarts
+    assert sorted(Counter(threads).values()) == [1, scoring.KMEANS_LOCKSTEP]
+    threads.clear()
+    with pytest.raises(RestartFailed):
+        kmeans(clustered_group(990, 96), 16, seed=1, max_workers=1)
+    assert len(threads) == 1      # on one thread the later groups never start
 
 
 def test_kmeans_rejects_zero_workers():
