@@ -8,6 +8,7 @@ error, 3 data error, 4 runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -104,8 +105,7 @@ def cmd_train(args) -> int:
 
     cfg = _load_run_config(args)
     rows = data.load_manifest(args.manifest)
-    train(rows, cfg, out_checkpoint=args.out_checkpoint, log_path=args.log,
-          max_workers=args.threads)
+    train(rows, cfg, out_checkpoint=args.out_checkpoint, log_path=args.log)
     print(f"checkpoint written to {args.out_checkpoint}")
     return 0
 
@@ -113,10 +113,11 @@ def cmd_train(args) -> int:
 def cmd_embed(args) -> int:
     from .network import load_model
 
+    _load_run_config(args)      # a bad --config or --set is refused, as elsewhere
     checkpoint.check_output_path(args.out)
     model, _ = load_model(args.checkpoint)
     rows = data.load_manifest(args.manifest)
-    embeddings = scoring.embed_rows(model, rows, args.threads)
+    embeddings = scoring.embed_rows(model, rows)
     arrays = {f"emb/{row.path}": emb for row, emb in zip(rows, embeddings)}
     checkpoint.save_container(args.out, arrays, f"embed_dim={model.embed_dim}\n")
     print(f"wrote {len(rows)} embeddings to {args.out}")
@@ -134,10 +135,10 @@ def cmd_score(args) -> int:
     model, _ = load_model(args.checkpoint)
     store = scoring.cluster_prototypes(
         train_rows, model, cfg.scoring.scoring_mode,
-        cfg.scoring.prototypes, cfg.model.seed, args.threads)
+        cfg.scoring.prototypes, cfg.model.seed)
     if args.store:
         store.save(args.store, config.config_text(cfg))
-    scores, unknown = scoring.score_test_rows(test_rows, store, model, args.threads)
+    scores, unknown = scoring.score_test_rows(test_rows, store, model)
     with checkpoint.atomic_write(args.out) as fh:
         fh.write("filename,score\n")
         for path, value in scores:
@@ -237,11 +238,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError(f"--threads must be >= 1, got {args.threads}")
-            workers.cap_blas_threads(args.threads)
-        return _COMMANDS[args.command](args)
+        if args.threads is not None and args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        with contextlib.nullcontext() if args.threads is None else workers.cap(args.threads):
+            return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"soundscan: error: config: {exc}", file=sys.stderr)
         return 2

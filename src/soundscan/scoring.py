@@ -221,9 +221,9 @@ def _single_point_refine(x, x2, centroids, k, max_sweeps=50):
     if (counts == 0).any():
         centroids[counts == 0] = x[d2[np.arange(len(x)), nearest].argmax()]
         _, nearest = _assign(x, x2, centroids)
-    # summed from differences, not the Gram expansion, so that rows sitting
-    # on their centroid add exactly 0 rather than rounding noise; the
-    # differences are squared in the gathered centroid rows, one temporary
+    # summed from differences, not the Gram expansion: a row on its centroid
+    # adds only the centroid's rounding (~1e-33 for a mean of copies of one
+    # unit row), not Gram noise; squared in the gathered centroid rows, one temporary
     diff = centroids[nearest]
     np.subtract(x, diff, out=diff)
     np.square(diff, out=diff)
@@ -231,7 +231,7 @@ def _single_point_refine(x, x2, centroids, k, max_sweeps=50):
 
 
 def kmeans(embeddings: np.ndarray, prototypes: int, seed, n_init: int = 10,
-           return_inertia: bool = False, max_workers=None):
+           return_inertia: bool = False):
     """Lloyd K-Means with k-means++ seeding and best-of-n_init restarts.
 
     Inputs are unit-normalized first; requested counts above the sample
@@ -242,10 +242,10 @@ def kmeans(embeddings: np.ndarray, prototypes: int, seed, n_init: int = 10,
     fixed groups of KMEANS_LOCKSTEP, in order, and each group is one job:
     its seedings, then its Lloyd rounds in lockstep, then each restart's
     single-point refine (`_restart_group`). `workers.run_jobs` runs the
-    groups, at their restart count each, in a `workers.pool` capped by
-    `max_workers`; below KMEANS_POOL_CELLS input cells they run on the
-    calling thread alone. The best restart is the first with the lowest
-    inertia, so the result is the same for every worker count. A failing
+    groups, at their restart count each, in a `workers.pool`; below
+    KMEANS_POOL_CELLS input cells they run on the calling thread alone. The
+    best restart is the first with the lowest inertia, so the result is the
+    same for every worker count. A failing
     restart ends its group's job, whose later restarts do not run, and is
     re-raised (see run_jobs). A seeding that finds every row at distance 0
     from its centroids, which takes fewer distinct rows than centroids,
@@ -254,15 +254,15 @@ def kmeans(embeddings: np.ndarray, prototypes: int, seed, n_init: int = 10,
     x = np.asarray(embeddings, dtype=np.float64)
     if x.ndim != 2 or len(x) == 0:
         raise DataError("kmeans requires a non-empty (M, D) array")
-    if prototypes < 1:
-        raise DataError("prototype count must be >= 1")
+    if prototypes < 1 or n_init < 1:
+        raise DataError(f"prototypes and n_init must be >= 1, got {prototypes} and {n_init}")
     x = _normalize_rows(x)
     x2 = _row_sq(x)
     k = min(prototypes, len(x))
     rng = np.random.default_rng(seed)
     draws = [_seed_draws(rng, len(x), k) for _ in range(n_init)]
     groups = [draws[i:i + KMEANS_LOCKSTEP] for i in range(0, n_init, KMEANS_LOCKSTEP)]
-    with pool(len(groups) if x.size >= KMEANS_POOL_CELLS else 1, max_workers):
+    with pool(len(groups) if x.size >= KMEANS_POOL_CELLS else 1):
         results = run_jobs([functools.partial(_restart_group, x, x2, k, group)
                             for group in groups], [len(group) for group in groups])
     best = None
@@ -345,13 +345,13 @@ def _embed_chunk(model, rows) -> np.ndarray:
     return model(specs, spectra).data
 
 
-def embed_rows(model, rows, max_workers=None) -> np.ndarray:
+def embed_rows(model, rows) -> np.ndarray:
     """Embeddings for manifest rows, in row order.
 
     The rows go through the eval-mode model in fixed chunks of EMBED_CHUNK,
     which `workers.run_jobs` runs, at their row count each, in a
-    `workers.pool` capped by `max_workers`. The result is the same for every
-    worker count. A failing chunk is re-raised (see run_jobs).
+    `workers.pool`. The result is the same for every worker count. A
+    failing chunk is re-raised (see run_jobs).
     """
     if model.training:
         raise ValueError("embed_rows needs an eval-mode model: a training-mode "
@@ -361,7 +361,7 @@ def embed_rows(model, rows, max_workers=None) -> np.ndarray:
         return np.zeros((0, model.embed_dim))
     # grad mode is process-wide: it is switched off here, once, around the
     # jobs; a worker entering no_grad itself would race on the restore
-    with ad.no_grad(), pool(len(chunks), max_workers):
+    with ad.no_grad(), pool(len(chunks)):
         out = run_jobs([functools.partial(_embed_chunk, model, chunk) for chunk in chunks],
                        [len(chunk) for chunk in chunks])
     return np.concatenate(out, axis=0)
@@ -379,38 +379,36 @@ def group_train_rows(rows, mode: str) -> dict:
 
 
 def cluster_prototypes(train_rows, model, mode: str, prototypes: int,
-                       seed, max_workers=None) -> PrototypeStore:
+                       seed) -> PrototypeStore:
     """Cluster the train-split rows' embeddings per group, on a loaded model.
 
     per-id groups by (machine type, ID); per-type groups by machine type
     and keeps separate source/target prototype sets when the manifest
-    carries domain tags. `max_workers` caps the embedding threads and each
-    group's K-Means restart threads (see kmeans).
+    carries domain tags.
     """
     rows = [r for r in train_rows if r.split == "train"]
     if not rows:
         raise DataError("no train rows to build prototypes from")
     store = PrototypeStore(mode)
-    embeddings = embed_rows(model, rows, max_workers)
+    embeddings = embed_rows(model, rows)
     groups = group_train_rows(rows, mode)
     for gi, (key, domain) in enumerate(sorted(groups)):
         idx = groups[(key, domain)]
-        centroids = kmeans(embeddings[idx], prototypes, seed=[seed, gi],
-                           max_workers=max_workers)
+        centroids = kmeans(embeddings[idx], prototypes, seed=[seed, gi])
         store.add(PrototypeSet(key, domain, centroids))
     return store
 
 
-def score_test_rows(test_rows, store: PrototypeStore, model, max_workers=None):
+def score_test_rows(test_rows, store: PrototypeStore, model):
     """Score every test-split row against the store, on a loaded model.
 
     Returns (path, score) pairs in row order, plus the paths of rows whose
-    group has no prototypes. `max_workers` caps the embedding threads.
+    group has no prototypes.
     """
     rows = [r for r in test_rows if r.split == "test"]
     scores = []
     unknown = []
-    for row, emb in zip(rows, embed_rows(model, rows, max_workers)):
+    for row, emb in zip(rows, embed_rows(model, rows)):
         sets = store.sets_for(row)
         if not sets:
             unknown.append(row.path)

@@ -213,16 +213,16 @@ def _train_step(model, head, optimizer, waves, targets, model_cfg) -> float:
 
 
 def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
-          log_stream=None, max_workers=None) -> TrainResult:
+          log_stream=None) -> TrainResult:
     """Train on the manifest's train split; deterministic given the seed.
 
     Writes one log line per epoch (epoch, mean loss, scale, seconds) to
     `log_stream` (default stdout) and optionally a CSV log; saves a
     checkpoint container when `out_checkpoint` is given; a missing directory
     for either output, or an output path that is a directory, is a DataError
-    before any WAV is read. The model's branch sub-graphs run in a
-    `workers.pool` capped by `max_workers`; at a given BLAS thread count the
-    result is the same for every worker count.
+    before any WAV is read, as is an AdaCos initial scale of 0 (a ConfigError).
+    The model's branch sub-graphs run in a `workers.pool`; at a given BLAS
+    thread count the result is the same for every worker count.
     """
     model_cfg, train_cfg = run_cfg.model, run_cfg.train
     run_cfg.validate(require_seed=True)
@@ -236,6 +236,9 @@ def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
     label_space = build_label_space(train_rows)
     if len(label_space) < 2:
         raise DataError(f"need at least 2 classes to train, got {len(label_space)}")
+    if initial_scale(len(label_space), model_cfg.subclusters) <= 0.0:
+        raise ConfigError(f"{len(label_space)} classes x subclusters={model_cfg.subclusters} give "
+                          f"AdaCos scale sqrt(2)*ln(1) = 0, which never trains; raise subclusters")
 
     model = MultiScaleNet(model_cfg)
     # the largest batch the loop below takes
@@ -257,7 +260,7 @@ def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
     log_rows = []
     M = len(train_rows)
     # the spectrogram encoder, one patch pass per scan plan and the spectrum encoder
-    with pool(len(model.patch_branch.plans) + 2, max_workers):
+    with pool(len(model.patch_branch.plans) + 2):
         for epoch in range(1, train_cfg.epochs + 1):
             tic = time.perf_counter()
             order = data_rng.permutation(M)

@@ -7,8 +7,8 @@ sizes the threads for its jobs, holds BLAS to one thread while several run
 and opens the threads besides the caller's; inside it, `run_jobs` shares
 jobs out by cost over those threads. A thread that opened no pool, or that
 is running a job, runs its jobs inline. Thread and BLAS counts are
-decided here only: `cap_blas_threads` is the process-wide BLAS cap of the
-CLI's `--threads`.
+decided here only: `cap` caps both for a block, as the CLI's `--threads`
+does for one command.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-# per thread: .helpers, the helper threads of the pool it opened;
-# .in_job while it runs jobs of run_jobs
+# per thread: .helpers, the helper threads of the pool it opened; .cap, the
+# worker cap of the `cap` block it is in; .in_job while it runs jobs of run_jobs
 _state = threading.local()
 
 
@@ -46,39 +46,47 @@ def blas_env_single_threaded() -> bool:
     return True
 
 
-def cap_blas_threads(count: int) -> None:
-    """Cap BLAS at `count` threads for the rest of the process, by
-    threadpoolctl; without it, warn on stderr and leave BLAS as it is."""
+@contextlib.contextmanager
+def cap(count: int):
+    """Cap the workers of the pools this thread opens, and BLAS by threadpoolctl
+    (without it, warn on stderr), at `count` threads until the block ends,
+    when both caps go back to what they were. A `count` below 1 is a ValueError."""
+    if count < 1:
+        raise ValueError(f"thread cap must be >= 1, got {count}")
     try:
         import threadpoolctl
     except ImportError:
-        print("soundscan: warning: threadpoolctl unavailable, --threads caps "
-              "the worker threads only, not BLAS", file=sys.stderr)
-        return
-    threadpoolctl.threadpool_limits(limits=count)
+        print("soundscan: warning: threadpoolctl unavailable, BLAS stays uncapped", file=sys.stderr)
+        blas_limit = contextlib.nullcontext()
+    else:
+        blas_limit = threadpoolctl.threadpool_limits(limits=count)
+    with blas_limit:
+        outer, _state.cap = getattr(_state, "cap", None), count
+        try:
+            yield
+        finally:
+            _state.cap = outer
 
 
 @contextlib.contextmanager
-def pool(tasks: int, max_workers=None):
+def pool(tasks: int):
     """Open worker threads for `tasks` independent tasks on this thread;
     yields the worker count, this thread among them.
 
-    One worker per usable core, capped by `max_workers` and by `tasks`.
-    Each worker's matmuls would start their own BLAS threads on top of the
-    pool, so several workers run only with BLAS held to one thread: by
-    threadpoolctl, or by the environment. Where neither holds it, one
-    worker leaves the cores to BLAS. With threadpoolctl and more than one
-    usable core the pool holds BLAS to one thread whatever the worker
+    One worker per usable core, capped by the `cap` this thread is in and
+    by `tasks`. Each worker's matmuls would start their own BLAS threads on
+    top of the pool, so several workers run only with BLAS held to one
+    thread: by threadpoolctl, or by the environment. Where neither holds it,
+    one worker leaves the cores to BLAS. With threadpoolctl and more than
+    one usable core the pool holds BLAS to one thread whatever the worker
     count, so that the rounding, which depends on the BLAS thread count,
-    does not depend on `max_workers` or on `tasks`. The helper threads, one
+    does not depend on the cap or on `tasks`. The helper threads, one
     executor each so that a job can be sent to a given thread, serve this
     thread's `run_jobs` calls until the pool closes, which restores the
-    pool that was open before. A `max_workers` below 1 raises ValueError.
+    pool that was open before.
     """
-    if max_workers is not None and max_workers < 1:
-        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
     cpus = usable_cpus()
-    workers = min(cpus, max_workers or tasks, tasks)
+    workers = min(cpus, getattr(_state, "cap", None) or tasks, tasks)
     blas_limit = contextlib.nullcontext()
     if cpus <= 1:
         workers = 1

@@ -253,5 +253,5 @@ def test_checkpoint_echo_with_retired_label_schema_loads(tmp_path, tiny_corpus,
         save_container(tmp_path / name, arrays, text)
         model, run_cfg = load_model(tmp_path / name)
         assert config_text(run_cfg) == echo
-        embedded.append(embed_rows(model, rows[:4], 1).tobytes())
+        embedded.append(embed_rows(model, rows[:4]).tobytes())
     assert embedded[0] == embedded[1]

@@ -203,7 +203,43 @@ def test_threads_caps_embedding_workers_with_blas_at_one_thread(
     assert len(seen) == 5
     assert len({ident for ident, _ in seen}) <= 2
     assert {limit for _, limit in seen} == {1}  # BLAS at one thread in the pool
-    assert fake_threadpoolctl["limit"] == 2     # --threads caps BLAS outside it
+    assert fake_threadpoolctl["limit"] is None  # the BLAS cap ended with the command
+
+
+def test_threads_cap_ends_with_the_command(capsys, tmp_path, tiny_corpus, tiny_checkpoint,
+                                           monkeypatch, fake_threadpoolctl):
+    from dataclasses import replace
+
+    from soundscan import workers
+    from soundscan.data import save_manifest
+
+    rows, _ = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
+    fake_threadpoolctl["limit"] = 8     # BLAS's limit before the command
+    gone = replace(rows[1], path=str(tmp_path / "gone.wav"))
+    manifest = tmp_path / "manifest.csv"
+    for listed, expected in (([rows[0], rows[1]], 0), ([rows[0], gone], 3)):
+        save_manifest(listed, manifest)
+        code, _, _ = run(capsys, "embed", "--threads", "2", "--manifest", str(manifest),
+                         "--checkpoint", str(ckpt), "--out", str(tmp_path / "e.bin"))
+        assert code == expected
+        with workers.pool(8) as count:
+            assert count == workers.usable_cpus()
+        assert fake_threadpoolctl["limit"] == 8
+
+
+@pytest.mark.parametrize("option", ["--config", "--set"])
+def test_embed_bad_config_input_is_exit_2(capsys, tmp_path, tiny_corpus, tiny_checkpoint,
+                                          option):
+    _, root = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    value = str(tmp_path / "missing.cfg") if option == "--config" else "bogus=1"
+    code, _, err = run(capsys, "embed", option, value, "--manifest", str(root / "manifest.csv"),
+                       "--checkpoint", str(ckpt), "--out", str(tmp_path / "e.bin"))
+    assert code == 2
+    assert "error: config" in err
+    assert not (tmp_path / "e.bin").exists()
 
 
 def test_train_batch_beyond_physical_memory_is_exit_2(capsys, tmp_path, tiny_corpus,
@@ -219,6 +255,30 @@ def test_train_batch_beyond_physical_memory_is_exit_2(capsys, tmp_path, tiny_cor
                        "--out-checkpoint", str(tmp_path / "m.ckpt"))
     assert code == 2
     assert "error: config" in err and "batch of 8 clips" in err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_train_with_an_adacos_scale_of_zero_is_exit_2(capsys, tmp_path, tiny_corpus,
+                                                      tiny_run_cfg, monkeypatch):
+    # 2 classes x 1 sub-cluster: s0 = sqrt(2) * ln(2 - 1) = 0 pins the scale at 0
+    from soundscan import training
+
+    _, root = tiny_corpus
+    read = []
+
+    def spy(rows, cfg, inner=training.load_waves):
+        read.append(len(rows))
+        return inner(rows, cfg)
+
+    monkeypatch.setattr(training, "load_waves", spy)
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(config_text(tiny_run_cfg))
+    code, _, err = run(capsys, "train", "--config", str(cfg_path), "--set", "subclusters=1",
+                       "--manifest", str(root / "manifest.csv"),
+                       "--out-checkpoint", str(tmp_path / "m.ckpt"))
+    assert code == 2
+    assert "error: config" in err and "2 classes x subclusters=1" in err
+    assert read == []   # refused before any WAV is read
     assert not (tmp_path / "m.ckpt").exists()
 
 

@@ -1,6 +1,7 @@
 """Prototype scoring: K-Means against an exhaustive oracle, cosine scores,
 grouping, and persistence."""
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -203,6 +204,12 @@ def test_kmeans_empty_input_rejected():
         kmeans(np.zeros((0, 4)), 2, seed=0)
 
 
+@pytest.mark.parametrize("prototypes, n_init", [(0, 10), (2, 0), (2, -1)])
+def test_kmeans_rejects_fewer_than_one_prototype_or_restart(prototypes, n_init):
+    with pytest.raises(DataError, match=f"got {prototypes} and {n_init}"):
+        kmeans(clustered_group(20, 4), prototypes, seed=0, n_init=n_init)
+
+
 def test_kmeans_deterministic_per_seed():
     rng = np.random.default_rng(5)
     x = unit_rows(rng.standard_normal((12, 4)))
@@ -252,10 +259,11 @@ def test_kmeans_same_bytes_for_any_worker_count(monkeypatch):
     x = clustered_group(990, 96)
     monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
     _pin_blas_by_environment(monkeypatch)
-    reference = kmeans(x, 16, seed=[7, 1], return_inertia=True, max_workers=1)
+    with workers.cap(1):
+        reference = kmeans(x, 16, seed=[7, 1], return_inertia=True)
     for count in (2, 3, None):
-        centroids, inertia = kmeans(x, 16, seed=[7, 1], return_inertia=True,
-                                    max_workers=count)
+        with contextlib.nullcontext() if count is None else workers.cap(count):
+            centroids, inertia = kmeans(x, 16, seed=[7, 1], return_inertia=True)
         assert np.array_equal(centroids, reference[0]), count
         assert inertia == reference[1], count
 
@@ -372,8 +380,8 @@ def test_kmeans_lockstep_gives_the_per_restart_bytes(monkeypatch):
     for i, (name, x, k) in enumerate(cases):
         ref_centroids, ref_inertia = per_restart_kmeans(x, k, seed=[13, i])
         for count in (1, 2, 3):
-            centroids, inertia = kmeans(x, k, seed=[13, i], return_inertia=True,
-                                        max_workers=count)
+            with workers.cap(count):
+                centroids, inertia = kmeans(x, k, seed=[13, i], return_inertia=True)
             assert np.array_equal(centroids, ref_centroids), (name, count)
             assert inertia == ref_inertia, (name, count)
 
@@ -388,12 +396,14 @@ def test_kmeans_with_fewer_distinct_rows_than_k_fits_them_exactly(monkeypatch):
     _pin_blas_by_environment(monkeypatch)
     base = np.random.default_rng(42).standard_normal((4, 5))
     x = base[[0, 1, 1, 2, 3, 3, 3]]
-    reference = kmeans(x, 6, seed=3, return_inertia=True, max_workers=1)
+    with workers.cap(1):
+        reference = kmeans(x, 6, seed=3, return_inertia=True)
     assert reference[0].shape == (6, 5)
     np.testing.assert_allclose(np.linalg.norm(reference[0], axis=1), 1.0, rtol=1e-12)
     assert reference[1] == pytest.approx(0.0, abs=1e-24)
     for count in (2, 3):
-        centroids, inertia = kmeans(x, 6, seed=3, return_inertia=True, max_workers=count)
+        with workers.cap(count):
+            centroids, inertia = kmeans(x, 6, seed=3, return_inertia=True)
         assert np.array_equal(centroids, reference[0]), count
         assert inertia == reference[1], count
 
@@ -440,14 +450,9 @@ def test_kmeans_failing_restart_ends_its_group_only(monkeypatch):
     # running on the other thread, refines all its restarts
     assert sorted(Counter(threads).values()) == [1, scoring.KMEANS_LOCKSTEP]
     threads.clear()
-    with pytest.raises(RestartFailed):
-        kmeans(clustered_group(990, 96), 16, seed=1, max_workers=1)
+    with pytest.raises(RestartFailed), workers.cap(1):
+        kmeans(clustered_group(990, 96), 16, seed=1)
     assert len(threads) == 1      # on one thread the later groups never start
-
-
-def test_kmeans_rejects_zero_workers():
-    with pytest.raises(ValueError, match="max_workers"):
-        kmeans(clustered_group(20, 4), 2, seed=0, max_workers=0)
 
 
 # -- cosine scores --------------------------------------------------------------------
@@ -681,14 +686,16 @@ def test_embed_rows_same_bytes_for_any_worker_count(tiny_corpus, tiny_checkpoint
     monkeypatch.setattr(workers, "usable_cpus", lambda: 8)
     _pin_blas_by_environment(monkeypatch)
     threads = _record_chunk_threads(monkeypatch, scoring)
-    reference = scoring.embed_rows(model, rows, max_workers=1)
+    with workers.cap(1):
+        reference = scoring.embed_rows(model, rows)
     assert reference.shape == (48, model.embed_dim)
     assert len(set(threads)) == 1
-    for workers in (2, 3, 3):
+    for count in (2, 3, 3):
         threads.clear()
-        got = scoring.embed_rows(model, rows, max_workers=workers)
+        with workers.cap(count):
+            got = scoring.embed_rows(model, rows)
         assert got.tobytes() == reference.tobytes()
-        assert 1 < len(set(threads)) <= workers
+        assert 1 < len(set(threads)) <= count
     # a chunk's rows embed alone exactly as they do inside the whole batch
     np.testing.assert_array_equal(scoring.embed_rows(model, rows[16:32]),
                                   reference[16:32])
@@ -765,7 +772,7 @@ def test_embed_rows_leaves_grad_mode_on(tiny_corpus, tiny_checkpoint, tiny_run_c
     assert out._backward is not None and out._parents
 
 
-def test_embed_rows_rejects_training_mode_and_zero_workers(tiny_corpus, tiny_run_cfg):
+def test_embed_rows_rejects_training_mode(tiny_corpus, tiny_run_cfg):
     from soundscan.network import MultiScaleNet
     from soundscan.scoring import embed_rows
 
@@ -774,6 +781,4 @@ def test_embed_rows_rejects_training_mode_and_zero_workers(tiny_corpus, tiny_run
     with pytest.raises(ValueError, match="eval-mode"):
         embed_rows(model, list(rows))
     model.eval()
-    with pytest.raises(ValueError, match="max_workers"):
-        embed_rows(model, list(rows), max_workers=0)
     assert embed_rows(model, []).shape == (0, model.embed_dim)

@@ -245,8 +245,8 @@ def test_checkpoint_bytes_do_not_depend_on_branch_workers(tiny_corpus, tiny_run_
     for count in (1, 2, 3):
         threads.clear()
         path = tmp_path / f"workers{count}.ckpt"
-        result = train(rows, cfg, out_checkpoint=path, log_stream=io.StringIO(),
-                       max_workers=count)
+        with workers.cap(count):
+            result = train(rows, cfg, out_checkpoint=path, log_stream=io.StringIO())
         runs.append((path.read_bytes(), result.losses, result.scales))
         assert len(threads) == count    # the five micro branches fill three threads
     assert runs[1] == runs[0] and runs[2] == runs[0]

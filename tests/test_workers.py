@@ -24,9 +24,15 @@ def _by_thread(log) -> dict:
     return by_thread
 
 
+@contextlib.contextmanager
+def _capped_pool(tasks, count):
+    with workers.cap(count), pool(tasks) as got:
+        yield got
+
+
 def test_without_helpers_the_caller_runs_the_jobs_in_order(many_cpus):
-    # no pool open on this thread, then a pool of one worker
-    for context in (contextlib.nullcontext(), pool(5, max_workers=1)):
+    # no pool open on this thread, then a pool capped at one worker
+    for context in (contextlib.nullcontext(), _capped_pool(5, 1)):
         log = []
         with context:
             out = run_jobs([_recording(log, i) for i in range(5)], [1, 9, 3, 9, 2])
@@ -154,20 +160,26 @@ def test_pool_restores_the_outer_pool_on_exit_and_on_error(many_cpus):
     assert threads_used() == 1
 
 
-def test_pool_rejects_fewer_than_one_worker():
-    with pytest.raises(ValueError, match="max_workers"):
-        with pool(3, max_workers=0):
-            pass
+def test_pool_rejects_fewer_than_one_worker(many_cpus):
+    # the one way to set a pool's worker count is the cap
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="thread cap must be >= 1"):
+            with _capped_pool(3, count):
+                pass
+    with pool(8) as got:    # a refused cap leaves none behind
+        assert got == 4
 
 
 def test_pool_holds_blas_to_one_thread_whatever_the_cap(monkeypatch, fake_threadpoolctl):
     monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
-    for args, count in (((3, 1), 1), ((3, 2), 2), ((1,), 1), ((3,), 2)):
-        fake_threadpoolctl["calls"].clear()
-        with pool(*args) as got:
-            assert got == count, args
-            assert fake_threadpoolctl["limit"] == 1, args
-        assert fake_threadpoolctl["calls"] == [1], args
+    for tasks, limit, count in ((3, 1, 1), (3, 2, 2), (1, None, 1), (3, None, 2)):
+        with contextlib.nullcontext() if limit is None else workers.cap(limit):
+            fake_threadpoolctl["calls"].clear()
+            with pool(tasks) as got:
+                assert got == count, (tasks, limit)
+                assert fake_threadpoolctl["limit"] == 1, (tasks, limit)
+            assert fake_threadpoolctl["calls"] == [1], (tasks, limit)
+            assert fake_threadpoolctl["limit"] == limit     # back to the cap's
     # one usable core: no worker threads, so nothing to hold BLAS down for
     monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
     fake_threadpoolctl["calls"].clear()
@@ -176,9 +188,35 @@ def test_pool_holds_blas_to_one_thread_whatever_the_cap(monkeypatch, fake_thread
     assert fake_threadpoolctl["calls"] == []
 
 
-def test_cap_blas_threads_without_threadpoolctl_warns(monkeypatch, capsys):
-    import sys
-
-    monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-    workers.cap_blas_threads(2)
+def test_cap_without_threadpoolctl_warns_and_caps_the_workers(many_cpus, capsys):
+    with _capped_pool(4, 2) as got:
+        assert got == 2
     assert "threadpoolctl unavailable" in capsys.readouterr().err
+
+
+def test_cap_holds_for_its_block_on_its_thread_and_nests(monkeypatch, fake_threadpoolctl):
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 4)
+    fake_threadpoolctl["limit"] = 8     # BLAS's limit before any cap
+
+    def pool_size():
+        with pool(6) as got:
+            return got
+
+    class Raised(Exception):
+        pass
+
+    with workers.cap(2):
+        assert fake_threadpoolctl["limit"] == 2
+        assert pool_size() == 2
+        with pytest.raises(Raised):
+            with workers.cap(3):
+                assert (pool_size(), fake_threadpoolctl["limit"]) == (3, 3)
+                raise Raised()
+        assert (pool_size(), fake_threadpoolctl["limit"]) == (2, 2)
+        # another thread is not capped by this thread's block
+        other = []
+        thread = threading.Thread(target=lambda: other.append(pool_size()))
+        thread.start()
+        thread.join(5)
+        assert not thread.is_alive() and other == [4]
+    assert (pool_size(), fake_threadpoolctl["limit"]) == (4, 8)
