@@ -20,11 +20,23 @@ times it is the weight gradient. Other convs
 re-gather the block from the input for the weight gradient and scatter
 the column gradient back onto the input; an unpadded 1x1 conv, whose
 windows never overlap, slices its input and assigns its input gradient
-through the same stride. A backward pass releases the graph it walks: each
-node drops its parents and closure as the walk passes it, the branch
-node's sub-graphs included, so the tape shrinks as the walk goes. A second
-``backward()`` through a released node, or through a new graph built on
-one, raises RuntimeError.
+through the same stride.
+
+A forward that is not recorded (grad mode off, or no input needs a
+gradient) holds no kh*kw block either. conv2d gathers its block in tiles of
+whole images, each at most CONV_TILE_BYTES but the last, into a buffer
+that the thread reuses, and multiplies tile by tile; a pointwise conv, or
+one whose block fits one tile, keeps the single product. max_pool2d takes
+a running maximum over the kh*kw shifted strided views of its padded
+input, unless the input has one channel. Both give the bytes of the whole-block forward.
+A recorded conv still runs that forward, since its backward re-gathers the
+whole block anyway, and a recorded max pool keeps its windows for the
+backward's argmax.
+
+A backward pass releases the graph it walks: each node drops its parents
+and closure as the walk passes it, the branch node's sub-graphs included,
+so the tape shrinks as the walk goes. A second ``backward()`` through a
+released node, or through a new graph built on one, raises RuntimeError.
 
 Image tensors are channels-last: (B, H, W, C) for the 2-D ops and
 (B, L, C) for conv1d, so a conv's (B*P, C_out) matmul output is already
@@ -55,6 +67,7 @@ _seq_counter = itertools.count()
 _grad_enabled = True
 _checked = False
 _branch_state = threading.local()   # .updates: buffer updates queued by a running branch
+_tile_state = threading.local()     # .buf: the tile buffer of this thread's unrecorded convs
 
 
 def set_checked(flag: bool) -> None:
@@ -210,7 +223,7 @@ def _record(data, parents, backward) -> Tensor:
     """Wrap op output; attach the tape record only when recording is on and
     some parent participates in differentiation."""
     out = Tensor(data)
-    if _grad_enabled and any(_needs(p) for p in parents):
+    if _recorded(parents):
         out.requires_grad = False  # grads accumulate on leaves, flow through here
         out._parents = tuple(parents)
         out._backward = backward
@@ -219,6 +232,11 @@ def _record(data, parents, backward) -> Tensor:
 
 def _needs(t: Tensor) -> bool:
     return t.requires_grad or t._backward is not None
+
+
+def _recorded(parents) -> bool:
+    """Whether an op on `parents` goes on the tape."""
+    return _grad_enabled and any(_needs(p) for p in parents)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -382,6 +400,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 _GATHER_CACHE: dict = {}
+CONV_TILE_BYTES = 4 << 20   # the column block an unrecorded conv gathers at a time
 
 
 def _gather_indices(key, builder):
@@ -455,6 +474,44 @@ def _padded(x: np.ndarray, ph: int, pw: int, fill: float) -> np.ndarray:
     return xp
 
 
+def _tile_buffer(size: int) -> np.ndarray:
+    """A flat buffer of `size` doubles that this thread keeps for its next
+    unrecorded conv: a fresh one per conv would have the allocator hand
+    megabytes back to the system and fault them in again, conv after conv."""
+    buf = getattr(_tile_state, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _tile_state.buf = np.empty(size)
+    return buf[:size]
+
+
+def _tiled_product(xp: np.ndarray, idx: np.ndarray, w_t: np.ndarray) -> np.ndarray:
+    """im2col(xp) @ w_t, (B*P, C_out), gathered and multiplied in tiles of
+    whole images.
+
+    A tile holds as many images as fit their column blocks in
+    CONV_TILE_BYTES, at least one; the last tile also takes the remainder,
+    so no tile is smaller than the others and the thread's tile buffer,
+    which every tile reuses, stays under twice the budget. `mode="clip"`
+    lets `np.take` write into the buffer directly, where "raise" buffers
+    its output; the index is always in range. Each output row is the same
+    row product as in the whole-block product: a tile of over half the
+    budget is a large product, and OpenBLAS changes its kernel, and so its
+    rounding, only for products of about a thousand output cells or fewer.
+    """
+    B, cells, C = xp.shape[0], xp.shape[1] * xp.shape[2], xp.shape[3]
+    P, K = idx.shape[0], idx.shape[1] * C
+    per_tile = max(1, CONV_TILE_BYTES // (P * K * 8))
+    starts = list(range(0, B - per_tile + 1, per_tile))
+    flat = xp.reshape(B, cells, C)
+    buf = _tile_buffer((B - starts[-1]) * P * K)
+    out = np.empty((B * P, w_t.shape[1]))
+    for b0, b1 in zip(starts, starts[1:] + [B]):
+        tile = buf[:(b1 - b0) * P * K].reshape(b1 - b0, P, idx.shape[1], C)
+        np.take(flat[b0:b1], idx, axis=1, out=tile, mode="clip")
+        np.matmul(tile.reshape(-1, K), w_t, out=out[b0 * P:b1 * P])
+    return out
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride=(1, 1), padding=(0, 0)) -> Tensor:
     """Batched 2-D cross-correlation, channels-last.
@@ -485,8 +542,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         xp = _padded(x.data, ph, pw, 0.0)
         return np.take(xp.reshape(B, Hp * Wp, C), idx, axis=1).reshape(B * P, K)
 
+    parents = (x, weight, bias) if bias is not None else (x, weight)
     w_mat = weight.data.transpose(0, 2, 3, 1).reshape(c_out, K)
-    out = im2col() @ w_mat.T                               # (B*P, C_out)
+    if pointwise or _recorded(parents) or B * P * K * 8 <= CONV_TILE_BYTES:
+        # a recorded conv's backward re-gathers the whole block anyway
+        out = im2col() @ w_mat.T                           # (B*P, C_out)
+    else:
+        out = _tiled_product(_padded(x.data, ph, pw, 0.0), idx, w_mat.T)
     if bias is not None:
         rows = out.reshape(B, P * c_out)
         rows += _channel_row(bias.data, rows)
@@ -536,7 +598,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         gb = _channel_sum(g_mat, c_out) if bias is not None and _needs(bias) else None
         return (gx, gw, gb) if bias is not None else (gx, gw)
 
-    parents = (x, weight, bias) if bias is not None else (x, weight)
     return _record(data, parents, backward)
 
 
@@ -575,6 +636,15 @@ def max_pool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
     Hp, Wp = H + 2 * ph, W + 2 * pw
     xp = _padded(x.data, ph, pw, -np.inf)
     idx, h_out, w_out = _conv2d_index(Hp, Wp, kh, kw, sh, sw)
+    if C > 1 and not _recorded((x,)):
+        # a running maximum over the shifted strided views, in window order:
+        # the order in which the windows' max meets its signed-zero ties.
+        # One channel's windows are reduced in SIMD lanes, not in that order.
+        data = None
+        for i, j in itertools.product(range(kh), range(kw)):
+            view = xp[:, i:i + sh * (h_out - 1) + 1:sh, j:j + sw * (w_out - 1) + 1:sw]
+            data = view.copy() if data is None else np.maximum(data, view, out=data)
+        return Tensor(data)
     windows = np.take(xp.reshape(B, Hp * Wp, C), idx, axis=1)    # (B, P, kh*kw, C)
     data = windows.max(axis=2).reshape(B, h_out, w_out, C)
 

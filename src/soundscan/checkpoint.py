@@ -98,8 +98,8 @@ def load_container(path):
 
     Raises CheckpointError for a missing file, a foreign or other-version
     header, and a container that is cut short, carries bytes past its last
-    array, holds text that is not UTF-8, or gives an array more than 64
-    dimensions.
+    array, holds text that is not UTF-8, gives an array more than 64
+    dimensions, or holds a NaN or an infinity in an array.
     """
     try:
         with open(path, "rb") as fh:
@@ -157,6 +157,8 @@ def load_container(path):
                     f"{path}: truncated container (array {name!r} holds more than the "
                     f"{limit} values left)")
         data = np.frombuffer(take(0 if empty else 8 * size), dtype="<f8")
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: array {name!r} holds NaN or infinity")
         arrays[name] = data.reshape(shape).astype(np.float64)
     if pos != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes after the "

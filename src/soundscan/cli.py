@@ -210,6 +210,8 @@ def cmd_eval(args) -> int:
 
 def cmd_scan_analyze(args) -> int:
     cfg = _load_run_config(args)
+    if args.F < 1 or args.T < 1:
+        raise ConfigError(f"--F and --T must be >= 1, got {args.F} and {args.T}")
     m = cfg.model
     print("kernel,h,w,n_f,n_t,patches,min_coverage,max_coverage,patch_bytes")
     for box in m.kernels:
@@ -219,9 +221,11 @@ def cmd_scan_analyze(args) -> int:
                   file=sys.stderr)
             continue
         plan = m.scan_plan(args.F, args.T, box)
-        cover = scanning.coverage_map(args.F, args.T, plan)
+        # coverage is an outer product of non-negative counts
+        f_cover, t_cover = scanning.axis_coverage(args.F, args.T, plan)
         print(f"{box},{box.h},{box.w},{plan.n_f},{plan.n_t},{plan.patch_count},"
-              f"{cover.min()},{cover.max()},{plan.patch_cells * 8}")
+              f"{f_cover.min() * t_cover.min()},{f_cover.max() * t_cover.max()},"
+              f"{plan.patch_cells * 8}")
     return 0
 
 

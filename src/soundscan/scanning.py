@@ -150,11 +150,22 @@ def usable_kernels(kernels, F: int, T: int):
     return kept
 
 
+def _span_counts(extent: int, size: int, positions) -> np.ndarray:
+    """How many of the spans [p, p + size) cover each of `extent` positions."""
+    starts = np.asarray(positions, dtype=np.intp)
+    steps = (np.bincount(starts, minlength=extent + 1)
+             - np.bincount(starts + size, minlength=extent + 1))
+    return np.cumsum(steps[:extent])
+
+
+def axis_coverage(F: int, T: int, plan: ScanPlan) -> tuple:
+    """(F,) and (T,) counts of the frequency anchors covering each bin and
+    of the time anchors covering each frame; a cell's coverage is their
+    product, since the anchors form a grid."""
+    return (_span_counts(F, plan.box.h, plan.f_positions),
+            _span_counts(T, plan.box.w, plan.t_positions))
+
+
 def coverage_map(F: int, T: int, plan: ScanPlan) -> np.ndarray:
     """F x T matrix counting how many patches cover each cell."""
-    box = plan.box
-    cover = np.zeros((F, T), dtype=np.int64)
-    for f in plan.f_positions:
-        for t in plan.t_positions:
-            cover[f:f + box.h, t:t + box.w] += 1
-    return cover
+    return np.outer(*axis_coverage(F, T, plan))

@@ -256,6 +256,10 @@ def kmeans(embeddings: np.ndarray, prototypes: int, seed, n_init: int = 10,
         raise DataError("kmeans requires a non-empty (M, D) array")
     if prototypes < 1 or n_init < 1:
         raise DataError(f"prototypes and n_init must be >= 1, got {prototypes} and {n_init}")
+    finite = np.isfinite(x.sum(axis=1))     # a NaN or an infinity makes its row's sum one
+    if not finite.all():
+        raise DataError(f"kmeans requires finite embeddings; row {int(np.argmin(finite))} "
+                        f"holds NaN or infinity")
     x = _normalize_rows(x)
     x2 = _row_sq(x)
     k = min(prototypes, len(x))

@@ -485,6 +485,130 @@ def test_conv2d_tape_keeps_no_im2col_block():
     assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
 
+# -- unrecorded forwards ------------------------------------------------------
+
+def _tile_images(P, K):
+    """Images per tile of an unrecorded conv with P positions and K columns."""
+    return max(1, ad.CONV_TILE_BYTES // (P * K * 8))
+
+
+@pytest.mark.parametrize("c_in", [1, 16])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+def test_unrecorded_conv2d_tiles_equal_the_whole_block_product(c_in, stride, pad,
+                                                               monkeypatch):
+    # a batch of three tiles plus a remainder, which the last tile takes;
+    # the recorded conv, whose backward needs the whole block, is the reference
+    tiled, tiled_product = [], ad._tiled_product
+    monkeypatch.setattr(ad, "_tiled_product",
+                        lambda *args: tiled.append(1) or tiled_product(*args))
+    H = W = 16
+    h_out = (H + 2 * pad - 3) // stride + 1
+    P, K = h_out * h_out, 9 * c_in
+    per_tile = _tile_images(P, K)
+    B = 3 * per_tile + per_tile // 2 + 1
+    rng = np.random.default_rng(c_in * 10 + stride + pad)
+    x = rng.standard_normal((B, H, W, c_in))
+    w = Tensor(rng.standard_normal((8, c_in, 3, 3)))
+    b = Tensor(rng.standard_normal(8))
+    args = ((stride, stride), (pad, pad))
+    whole = ad.conv2d(Tensor(x, requires_grad=True), w, b, *args)
+    assert not tiled
+    with ad.no_grad():
+        out = ad.conv2d(Tensor(x, requires_grad=True), w, b, *args)
+    assert out.data.tobytes() == whole.data.tobytes()
+    out = ad.conv2d(Tensor(x), w, b, *args)         # no input needs a gradient
+    assert out.data.tobytes() == whole.data.tobytes()
+    assert len(tiled) == 2
+
+
+def test_unrecorded_conv2d_holds_no_whole_block(monkeypatch):
+    # the whole im2col block here is nine times the tile budget; the gather
+    # holds at most two budgets beside the padded input and the output,
+    # the thread's tile buffer included
+    import threading
+    import tracemalloc
+
+    B, H, W, C = 128, 16, 16, 16
+    assert B * H * W * 9 * C * 8 >= 8 * ad.CONV_TILE_BYTES
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.standard_normal((B, H, W, C)))
+    w = Tensor(rng.standard_normal((16, C, 3, 3)))
+    ad.conv2d(x, w, padding=(1, 1))                 # builds the cached gather index
+    monkeypatch.setattr(ad, "_tile_state", threading.local())
+    padded = B * (H + 2) * (W + 2) * C * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = ad.conv2d(x, w, padding=(1, 1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < padded + out.data.nbytes + 2 * ad.CONV_TILE_BYTES, peak
+
+
+def _first_argmax_pool(x, k, s, p):
+    """Max pooling by loops: each window's value and its first maximal cell in
+    window order, -inf outside the input."""
+    B, H, W, C = x.shape
+    h_out, w_out = (H + 2 * p - k) // s + 1, (W + 2 * p - k) // s + 1
+    out = np.empty((B, h_out, w_out, C))
+    cell = np.empty((B, h_out, w_out, C, 2), dtype=int)
+    for b, r, q, c in np.ndindex(B, h_out, w_out, C):
+        best, at = -np.inf, None
+        for i, j in np.ndindex(k, k):
+            y, z = r * s + i - p, q * s + j - p
+            if 0 <= y < H and 0 <= z < W and (at is None or x[b, y, z, c] > best):
+                best, at = x[b, y, z, c], (y, z)
+        out[b, r, q, c], cell[b, r, q, c] = best, at
+    return out, cell
+
+
+@pytest.mark.parametrize("C, k, s, p", [(4, 3, 2, 1), (3, 3, 1, 1), (5, 2, 2, 0),
+                                        (1, 3, 2, 1), (8, 4, 4, 0)])
+def test_unrecorded_max_pool_equals_the_windows_path(C, k, s, p):
+    # relu outputs: -0.0 wherever the input was negative, so windows tie
+    # between signed zeros; the recorded pool takes the windows path
+    rng = np.random.default_rng(C * 100 + k * 10 + s)
+    raw = rng.standard_normal((3, 9, 8, C))
+    raw[rng.random(raw.shape) < 0.2] = 0.0
+    values = raw * (raw > 0)
+    assert np.signbit(values[values == 0]).any() and (~np.signbit(values[values == 0])).any()
+    x = Tensor(values, requires_grad=True)
+    recorded = ad.max_pool2d(x, (k, k), (s, s), (p, p))
+    with ad.no_grad():
+        unrecorded = ad.max_pool2d(x, (k, k), (s, s), (p, p))
+    assert unrecorded.data.tobytes() == recorded.data.tobytes()
+    assert unrecorded._backward is None
+
+    expected, cell = _first_argmax_pool(values, k, s, p)
+    np.testing.assert_array_equal(recorded.data, expected)
+    g = rng.standard_normal(recorded.shape)
+    (recorded * Tensor(g)).sum().backward()
+    gx = np.zeros(values.shape)
+    for b, r, q, c in np.ndindex(*g.shape):
+        y, z = cell[b, r, q, c]
+        gx[b, y, z, c] += g[b, r, q, c]
+    np.testing.assert_array_equal(x.grad, gx)
+
+
+def test_unrecorded_max_pool_holds_no_windows():
+    # the windows of a 3x3 stride-1 pool are nine times the input
+    import tracemalloc
+
+    x = Tensor(np.random.default_rng(3).standard_normal((32, 16, 16, 8)))
+    ad.max_pool2d(x, (3, 3), (1, 1), (1, 1))        # builds the cached index
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = ad.max_pool2d(x, (3, 3), (1, 1), (1, 1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    padded = 32 * 18 * 18 * 8 * 8
+    assert peak < padded + 2 * out.data.nbytes, peak
+
+
 # -- fused conv -> norm (-> add) -> relu -------------------------------------------
 
 # x shape (B, C_in, H, W), weight shape, stride, padding, relu, residual:

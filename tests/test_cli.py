@@ -472,6 +472,36 @@ def test_truncated_checkpoint_is_exit_3(capsys, tmp_path, tiny_corpus, tiny_chec
     assert not (tmp_path / "e.bin").exists()
 
 
+@pytest.mark.parametrize("command", ["embed", "score"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_checkpoint_array_is_exit_3(capsys, tmp_path, tiny_corpus,
+                                               tiny_checkpoint, command, bad):
+    """A weight that is NaN or infinite is a bad file: the command names the
+    array and writes nothing, where it once wrote NaN embeddings (embed) or
+    tripped a K-Means assert (score, exit 4)."""
+    from soundscan.checkpoint import load_container, save_container
+
+    _, root = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    arrays, echo = load_container(ckpt)
+    name = "param/model.patch_branch.encoder.block1.conv1.weight"
+    arrays[name].flat[0] = bad
+    broken = tmp_path / "broken.ckpt"
+    save_container(broken, arrays, echo)
+    manifest = str(root / "manifest.csv")
+    out = tmp_path / "out.bin"
+    if command == "embed":
+        argv = ["embed", "--manifest", manifest, "--out", str(out)]
+    else:
+        argv = ["score", "--set", "seed=3", "--set", "prototypes=2",
+                "--train-manifest", manifest, "--test-manifest", manifest,
+                "--out", str(out)]
+    code, _, err = run(capsys, *argv, "--checkpoint", str(broken))
+    assert code == 3
+    assert "error: data" in err and name in err and "NaN or infinity" in err
+    assert not out.exists()
+
+
 def test_truncated_wav_is_exit_3(capsys, tmp_path, tiny_corpus, tiny_checkpoint):
     from dataclasses import replace
 
@@ -768,3 +798,21 @@ def test_scan_analyze_oversized_kernel_row(capsys):
     assert len(lines) == 3
     assert lines[2].startswith("256x64,256,64,0,0,0")
     assert "skipped" in err
+
+
+@pytest.mark.parametrize("F,T", [(-5, 10), (10, 0), (0, 0)])
+def test_scan_analyze_below_one_bin_or_frame_is_exit_2(capsys, F, T):
+    code, out, err = run(capsys, "scan-analyze", "--F", str(F), "--T", str(T))
+    assert code == 2
+    assert "error: config" in err and "--F and --T" in err
+    assert out == ""
+
+
+def test_scan_analyze_builds_no_coverage_map(capsys):
+    """Coverage extremes come from the per-axis counts: a 300000 x 300000
+    grid, whose map would take 671 GiB, is one row."""
+    code, out, err = run(capsys, "scan-analyze", "--F", "300000", "--T", "300000",
+                         "--set", "kernels=16x8")
+    assert code == 0, err
+    row = out.strip().splitlines()[1].split(",")
+    assert row[0] == "16x8" and int(row[6]) == 0 and int(row[7]) >= 1

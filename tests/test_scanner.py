@@ -141,6 +141,53 @@ def test_coverage_overlap_counts():
     assert np.all(cover[:8, :] == 1)
 
 
+def _looped_coverage(F, T, plan):
+    """The coverage map as one add per patch."""
+    cover = np.zeros((F, T), dtype=np.int64)
+    for f in plan.f_positions:
+        for t in plan.t_positions:
+            cover[f:f + plan.box.h, t:t + plan.box.w] += 1
+    return cover
+
+
+def test_coverage_map_is_the_patch_loop_for_steps_and_counts_plans():
+    # steps up to twice the box, so some plans leave gaps
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        F, T = int(rng.integers(1, 70)), int(rng.integers(1, 70))
+        box = KernelBox(int(rng.integers(1, F + 1)), int(rng.integers(1, T + 1)))
+        if rng.random() < 0.5:
+            plan = plan_from_steps(F, T, box, int(rng.integers(0, 2 * box.h + 1)),
+                                   int(rng.integers(0, 2 * box.w + 1)))
+        else:
+            plan = scanning.plan_from_counts(F, T, box, int(rng.integers(1, 12)),
+                                             int(rng.integers(1, 12)))
+        cover = coverage_map(F, T, plan)
+        assert cover.dtype == np.int64
+        np.testing.assert_array_equal(cover, _looped_coverage(F, T, plan))
+
+
+# scan-analyze's (min_coverage, max_coverage) per default kernel at 513x311,
+# as the patch loop gave them
+DEFAULT_TABLE_COVERAGE = {
+    "steps": [(0, 10), (1, 10), (1, 15), (0, 18), (1, 18), (1, 27),
+              (0, 34), (1, 34), (1, 51), (0, 66), (1, 66), (1, 99)],
+    "counts": [(0, 1), (0, 2), (0, 3), (0, 3), (0, 6), (1, 9),
+               (0, 6), (0, 12), (1, 18), (0, 14), (0, 28), (1, 42)],
+}
+
+
+@pytest.mark.parametrize("mode", ["steps", "counts"])
+def test_scan_analyze_default_table_coverage_is_unchanged(capsys, mode):
+    from soundscan.cli import main
+
+    sets = ["--set", "scan_mode=counts", "--set", "n_f=14", "--set", "n_t=6"]
+    assert main(["scan-analyze", "--F", "513", "--T", "311"]
+                + (sets if mode == "counts" else [])) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+    assert [(int(r[6]), int(r[7])) for r in rows] == DEFAULT_TABLE_COVERAGE[mode]
+
+
 def test_usable_kernels_skips_oversized():
     kernels = [KernelBox(32, 16), KernelBox(256, 16), KernelBox(32, 64)]
     with pytest.warns(UserWarning):

@@ -204,6 +204,15 @@ def test_kmeans_empty_input_rejected():
         kmeans(np.zeros((0, 4)), 2, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kmeans_rejects_a_non_finite_row(bad):
+    # once an AssertionError ("Lloyd inertia increased"), which python -O strips
+    x = clustered_group(20, 4)
+    x[13, 2] = bad
+    with pytest.raises(DataError, match="row 13 holds NaN or infinity"):
+        kmeans(x, 3, seed=0)
+
+
 @pytest.mark.parametrize("prototypes, n_init", [(0, 10), (2, 0), (2, -1)])
 def test_kmeans_rejects_fewer_than_one_prototype_or_restart(prototypes, n_init):
     with pytest.raises(DataError, match=f"got {prototypes} and {n_init}"):
