@@ -9,8 +9,8 @@ throughout.
 
 The tape keeps, per op, its input and output tensors plus the arrays its
 backward reads that it cannot cheaply rebuild, for example batch norm's
-normalized input and max pooling's windows. A training-mode conv -> batch
-norm (-> add) (-> relu) chain is one ``conv_bn`` node: it keeps its input,
+normalized input. A training-mode conv -> batch norm (-> add) (-> relu)
+chain is one ``conv_bn`` node: it keeps its input,
 the norm's normalized input and its own output, and no conv or norm output,
 which no backward reads. conv2d keeps no im2col block, which would be
 kh*kw times the input's size. A stride-1 conv whose padding is below its
@@ -22,16 +22,18 @@ the column gradient back onto the input; an unpadded 1x1 conv, whose
 windows never overlap, slices its input and assigns its input gradient
 through the same stride.
 
-A forward that is not recorded (grad mode off, or no input needs a
-gradient) holds no kh*kw block either. conv2d gathers its block in tiles of
+A conv forward that is not recorded (grad mode off, or no input needs a
+gradient) holds no kh*kw block either. It gathers its block in tiles of
 whole images, each at most CONV_TILE_BYTES but the last, into a buffer
-that the thread reuses, and multiplies tile by tile; a pointwise conv, or
-one whose block fits one tile, keeps the single product. max_pool2d takes
-a running maximum over the kh*kw shifted strided views of its padded
-input, unless the input has one channel. Both give the bytes of the whole-block forward.
-A recorded conv still runs that forward, since its backward re-gathers the
-whole block anyway, and a recorded max pool keeps its windows for the
-backward's argmax.
+that the thread reuses, and multiplies tile by tile, with the bytes of the
+whole-block product; a pointwise conv, one whose block fits one tile, and
+a recorded conv, whose backward re-gathers the whole block anyway, keep
+the single product.
+
+max_pool2d, recorded or not, takes a running maximum over the kh*kw
+shifted strided views of its padded input, in window order. Its backward
+reads the same views of the input, padded again, to find each window's
+first maximal cell, so the tape keeps only the pool's input and output.
 
 A backward pass releases the graph it walks: each node drops its parents
 and closure as the walk passes it, the branch node's sub-graphs included,
@@ -399,19 +401,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _record(data, parents, backward)
 
 
-_GATHER_CACHE: dict = {}
 CONV_TILE_BYTES = 4 << 20   # the column block an unrecorded conv gathers at a time
-
-
-def _gather_indices(key, builder):
-    # one lookup, then build and store: between a membership test and a read,
-    # another thread may clear the cache
-    value = _GATHER_CACHE.get(key)
-    if value is None:
-        if len(_GATHER_CACHE) > 256:
-            _GATHER_CACHE.clear()
-        value = _GATHER_CACHE[key] = builder()
-    return value
 
 
 def _scatter_rows(values: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
@@ -440,27 +430,23 @@ def _channel_row(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.tile(v, rows.shape[1] // v.size)
 
 
+@functools.lru_cache(maxsize=256)
 def _conv2d_index(H, W, kh, kw, sh, sw):
     """Flat spatial gather index (positions, kh*kw) into an H*W grid."""
-    def build():
-        h_out = (H - kh) // sh + 1
-        w_out = (W - kw) // sw + 1
-        cell = np.repeat(np.arange(kh) * W, kw) + np.tile(np.arange(kw), kh)
-        origin = (np.repeat(np.arange(h_out) * sh * W, w_out)
-                  + np.tile(np.arange(w_out) * sw, h_out))
-        return origin[:, None] + cell[None, :], h_out, w_out
-
-    return _gather_indices(("c2", H, W, kh, kw, sh, sw), build)
+    h_out = (H - kh) // sh + 1
+    w_out = (W - kw) // sw + 1
+    cell = np.repeat(np.arange(kh) * W, kw) + np.tile(np.arange(kw), kh)
+    origin = (np.repeat(np.arange(h_out) * sh * W, w_out)
+              + np.tile(np.arange(w_out) * sw, h_out))
+    return origin[:, None] + cell[None, :], h_out, w_out
 
 
+@functools.lru_cache(maxsize=256)
 def _conv2d_scatter_index(C, H, W, kh, kw, sh, sw):
     """The spatial index widened to (position, channel): (positions, kh*kw*C)
     flat offsets into an (H, W, C) array, in the column order of the gather."""
-    def build():
-        idx = _conv2d_index(H, W, kh, kw, sh, sw)[0]
-        return (idx[:, :, None] * C + np.arange(C)).reshape(idx.shape[0], -1)
-
-    return _gather_indices(("c2s", C, H, W, kh, kw, sh, sw), build)
+    idx = _conv2d_index(H, W, kh, kw, sh, sw)[0]
+    return (idx[:, :, None] * C + np.arange(C)).reshape(idx.shape[0], -1)
 
 
 def _padded(x: np.ndarray, ph: int, pw: int, fill: float) -> np.ndarray:
@@ -632,31 +618,33 @@ def max_pool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
     B, H, W, C = x.data.shape
     if H + 2 * ph < kh or W + 2 * pw < kw:
         raise ValueError("max_pool2d kernel larger than padded input")
+    h_out, w_out = (H + 2 * ph - kh) // sh + 1, (W + 2 * pw - kw) // sw + 1
 
-    Hp, Wp = H + 2 * ph, W + 2 * pw
-    xp = _padded(x.data, ph, pw, -np.inf)
-    idx, h_out, w_out = _conv2d_index(Hp, Wp, kh, kw, sh, sw)
-    if C > 1 and not _recorded((x,)):
-        # a running maximum over the shifted strided views, in window order:
-        # the order in which the windows' max meets its signed-zero ties.
-        # One channel's windows are reduced in SIMD lanes, not in that order.
-        data = None
-        for i, j in itertools.product(range(kh), range(kw)):
-            view = xp[:, i:i + sh * (h_out - 1) + 1:sh, j:j + sw * (w_out - 1) + 1:sw]
-            data = view.copy() if data is None else np.maximum(data, view, out=data)
-        return Tensor(data)
-    windows = np.take(xp.reshape(B, Hp * Wp, C), idx, axis=1)    # (B, P, kh*kw, C)
-    data = windows.max(axis=2).reshape(B, h_out, w_out, C)
+    def views(a):
+        # the kh*kw shifted strided views of a padded array, in window order
+        return [a[:, i:i + sh * (h_out - 1) + 1:sh, j:j + sw * (w_out - 1) + 1:sw]
+                for i, j in itertools.product(range(kh), range(kw))]
+
+    # a running maximum in window order: the order in which the windows' max
+    # meets its signed-zero ties
+    data = None
+    for view in views(_padded(x.data, ph, pw, -np.inf)):
+        data = view.copy() if data is None else np.maximum(data, view, out=data)
 
     def backward(g):
-        if not _needs(x):
-            return (None,)
-        arg = windows.argmax(axis=2)                               # (B, P, C)
-        winner = idx[np.arange(idx.shape[0])[None, :, None], arg]  # spatial cell
-        winner = (winner + (np.arange(B) * (Hp * Wp))[:, None, None]) * C + np.arange(C)
-        acc = np.bincount(winner.ravel(), weights=g.reshape(-1),
-                          minlength=B * Hp * Wp * C).reshape(B, Hp, Wp, C)
-        return (acc[:, ph:Hp - ph or None, pw:Wp - pw or None],)
+        # each window's first maximal cell, by its offset in window order
+        arg = np.zeros(data.shape, dtype=np.min_scalar_type(kh * kw - 1))
+        claimed = np.zeros(data.shape, dtype=bool)
+        for n, view in enumerate(views(_padded(x.data, ph, pw, -np.inf))):
+            hit = np.equal(view, data) & ~claimed
+            np.copyto(arg, n, where=hit)
+            claimed |= hit
+        # offsets in reverse window order hand each input cell its windows'
+        # gradients in ascending output order
+        acc = np.zeros((B, H + 2 * ph, W + 2 * pw, C))
+        for n, view in reversed(list(enumerate(views(acc)))):
+            view += g * (arg == n)
+        return (acc[:, ph:ph + H, pw:pw + W],)
 
     return _record(data, (x,), backward)
 

@@ -354,8 +354,12 @@ def embed_rows(model, rows) -> np.ndarray:
 
     The rows go through the eval-mode model in fixed chunks of EMBED_CHUNK,
     which `workers.run_jobs` runs, at their row count each, in a
-    `workers.pool`. The result is the same for every worker count. A
-    failing chunk is re-raised (see run_jobs).
+    `workers.pool`. The result is the same for every worker count. It is
+    not always the same for every row count: a row's embedding can differ in
+    the last bits with how many rows share its chunk, since OpenBLAS rounds
+    small products in another kernel, so a clip's score can change with the
+    manifest's length, through the size of the last chunk. A failing chunk
+    is re-raised (see run_jobs).
     """
     if model.training:
         raise ValueError("embed_rows needs an eval-mode model: a training-mode "

@@ -547,41 +547,49 @@ def test_unrecorded_conv2d_holds_no_whole_block(monkeypatch):
     assert peak < padded + out.data.nbytes + 2 * ad.CONV_TILE_BYTES, peak
 
 
-def _first_argmax_pool(x, k, s, p):
+def _first_argmax_pool(x, kernel, stride, padding):
     """Max pooling by loops: each window's value and its first maximal cell in
     window order, -inf outside the input."""
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, padding
     B, H, W, C = x.shape
-    h_out, w_out = (H + 2 * p - k) // s + 1, (W + 2 * p - k) // s + 1
+    h_out, w_out = (H + 2 * ph - kh) // sh + 1, (W + 2 * pw - kw) // sw + 1
     out = np.empty((B, h_out, w_out, C))
     cell = np.empty((B, h_out, w_out, C, 2), dtype=int)
     for b, r, q, c in np.ndindex(B, h_out, w_out, C):
         best, at = -np.inf, None
-        for i, j in np.ndindex(k, k):
-            y, z = r * s + i - p, q * s + j - p
+        for i, j in np.ndindex(kh, kw):
+            y, z = r * sh + i - ph, q * sw + j - pw
             if 0 <= y < H and 0 <= z < W and (at is None or x[b, y, z, c] > best):
                 best, at = x[b, y, z, c], (y, z)
         out[b, r, q, c], cell[b, r, q, c] = best, at
     return out, cell
 
 
+def _pair(v):
+    return v if isinstance(v, tuple) else (v, v)
+
+
 @pytest.mark.parametrize("C, k, s, p", [(4, 3, 2, 1), (3, 3, 1, 1), (5, 2, 2, 0),
-                                        (1, 3, 2, 1), (8, 4, 4, 0)])
-def test_unrecorded_max_pool_equals_the_windows_path(C, k, s, p):
+                                        (1, 3, 2, 1), (8, 4, 4, 0),
+                                        pytest.param(6, (9, 8), (9, 8), 0, id="global")])
+def test_max_pool_equals_the_first_argmax_loop(C, k, s, p):
     # relu outputs: -0.0 wherever the input was negative, so windows tie
-    # between signed zeros; the recorded pool takes the windows path
-    rng = np.random.default_rng(C * 100 + k * 10 + s)
+    # between signed zeros. The gradient's bytes pin the add order: each
+    # input cell takes its windows' gradients in ascending output order
+    kernel, stride, padding = _pair(k), _pair(s), _pair(p)
+    rng = np.random.default_rng(C * 100 + kernel[0] * 10 + stride[0])
     raw = rng.standard_normal((3, 9, 8, C))
     raw[rng.random(raw.shape) < 0.2] = 0.0
     values = raw * (raw > 0)
     assert np.signbit(values[values == 0]).any() and (~np.signbit(values[values == 0])).any()
     x = Tensor(values, requires_grad=True)
-    recorded = ad.max_pool2d(x, (k, k), (s, s), (p, p))
+    recorded = ad.max_pool2d(x, kernel, stride, padding)
     with ad.no_grad():
-        unrecorded = ad.max_pool2d(x, (k, k), (s, s), (p, p))
+        unrecorded = ad.max_pool2d(x, kernel, stride, padding)
     assert unrecorded.data.tobytes() == recorded.data.tobytes()
     assert unrecorded._backward is None
 
-    expected, cell = _first_argmax_pool(values, k, s, p)
+    expected, cell = _first_argmax_pool(values, kernel, stride, padding)
     np.testing.assert_array_equal(recorded.data, expected)
     g = rng.standard_normal(recorded.shape)
     (recorded * Tensor(g)).sum().backward()
@@ -589,7 +597,7 @@ def test_unrecorded_max_pool_equals_the_windows_path(C, k, s, p):
     for b, r, q, c in np.ndindex(*g.shape):
         y, z = cell[b, r, q, c]
         gx[b, y, z, c] += g[b, r, q, c]
-    np.testing.assert_array_equal(x.grad, gx)
+    assert x.grad.tobytes() == gx.tobytes()
 
 
 def test_unrecorded_max_pool_holds_no_windows():
@@ -597,7 +605,6 @@ def test_unrecorded_max_pool_holds_no_windows():
     import tracemalloc
 
     x = Tensor(np.random.default_rng(3).standard_normal((32, 16, 16, 8)))
-    ad.max_pool2d(x, (3, 3), (1, 1), (1, 1))        # builds the cached index
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -607,6 +614,25 @@ def test_unrecorded_max_pool_holds_no_windows():
         tracemalloc.stop()
     padded = 32 * 18 * 18 * 8 * 8
     assert peak < padded + 2 * out.data.nbytes, peak
+
+
+def test_recorded_max_pool_tape_keeps_no_windows():
+    # the backward re-reads the input's shifted views, so the tape holds the
+    # output and neither the windows, nine times the output here, nor a
+    # padded copy of the input
+    import tracemalloc
+
+    x = Tensor(np.random.default_rng(4).standard_normal((32, 16, 16, 8)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = ad.max_pool2d(x, (3, 3), (1, 1), (1, 1))
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * out.data.nbytes, held
+    out.sum().backward()
+    assert x.grad.shape == x.shape
 
 
 # -- fused conv -> norm (-> add) -> relu -------------------------------------------
@@ -723,25 +749,25 @@ def test_res_block_tape_holds_x_hat_and_output_per_conv_bn():
     assert all(p.grad is not None for p in block.parameters())
 
 
-def test_gather_cache_lookup_safe_across_threads():
-    # more distinct keys than the cache holds, so threads clear it under
-    # each other; a lookup must still return the value built for its key
+def test_gather_index_cache_safe_across_threads():
+    # more distinct shapes than the cache holds, so threads evict entries
+    # under each other; every lookup must still return its shape's index
     import sys
     import threading
-
-    class Key(tuple):
-        # hashing in Python lets a thread switch land inside each dict lookup
-        def __hash__(self):
-            return tuple.__hash__(self)
 
     failures = []
 
     def hammer(worker):
         try:
-            for i in range(4000):
-                key = Key(("stress", worker, i % 300))
-                if ad._gather_indices(key, lambda: key) != key:
-                    failures.append(f"wrong value for {key}")
+            for i in range(1200):
+                H, W = 4 + (i + worker) % 300, 5
+                idx, h_out, w_out = ad._conv2d_index(H, W, 3, 3, 1, 2)
+                fresh = ad._conv2d_index.__wrapped__(H, W, 3, 3, 1, 2)
+                if not (np.array_equal(idx, fresh[0]) and (h_out, w_out) == fresh[1:]):
+                    failures.append(f"wrong index for {(H, W)}")
+                scatter = ad._conv2d_scatter_index(2, H, W, 3, 3, 1, 2)
+                if not np.array_equal(scatter, ad._conv2d_scatter_index.__wrapped__(2, H, W, 3, 3, 1, 2)):
+                    failures.append(f"wrong scatter index for {(H, W)}")
         except Exception as exc:  # noqa: BLE001 - reported by the assertion
             failures.append(repr(exc))
 
@@ -755,9 +781,9 @@ def test_gather_cache_lookup_safe_across_threads():
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(previous)
-        ad._GATHER_CACHE.clear()
     assert not any(t.is_alive() for t in threads)
     assert failures == []
+    assert ad._conv2d_index.cache_info().currsize <= 256
 
 
 # -- branch node ---------------------------------------------------------------------

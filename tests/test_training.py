@@ -33,6 +33,13 @@ def test_label_space_deduplicates():
     assert len(build_label_space(rows)) == 1
 
 
+def test_label_space_index_is_built_once():
+    rows = [row(f"{t}_{i}.wav", t, f"id_{i:02d}") for t in ("fan", "pump") for i in range(3)]
+    space = build_label_space(rows)
+    assert space.index is space.index
+    assert [space.class_of(r) for r in rows] == list(range(6))
+
+
 def test_label_space_from_parsed_filenames(tmp_path):
     from soundscan.data import scan_dcase_layout
     ids = (0, 2, 4, 6)
