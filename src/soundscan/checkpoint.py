@@ -96,71 +96,80 @@ def save_container(path, arrays: dict, config_echo: str = "") -> None:
 def load_container(path):
     """Returns (arrays: dict[str, ndarray], config_echo: str).
 
+    Each array is read straight from the file into its own float64 array, so
+    the load holds the arrays and no second copy of the file.
+
     Raises CheckpointError for a missing file, a foreign or other-version
     header, and a container that is cut short, carries bytes past its last
     array, holds text that is not UTF-8, gives an array more than 64
     dimensions, or holds a NaN or an infinity in an array.
     """
     try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        fh = open(path, "rb")
     except FileNotFoundError:
         raise CheckpointError(f"checkpoint not found: {path}") from None
+    with fh:
+        file_size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if file_size < 12 or head[:4] != MAGIC:
+            raise CheckpointError(f"{path}: not a soundscan container")
+        (version,) = struct.unpack_from("<I", head, 4)
+        if version != VERSION:
+            raise CheckpointError(f"{path}: container version {version}, expected {VERSION}")
+        pos = 8
 
-    if len(raw) < 12 or raw[:4] != MAGIC:
-        raise CheckpointError(f"{path}: not a soundscan container")
-    (version,) = struct.unpack_from("<I", raw, 4)
-    if version != VERSION:
-        raise CheckpointError(f"{path}: container version {version}, expected {VERSION}")
+        def take(size: int, into=None):
+            """The file's next `size` bytes, read into `into` when given."""
+            nonlocal pos
+            if pos + size > file_size:
+                raise CheckpointError(f"{path}: truncated container ({size} bytes wanted "
+                                      f"at offset {pos}, {file_size} in the file)")
+            buf = bytearray(size) if into is None else into
+            if size and fh.readinto(buf) != size:    # the file shrank meanwhile
+                raise CheckpointError(f"{path}: truncated container")
+            pos += size
+            return buf
 
-    view = memoryview(raw)      # slices without copying the array data
-    pos = 8
+        def number(fmt: str):
+            return struct.unpack(fmt, take(struct.calcsize(fmt)))
 
-    def take(size: int) -> memoryview:
-        nonlocal pos
-        if pos + size > len(raw):
-            raise CheckpointError(f"{path}: truncated container ({size} bytes wanted "
-                                  f"at offset {pos}, {len(raw)} in the file)")
-        pos += size
-        return view[pos - size:pos]
+        def text(size: int, what: str) -> str:
+            try:
+                return take(size).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: {what} is not UTF-8 text") from None
 
-    def text(size: int, what: str) -> str:
-        try:
-            return str(take(size), "utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: {what} is not UTF-8 text") from None
+        (echo_len,) = number("<I")
+        echo = text(echo_len, "config echo")
+        (count,) = number("<I")
 
-    (echo_len,) = struct.unpack("<I", take(4))
-    echo = text(echo_len, "config echo")
-    (count,) = struct.unpack("<I", take(4))
-
-    arrays = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2))
-        name = text(name_len, "array name")
-        (ndim,) = struct.unpack("<B", take(1))
-        if ndim > MAX_NDIM:
-            raise CheckpointError(f"{path}: array {name!r} has {ndim} dimensions, "
-                                  f"more than numpy's {MAX_NDIM}")
-        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        # bound the element count as it is multiplied out: by the values
-        # left, or for an empty array, whose other dimensions numpy still
-        # multiplies out, by numpy's byte limit
-        empty = 0 in shape
-        limit = sys.maxsize // 8 if empty else (len(raw) - pos) // 8
-        size = 1
-        for dim in filter(None, shape):
-            size *= dim
-            if size > limit:
-                raise CheckpointError(
-                    f"{path}: array {name!r} is larger than numpy allows" if empty else
-                    f"{path}: truncated container (array {name!r} holds more than the "
-                    f"{limit} values left)")
-        data = np.frombuffer(take(0 if empty else 8 * size), dtype="<f8")
-        if not np.isfinite(data).all():
-            raise CheckpointError(f"{path}: array {name!r} holds NaN or infinity")
-        arrays[name] = data.reshape(shape).astype(np.float64)
-    if pos != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - pos} trailing bytes after the "
-                              f"last array")
+        arrays = {}
+        for _ in range(count):
+            (name_len,) = number("<H")
+            name = text(name_len, "array name")
+            (ndim,) = number("<B")
+            if ndim > MAX_NDIM:
+                raise CheckpointError(f"{path}: array {name!r} has {ndim} dimensions, "
+                                      f"more than numpy's {MAX_NDIM}")
+            shape = number(f"<{ndim}I")
+            # bound the element count as it is multiplied out: by the values
+            # left, or for an empty array, whose other dimensions numpy still
+            # multiplies out, by numpy's byte limit
+            empty = 0 in shape
+            limit = sys.maxsize // 8 if empty else (file_size - pos) // 8
+            size = 1
+            for dim in filter(None, shape):
+                size *= dim
+                if size > limit:
+                    raise CheckpointError(
+                        f"{path}: array {name!r} is larger than numpy allows" if empty else
+                        f"{path}: truncated container (array {name!r} holds more than the "
+                        f"{limit} values left)")
+            data = take(0 if empty else 8 * size, np.empty(shape, dtype="<f8"))
+            if not np.isfinite(data).all():
+                raise CheckpointError(f"{path}: array {name!r} holds NaN or infinity")
+            arrays[name] = data.astype(np.float64, copy=False)
+        if pos != file_size:
+            raise CheckpointError(f"{path}: {file_size - pos} trailing bytes after the "
+                                  f"last array")
     return arrays, echo

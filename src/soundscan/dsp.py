@@ -50,13 +50,16 @@ def load_wav(path) -> AudioClip:
     wavio.WavNotFoundError (a FileNotFoundError), wavio.WavFormatError, or
     wavio.UnsupportedWavError respectively for a missing file, a broken RIFF
     container, or a non-PCM encoding, and DataError for any other read
-    failure; all of them are DataErrors.
+    failure, such as a sample rate of 0 or a NaN in a float WAV; all of them
+    are DataErrors, and all name the file.
     """
     samples, rate = wavio.read_wav(path)
     if samples.size == 0:
         raise DataError(f"{path}: empty data chunk")
-    mono = samples.mean(axis=1)
-    return AudioClip(mono, rate)
+    try:
+        return AudioClip(samples.mean(axis=1), rate)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def fix_length(clip: AudioClip, target_seconds: float) -> AudioClip:

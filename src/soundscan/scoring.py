@@ -214,8 +214,9 @@ def _single_point_refine(x, x2, centroids, k, max_sweeps=50):
             start = j + 1
             improved = True
         if not improved:
-            break
-    sums, counts = _cluster_sums(x, labels, k)
+            break   # the labels did not move: this sweep's sums and counts stand
+    else:
+        sums, counts = _cluster_sums(x, labels, k)
     centroids = sums / np.maximum(counts, 1.0)[:, None]
     d2, nearest = _assign(x, x2, centroids)
     if (counts == 0).any():

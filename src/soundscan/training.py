@@ -188,6 +188,8 @@ def check_batch_fits(model: MultiScaleNet, batch_clips: int) -> None:
     and backward passes hold them and much more besides. On the micro preset
     the tape of one training forward holds 5.3 MB per clip (85 MB for a
     16-clip batch, traced with tracemalloc), against 0.18 MB of patch stacks.
+    The corpus does not count: `train` holds one batch of waveforms at a
+    time, whatever the length of the train split.
     """
     per_clip = sum(plan.patch_cells for plan in model.patch_branch.plans)
     need = batch_clips * per_clip * 8
@@ -224,6 +226,12 @@ def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
     before any WAV is read, as is an AdaCos initial scale of 0 (a ConfigError).
     The model's branch sub-graphs run in a `workers.pool`; at a given BLAS
     thread count the result is the same for every worker count.
+
+    The train split is streamed from disk: each step reads its own batch's
+    WAVs, so memory holds one batch of waveforms, not the split. Before the
+    first step every train WAV is decoded once and dropped, so a missing,
+    malformed, wrong-rate or non-finite file is a DataError, in manifest
+    order, before any step runs.
     """
     model_cfg, train_cfg = run_cfg.model, run_cfg.train
     run_cfg.validate(require_seed=True)
@@ -244,7 +252,9 @@ def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
     model = MultiScaleNet(model_cfg)
     # the largest batch the loop below takes
     check_batch_fits(model, min(train_cfg.batch_size, len(train_rows)))
-    waves = load_waves(train_rows, model_cfg)
+    # decode every WAV once and keep none: a bad file fails before any step
+    for row in train_rows:
+        load_waves([row], model_cfg)
     labels = np.array([label_space.class_of(r) for r in train_rows])
     C = len(label_space)
     one_hot = np.eye(C)[labels]
@@ -268,7 +278,7 @@ def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
             epoch_losses = []
             for start in range(0, M, train_cfg.batch_size):
                 chunk = order[start:start + train_cfg.batch_size]
-                batch_waves = waves[chunk]
+                batch_waves = load_waves([train_rows[i] for i in chunk], model_cfg)
                 batch_targets = one_hot[chunk]
                 if data_rng.uniform() < train_cfg.mixup_prob and len(chunk) > 1:
                     partner = data_rng.permutation(len(chunk))

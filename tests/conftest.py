@@ -54,6 +54,25 @@ def rng():
     return np.random.default_rng(0)
 
 
+@pytest.fixture(scope="session")
+def write_float_wav():
+    """`write(path, samples, rate)`: a mono 32-bit IEEE float WAV, which,
+    unlike 16-bit PCM, can hold a NaN."""
+    import struct
+
+    from soundscan import wavio
+
+    def write(path, samples, rate):
+        body = np.asarray(samples, dtype="<f4").tobytes()
+        header = struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + len(body), b"WAVE",
+                             b"fmt ", 16, wavio.FORMAT_IEEE_FLOAT, 1, rate, 4 * rate, 4, 32,
+                             b"data", len(body))
+        path.write_bytes(header + body)
+        return path
+
+    return write
+
+
 @pytest.fixture()
 def fake_threadpoolctl(monkeypatch):
     """A threadpoolctl stand-in whose BLAS limit is `state["limit"]`: set when a

@@ -255,3 +255,21 @@ def test_checkpoint_echo_with_retired_label_schema_loads(tmp_path, tiny_corpus,
         assert config_text(run_cfg) == echo
         embedded.append(embed_rows(model, rows[:4]).tobytes())
     assert embedded[0] == embedded[1]
+
+
+def test_load_peaks_under_one_and_a_quarter_file_sizes(tiny_checkpoint):
+    """Each array is read into its own float64 array: the load holds no
+    second copy of the file's bytes."""
+    import os
+    import tracemalloc
+
+    path, _ = tiny_checkpoint
+    tracemalloc.start()
+    try:
+        arrays, _ = load_container(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = os.path.getsize(path)
+    assert sum(a.nbytes for a in arrays.values()) > 0.9 * size
+    assert peak < 1.25 * size, (peak, size)

@@ -538,6 +538,34 @@ def test_wav_at_another_rate_is_exit_3(capsys, tmp_path, tiny_corpus, tiny_check
     assert "error: data" in err and str(odd) in err and "16000 Hz" in err
 
 
+@pytest.mark.parametrize("command", ["train", "embed"])
+def test_nan_in_a_float_wav_is_exit_3_naming_the_file(capsys, tmp_path, tiny_corpus,
+                                                      tiny_run_cfg, tiny_checkpoint,
+                                                      write_float_wav, command):
+    from dataclasses import replace
+
+    from soundscan.data import save_manifest
+
+    rows, _ = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    samples = np.zeros(8000)
+    samples[4000] = np.nan
+    bad = write_float_wav(tmp_path / "nan.wav", samples, 8000)
+    manifest = tmp_path / "manifest.csv"
+    save_manifest([replace(rows[0], path=str(bad))] + list(rows[1:]), manifest)
+    out = tmp_path / "out.bin"
+    if command == "train":
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config_text(tiny_run_cfg))
+        argv = ["train", "--config", str(cfg_path), "--out-checkpoint", str(out)]
+    else:
+        argv = ["embed", "--checkpoint", str(ckpt), "--out", str(out)]
+    code, _, err = run(capsys, *argv, "--manifest", str(manifest))
+    assert code == 3
+    assert "error: data" in err and str(bad) in err and "non-finite samples" in err
+    assert not out.exists()
+
+
 def test_pipeline_smoke(capsys, tmp_path, tiny_run_cfg):
     """synth -> train -> embed -> score -> eval, all through the CLI."""
     cfg_path = tmp_path / "run.cfg"

@@ -417,6 +417,47 @@ def test_kmeans_with_fewer_distinct_rows_than_k_fits_them_exactly(monkeypatch):
         assert inertia == reference[1], count
 
 
+def test_refine_takes_one_cluster_sum_product_per_sweep(monkeypatch):
+    """A refine's last sweep moves no row, and its sums and counts are the
+    final ones: one `_cluster_sums` call per sweep, none after. Only a
+    refine that runs out of sweeps computes them once more."""
+    from soundscan import scoring, workers
+
+    calls = []   # per refine: [cluster sums, sweeps]
+    refine, cluster_sums, first_move = (scoring._single_point_refine, scoring._cluster_sums,
+                                        scoring._first_move)
+
+    def counting_refine(*args, **kwargs):
+        calls.append([0, 0])
+        return refine(*args, **kwargs)
+
+    def counting_sums(*args):
+        calls[-1][0] += 1
+        return cluster_sums(*args)
+
+    def counting_first_move(x2, labels, counts, dots, sums2, start):
+        calls[-1][1] += start == 0      # each sweep starts at row 0
+        return first_move(x2, labels, counts, dots, sums2, start)
+
+    monkeypatch.setattr(scoring, "_single_point_refine", counting_refine)
+    monkeypatch.setattr(scoring, "_cluster_sums", counting_sums)
+    monkeypatch.setattr(scoring, "_first_move", counting_first_move)
+    _pin_blas_by_environment(monkeypatch)
+    x = clustered_group(300, 64, seed=1)
+    with workers.cap(1):
+        kmeans(x, 16, seed=2, n_init=5)
+    assert len(calls) == 5
+    assert all(sums == sweeps for sums, sweeps in calls), calls
+    assert any(sweeps > 1 for _, sweeps in calls), calls     # some refine moved rows
+
+    # out of sweeps after one that moved rows: the sums are taken once more
+    x = scoring._normalize_rows(x)
+    x2 = scoring._row_sq(x)
+    calls.clear()
+    counting_refine(x, x2, x[:16], 16, max_sweeps=1)
+    assert calls == [[2, 1]]
+
+
 @pytest.mark.parametrize("n_init", [10, 7, 3])
 def test_kmeans_runs_each_restart_group_as_one_job_on_one_thread(monkeypatch, n_init):
     from collections import Counter

@@ -2,6 +2,7 @@
 and the loop's determinism and descent."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -378,3 +379,87 @@ def test_every_branch_receives_gradient(tiny_corpus, tiny_run_cfg):
             p.grad = None
     dead = [name for name, ok in seen.items() if not ok]
     assert not dead, f"parameters with no gradient signal: {dead}"
+
+
+@pytest.mark.parametrize("fault", ["wrong-rate", "nan", "truncated"])
+def test_bad_wav_in_the_last_batch_fails_before_any_step(tiny_corpus, tiny_run_cfg,
+                                                         tmp_path, monkeypatch,
+                                                         write_float_wav, fault):
+    """A bad WAV that only the epoch's last batch would read is a DataError
+    naming it before the first step, and nothing is written."""
+    import copy
+    from dataclasses import replace
+
+    from soundscan import training
+    from soundscan.wavio import write_wav
+
+    rows, _ = tiny_corpus
+    cfg = copy.deepcopy(tiny_run_cfg)
+    cfg.train.epochs = 1
+    train_rows = [r for r in rows if r.split == "train"]
+    # train() draws the epoch's order first from this generator
+    order = np.random.default_rng([cfg.model.seed, 2]).permutation(len(train_rows))
+    assert len(train_rows) > cfg.train.batch_size     # the last batch is not the first
+    bad = tmp_path / f"{fault}.wav"
+    if fault == "wrong-rate":
+        write_wav(bad, np.zeros(16000), 16000)
+    elif fault == "nan":
+        write_float_wav(bad, np.full(8000, np.nan), 8000)
+    else:
+        bad.write_bytes(open(train_rows[0].path, "rb").read()[:-100])
+    train_rows[order[-1]] = replace(train_rows[order[-1]], path=str(bad))
+    steps = []
+
+    def features_for_batch(*args, **kwargs):
+        steps.append(args)
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(training, "features_for_batch", features_for_batch)
+    ckpt, log = tmp_path / "m.ckpt", tmp_path / "log.csv"
+    with pytest.raises(DataError, match=re.escape(str(bad))):
+        train(train_rows, cfg, out_checkpoint=ckpt, log_path=log, log_stream=io.StringIO())
+    assert steps == []
+    assert not ckpt.exists() and not log.exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_training_memory_does_not_grow_with_the_corpus(tmp_path):
+    """The tracemalloc peak of a 1-epoch train() on 4N clips exceeds that on
+    N clips by less than half the 3N extra clips' waveforms: one batch of
+    waveforms is held, not the train split."""
+    import tracemalloc
+
+    from soundscan import workers
+    from soundscan.config import micro_preset
+    from soundscan.data import SynthConfig, synth_dataset
+
+    n = 16
+    cfg = micro_preset(seed=4)
+    cfg.train.epochs = 1
+    cfg.train.batch_size = 8
+    rows = synth_dataset(SynthConfig(classes=2, train_clips=2 * n, test_normal=1,
+                                     test_anomaly=1, base_freqs=(400.0, 700.0), seed=9),
+                         tmp_path)
+    train_rows = [r for r in rows if r.split == "train"]
+    assert len(train_rows) == 4 * n
+    by_type = {}
+    for r in train_rows:
+        by_type.setdefault(r.machine_type, []).append(r)
+    small = [r for group in by_type.values() for r in group[:n // len(by_type)]]
+    assert len(small) == n
+
+    def peak(corpus):
+        tracemalloc.start()
+        try:
+            train(corpus, cfg, log_stream=io.StringIO())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # one worker: the branches run in turn, so the peak does not depend on
+    # how concurrent branches interleave
+    with workers.cap(1):
+        train(small, cfg, log_stream=io.StringIO())     # fills the lazy caches
+        small_peak, large_peak = peak(small), peak(train_rows)
+    wave_bytes = int(cfg.model.sample_rate * cfg.model.clip_seconds) * 8
+    assert large_peak - small_peak < 0.5 * 3 * n * wave_bytes, (small_peak, large_peak)
