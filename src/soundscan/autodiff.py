@@ -23,12 +23,14 @@ windows never overlap, slices its input and assigns its input gradient
 through the same stride.
 
 A conv forward that is not recorded (grad mode off, or no input needs a
-gradient) holds no kh*kw block either. It gathers its block in tiles of
-whole images, each at most CONV_TILE_BYTES but the last, into a buffer
-that the thread reuses, and multiplies tile by tile, with the bytes of the
-whole-block product; a pointwise conv, one whose block fits one tile, and
-a recorded conv, whose backward re-gathers the whole block anyway, keep
-the single product.
+gradient) holds no kh*kw block either, and no padded copy of its input. It
+works in tiles of whole images sized for a core's cache: a tile's columns
+fit CONV_TILE_BYTES, a quarter of a 2 MiB L2, unless that leaves it under
+CONV_TILE_CELLS output cells. Each tile's images are copied into a
+zero-bordered region of a buffer that the thread reuses, gathered into
+columns in the same buffer and multiplied, with the bytes of the
+whole-block product. A pointwise conv, and a recorded conv, whose backward
+re-gathers the whole block anyway, keep the single product.
 
 max_pool2d, recorded or not, takes a running maximum over the kh*kw
 shifted strided views of its padded input, in window order. Its backward
@@ -225,7 +227,7 @@ def _record(data, parents, backward) -> Tensor:
     """Wrap op output; attach the tape record only when recording is on and
     some parent participates in differentiation."""
     out = Tensor(data)
-    if _recorded(parents):
+    if recorded(parents):
         out.requires_grad = False  # grads accumulate on leaves, flow through here
         out._parents = tuple(parents)
         out._backward = backward
@@ -236,7 +238,7 @@ def _needs(t: Tensor) -> bool:
     return t.requires_grad or t._backward is not None
 
 
-def _recorded(parents) -> bool:
+def recorded(parents) -> bool:
     """Whether an op on `parents` goes on the tape."""
     return _grad_enabled and any(_needs(p) for p in parents)
 
@@ -401,7 +403,11 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _record(data, parents, backward)
 
 
-CONV_TILE_BYTES = 4 << 20   # the column block an unrecorded conv gathers at a time
+CONV_TILE_BYTES = 512 << 10   # the column block an unrecorded conv gathers at a time
+# OpenBLAS multiplies an (M, K) @ (K, N).T product of at most 1200 output
+# cells, M*N, in its small-matrix kernel, which rounds unlike its large one
+# (measured for K >= 36): a tile of more cells rounds like the whole block
+CONV_TILE_CELLS = 1201
 
 
 def _scatter_rows(values: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
@@ -470,30 +476,47 @@ def _tile_buffer(size: int) -> np.ndarray:
     return buf[:size]
 
 
-def _tiled_product(xp: np.ndarray, idx: np.ndarray, w_t: np.ndarray) -> np.ndarray:
-    """im2col(xp) @ w_t, (B*P, C_out), gathered and multiplied in tiles of
-    whole images.
+def _tile_images(P: int, K: int, N: int) -> int:
+    """Images per tile of an unrecorded conv with P positions, K columns and
+    N output channels: as many as fit their column blocks in CONV_TILE_BYTES,
+    and at least CONV_TILE_CELLS output cells, at least one."""
+    return max(1, CONV_TILE_BYTES // (P * K * 8), -(-CONV_TILE_CELLS // (P * N)))
 
-    A tile holds as many images as fit their column blocks in
-    CONV_TILE_BYTES, at least one; the last tile also takes the remainder,
-    so no tile is smaller than the others and the thread's tile buffer,
-    which every tile reuses, stays under twice the budget. `mode="clip"`
-    lets `np.take` write into the buffer directly, where "raise" buffers
-    its output; the index is always in range. Each output row is the same
-    row product as in the whole-block product: a tile of over half the
-    budget is a large product, and OpenBLAS changes its kernel, and so its
-    rounding, only for products of about a thousand output cells or fewer.
+
+def _tiled_product(x: np.ndarray, ph: int, pw: int, idx: np.ndarray,
+                   w_t: np.ndarray) -> np.ndarray:
+    """im2col(x padded by ph rows and pw columns of zeros) @ w_t, (B*P, C_out),
+    gathered and multiplied in tiles of whole images.
+
+    The last tile also takes the remainder, so no tile is smaller than the
+    others and the thread's tile buffer, which every tile reuses, holds at
+    most twice a tile. A padded input is copied tile by tile into a
+    zero-bordered region of that buffer, never whole. `mode="clip"` lets
+    `np.take` write into the buffer directly, where "raise" buffers its
+    output; the index is always in range. Each output row is the same row
+    product as in the whole-block product, since a tile of at least
+    CONV_TILE_CELLS output cells stays on OpenBLAS's large-matrix kernel.
     """
-    B, cells, C = xp.shape[0], xp.shape[1] * xp.shape[2], xp.shape[3]
+    B, H, W, C = x.shape
+    Hp, Wp = H + 2 * ph, W + 2 * pw
     P, K = idx.shape[0], idx.shape[1] * C
-    per_tile = max(1, CONV_TILE_BYTES // (P * K * 8))
-    starts = list(range(0, B - per_tile + 1, per_tile))
-    flat = xp.reshape(B, cells, C)
-    buf = _tile_buffer((B - starts[-1]) * P * K)
+    per_tile = _tile_images(P, K, w_t.shape[1])
+    starts = list(range(0, B - per_tile + 1, per_tile)) or [0]
+    largest = B - starts[-1]
+    padded = bool(ph or pw)
+    buf = _tile_buffer(largest * (P * K + padded * Hp * Wp * C))
+    cols = buf[:largest * P * K]
+    if padded:
+        region = buf[largest * P * K:].reshape(largest, Hp, Wp, C)
+        region.fill(0.0)                  # the border; each tile fills the rest
     out = np.empty((B * P, w_t.shape[1]))
     for b0, b1 in zip(starts, starts[1:] + [B]):
-        tile = buf[:(b1 - b0) * P * K].reshape(b1 - b0, P, idx.shape[1], C)
-        np.take(flat[b0:b1], idx, axis=1, out=tile, mode="clip")
+        src = x[b0:b1]
+        if padded:
+            src = region[:b1 - b0]
+            src[:, ph:ph + H, pw:pw + W] = x[b0:b1]
+        tile = cols[:(b1 - b0) * P * K].reshape(b1 - b0, P, idx.shape[1], C)
+        np.take(src.reshape(b1 - b0, Hp * Wp, C), idx, axis=1, out=tile, mode="clip")
         np.matmul(tile.reshape(-1, K), w_t, out=out[b0 * P:b1 * P])
     return out
 
@@ -530,11 +553,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     parents = (x, weight, bias) if bias is not None else (x, weight)
     w_mat = weight.data.transpose(0, 2, 3, 1).reshape(c_out, K)
-    if pointwise or _recorded(parents) or B * P * K * 8 <= CONV_TILE_BYTES:
+    if pointwise or recorded(parents):
         # a recorded conv's backward re-gathers the whole block anyway
         out = im2col() @ w_mat.T                           # (B*P, C_out)
     else:
-        out = _tiled_product(_padded(x.data, ph, pw, 0.0), idx, w_mat.T)
+        out = _tiled_product(x.data, ph, pw, idx, w_mat.T)
     if bias is not None:
         rows = out.reshape(B, P * c_out)
         rows += _channel_row(bias.data, rows)

@@ -162,7 +162,8 @@ def conv_bn(conv: Conv2d, bn: BatchNorm2d, x, relu: bool = False, residual=None)
     tape. Eval mode runs one conv with the norm folded into it: weight
     w·γ/√(var+ε), bias β − mean·γ/√(var+ε), both composed on the tape so
     that gradients still reach w, γ and β; the add and the relu follow as
-    plain ops.
+    plain ops when they are recorded, and otherwise run in place on the
+    conv's output, with the same bytes and no temporaries.
     """
     if bn.training:
         return ad.conv_bn(x, conv.weight, bn.gamma, bn.beta, bn.running_mean,
@@ -172,6 +173,13 @@ def conv_bn(conv: Conv2d, bn: BatchNorm2d, x, relu: bool = False, residual=None)
     weight = conv.weight * scale.reshape(-1, 1, 1, 1)
     bias = bn.beta - ad.Tensor(bn.running_mean) * scale
     out = ad.conv2d(x, weight, bias, conv.stride, conv.padding)
+    if not ad.recorded((out,) if residual is None else (out, residual)):
+        data = out.data
+        if residual is not None:
+            data += residual.data
+        if relu:
+            data *= data > 0
+        return ad.Tensor(data)   # checks the result as the plain ops would
     if residual is not None:
         out = out + residual
     return out.relu() if relu else out

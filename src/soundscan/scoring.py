@@ -346,21 +346,24 @@ class PrototypeStore:
 
 
 def _embed_chunk(model, rows) -> np.ndarray:
-    specs, spectra = features_for_batch(load_waves(rows, model.cfg), model.cfg)
-    return model(specs, spectra).data
+    waves = load_waves(rows, model.cfg)
+    if len(rows) < EMBED_CHUNK:
+        # full size on copies of the last waveform: OpenBLAS would round the
+        # smaller batch's small products in another kernel
+        waves = np.pad(waves, ((0, EMBED_CHUNK - len(rows)), (0, 0)), mode="edge")
+    specs, spectra = features_for_batch(waves, model.cfg)
+    return model(specs, spectra).data[:len(rows)]
 
 
 def embed_rows(model, rows) -> np.ndarray:
     """Embeddings for manifest rows, in row order.
 
     The rows go through the eval-mode model in fixed chunks of EMBED_CHUNK,
-    which `workers.run_jobs` runs, at their row count each, in a
-    `workers.pool`. The result is the same for every worker count. It is
-    not always the same for every row count: a row's embedding can differ in
-    the last bits with how many rows share its chunk, since OpenBLAS rounds
-    small products in another kernel, so a clip's score can change with the
-    manifest's length, through the size of the last chunk. A failing chunk
-    is re-raised (see run_jobs).
+    which `workers.run_jobs` runs in a `workers.pool`; a short last chunk
+    runs padded to EMBED_CHUNK rows with copies of its last waveform, whose
+    outputs are dropped. So a row's embedding has the same bytes for every
+    worker count, manifest length and row order. A failing chunk is
+    re-raised (see run_jobs).
     """
     if model.training:
         raise ValueError("embed_rows needs an eval-mode model: a training-mode "
@@ -372,7 +375,7 @@ def embed_rows(model, rows) -> np.ndarray:
     # jobs; a worker entering no_grad itself would race on the restore
     with ad.no_grad(), pool(len(chunks)):
         out = run_jobs([functools.partial(_embed_chunk, model, chunk) for chunk in chunks],
-                       [len(chunk) for chunk in chunks])
+                       [EMBED_CHUNK] * len(chunks))
     return np.concatenate(out, axis=0)
 
 

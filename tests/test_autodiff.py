@@ -547,6 +547,49 @@ def test_unrecorded_conv2d_holds_no_whole_block(monkeypatch):
     assert peak < padded + out.data.nbytes + 2 * ad.CONV_TILE_BYTES, peak
 
 
+def test_unrecorded_padded_conv_holds_no_padded_copy(monkeypatch):
+    # each tile is padded in the thread's tile buffer: beside its output the
+    # conv holds at most two budgets, far less than a padded copy
+    import threading
+    import tracemalloc
+
+    B, H, W, C = 512, 16, 16, 8
+    padded = B * (H + 2) * (W + 2) * C * 8
+    assert padded > 2 * ad.CONV_TILE_BYTES
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.standard_normal((B, H, W, C)))
+    w = Tensor(rng.standard_normal((16, C, 3, 3)))
+    whole = ad.conv2d(Tensor(x.data, requires_grad=True), w, padding=(1, 1))
+    monkeypatch.setattr(ad, "_tile_state", threading.local())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = ad.conv2d(x, w, padding=(1, 1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < out.data.nbytes + 2 * ad.CONV_TILE_BYTES, peak
+    assert out.data.tobytes() == whole.data.tobytes()
+
+
+@pytest.mark.parametrize("cells, equal", [(1, False), (ad.CONV_TILE_CELLS, True)])
+def test_tile_cell_floor_keeps_the_whole_block_rounding(monkeypatch, cells, equal):
+    # the spectrum encoder's second conv1d: 27 positions, K = 1024, N = 32,
+    # 864 output cells per image; one image per tile is a product OpenBLAS
+    # rounds in its small-matrix kernel, the floored tile of 2 is not
+    B, L, C, k, stride = 16, 247, 32, 32, 8
+    P, K = (L - k) // stride + 1, k * C
+    monkeypatch.setattr(ad, "CONV_TILE_BYTES", P * K * 8)
+    monkeypatch.setattr(ad, "CONV_TILE_CELLS", cells)
+    assert ad._tile_images(P, K, 32) == (1 if cells == 1 else 2)
+    rng = np.random.default_rng(24)
+    x = rng.standard_normal((B, L, C))
+    w = Tensor(rng.standard_normal((32, C, k)))
+    whole = ad.conv1d(Tensor(x, requires_grad=True), w, stride=stride)
+    tiled = ad.conv1d(Tensor(x), w, stride=stride)
+    assert (tiled.data.tobytes() == whole.data.tobytes()) is equal
+
+
 def _first_argmax_pool(x, kernel, stride, padding):
     """Max pooling by loops: each window's value and its first maximal cell in
     window order, -inf outside the input."""

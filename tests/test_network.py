@@ -220,6 +220,79 @@ def test_folded_block_gradients_reach_weight_gamma_beta():
         assert np.any(p.grad != 0), f"no gradient reached {name}"
 
 
+@pytest.mark.parametrize("relu", [False, True])
+@pytest.mark.parametrize("residual", [False, True])
+@pytest.mark.parametrize("bias", [False, True])
+def test_unrecorded_conv_bn_epilogue_is_the_plain_ops(bias, residual, relu):
+    # in place on the conv's output under no_grad, as taped ops when
+    # recorded; relu turns negatives into -0.0, and the residual cancels
+    # some outputs exactly, to +0.0, and adds -0.0 to others
+    rng = np.random.default_rng(25)
+    conv, bn = nn.Conv2d(3, 4, (3, 3), (1, 1), (1, 1), rng), nn.BatchNorm2d(4)
+    if bias:
+        _give_norms_state(bn, rng)
+    bn.eval()
+    x = Tensor(channels_last(rng.standard_normal((2, 3, 6, 5))))
+    r = None
+    if residual:
+        with ad.no_grad():
+            plain = nn.conv_bn(conv, bn, x).data
+        r = np.where(rng.uniform(size=plain.shape) < 0.3, -plain, rng.standard_normal(plain.shape))
+        r[rng.uniform(size=plain.shape) < 0.2] = -0.0
+        r = Tensor(r)
+    taped = nn.conv_bn(conv, bn, x, relu=relu, residual=r)
+    assert taped._backward is not None
+    with ad.no_grad():
+        out = nn.conv_bn(conv, bn, x, relu=relu, residual=r)
+    assert out._backward is None
+    assert out.data.tobytes() == taped.data.tobytes()
+    zeros = out.data[out.data == 0]
+    assert np.signbit(zeros).any() == relu and (~np.signbit(zeros)).any() == residual
+
+
+def test_unrecorded_conv_bn_epilogue_is_checked():
+    rng = np.random.default_rng(26)
+    conv, bn = nn.Conv2d(1, 2, (1, 1), rng=rng), nn.BatchNorm2d(2).eval()
+    x = Tensor(np.full((1, 2, 2, 1), 1e300))
+    r = Tensor(np.full((1, 2, 2, 2), np.finfo(float).max))
+    conv.weight.data[:] = 1e8
+    ad.set_checked(True)
+    try:
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError):
+                nn.conv_bn(conv, bn, x, residual=r)
+            with ad.no_grad(), pytest.raises(FloatingPointError):
+                nn.conv_bn(conv, bn, x, residual=r)
+    finally:
+        ad.set_checked(False)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 16])
+def test_every_unrecorded_conv_of_a_micro_forward_is_the_whole_block_product(monkeypatch,
+                                                                             rows):
+    calls, tiled_product = [], ad._tiled_product
+
+    def spy(x, ph, pw, idx, w_t):
+        out = tiled_product(x, ph, pw, idx, w_t)
+        calls.append((x.copy(), ph, pw, idx, w_t, out.copy()))   # bias, add, relu go in place
+        return out
+
+    monkeypatch.setattr(ad, "_tiled_product", spy)
+    cfg = micro_preset(0).model
+    rng = np.random.default_rng(rows)
+    waves = rng.standard_normal((rows, int(cfg.sample_rate * cfg.clip_seconds)))
+    with ad.no_grad():
+        MultiScaleNet(cfg).eval()(*features_for_batch(waves, cfg))
+    several = 0
+    for x, ph, pw, idx, w_t, out in calls:
+        B, C = x.shape[0], x.shape[3]
+        xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+        block = np.take(xp.reshape(B, -1, C), idx, axis=1).reshape(B * idx.shape[0], -1)
+        assert out.tobytes() == (block @ w_t).tobytes()
+        several += ad._tile_images(idx.shape[0], block.shape[1], w_t.shape[1]) * 2 <= B
+    assert len(calls) > 20 and several > 0
+
+
 # -- patch encoder --------------------------------------------------------------------
 
 def test_patch_encoder_output_dim_shape_invariant():

@@ -822,6 +822,34 @@ def test_embed_rows_leaves_grad_mode_on(tiny_corpus, tiny_checkpoint, tiny_run_c
     assert out._backward is not None and out._parents
 
 
+@pytest.mark.parametrize("count", [1, 2])
+def test_a_clip_embeds_the_same_in_any_manifest(tiny_corpus, tiny_checkpoint,
+                                               monkeypatch, count):
+    # the clip alone is a one-row chunk; in the 40-row manifest it sits in a
+    # full chunk and in the 8-row last one; shuffled, it sits elsewhere
+    from soundscan import scoring, workers
+    from soundscan.network import load_model
+
+    rows, _ = tiny_corpus
+    model, _ = load_model(tiny_checkpoint[0])
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    _pin_blas_by_environment(monkeypatch)
+    loaded, load_waves = [], scoring.load_waves
+    monkeypatch.setattr(scoring, "load_waves",
+                        lambda chunk, cfg: loaded.append(len(chunk)) or load_waves(chunk, cfg))
+    manifest = list(rows) + list(rows[:16])
+    clip = rows[10]
+    shuffled = [manifest[i] for i in np.random.default_rng(3).permutation(40)]
+    with workers.cap(count):
+        alone = scoring.embed_rows(model, [clip])[0].tobytes()
+        for rows_in in (manifest, shuffled):
+            out = scoring.embed_rows(model, rows_in)
+            at = [i for i, row in enumerate(rows_in) if row is clip]
+            assert len(at) == 2
+            assert all(out[i].tobytes() == alone for i in at)
+    assert sum(loaded) == 1 + 40 + 40          # no WAV read twice
+
+
 def test_embed_rows_rejects_training_mode(tiny_corpus, tiny_run_cfg):
     from soundscan.network import MultiScaleNet
     from soundscan.scoring import embed_rows
