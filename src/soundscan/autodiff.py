@@ -9,18 +9,19 @@ throughout.
 
 The tape keeps, per op, its input and output tensors plus the arrays its
 backward reads that it cannot cheaply rebuild, for example batch norm's
-normalized input. A training-mode conv -> batch norm (-> add) (-> relu)
-chain is one ``conv_bn`` node: it keeps its input,
-the norm's normalized input and its own output, and no conv or norm output,
-which no backward reads. conv2d keeps no im2col block, which would be
-kh*kw times the input's size. A stride-1 conv whose padding is below its
-kernel backpropagates through one gather of the padded output gradient:
-that block times the flipped kernel is the input gradient, and the input
-times it is the weight gradient. Other convs
-re-gather the block from the input for the weight gradient and scatter
-the column gradient back onto the input; an unpadded 1x1 conv, whose
-windows never overlap, slices its input and assigns its input gradient
-through the same stride.
+normalized input. Batch norm is training mode only; in eval mode
+`nn.conv_bn` folds it into the conv on plain arrays. A training-mode
+conv -> batch norm (-> add) (-> relu) chain is one ``conv_bn`` node: it
+keeps its input, the norm's normalized input and its own output, and no
+conv or norm output, which no backward reads. conv2d keeps no im2col
+block, which would be kh*kw times the input's size. A stride-1 conv whose
+padding is below its kernel backpropagates through one gather of the
+padded output gradient: that block times the flipped kernel is the input
+gradient, and the input times it is the weight gradient. Other convs
+re-gather the block from the input for the weight gradient and scatter the
+column gradient back onto the input; an unpadded 1x1 conv, whose windows
+never overlap, slices its input and assigns its input gradient through
+the same stride.
 
 A conv forward that is not recorded (grad mode off, or no input needs a
 gradient) holds no kh*kw block either, and no padded copy of its input. It
@@ -674,30 +675,23 @@ def max_pool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                  running_mean: np.ndarray, running_var: np.ndarray,
-                 training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
-    """Per-channel normalization of a (B, H, W, C) tensor over (B, H, W).
-
-    Training mode normalizes by batch statistics and folds them into the
-    running buffers in place (inside a branch, at the branch node's join);
-    eval mode normalizes by the running buffers.
-    """
+                 momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+    """Per-channel normalization of a (B, H, W, C) tensor over (B, H, W), in
+    training mode only: by the batch statistics, which it folds into the
+    running buffers in place (inside a branch, at the branch node's join).
+    In eval mode `nn.conv_bn` folds the running statistics into the conv."""
     C = x.data.shape[-1]
     rows = x.data.reshape(x.data.shape[0], -1)
     n = rows.size // C
     # x_hat is built in place in the centred buffer and the output buffer
     # first holds the squares for the variance: two full-size arrays, not four
-    if training:
-        mean = _channel_sum(rows, C) / n
-        x_hat = rows - _channel_row(mean, rows)
-        out = np.multiply(x_hat, x_hat)
-        var = _channel_sum(out, C) / n
-        _update_buffers(functools.partial(_fold_statistics, running_mean, running_var,
-                                          mean, var, momentum))
-        inv_std = 1.0 / np.sqrt(var + eps)
-    else:
-        inv_std = 1.0 / np.sqrt(running_var + eps)
-        x_hat = rows - _channel_row(running_mean, rows)
-        out = np.empty_like(x_hat)
+    mean = _channel_sum(rows, C) / n
+    x_hat = rows - _channel_row(mean, rows)
+    out = np.multiply(x_hat, x_hat)
+    var = _channel_sum(out, C) / n
+    _update_buffers(functools.partial(_fold_statistics, running_mean, running_var,
+                                      mean, var, momentum))
+    inv_std = 1.0 / np.sqrt(var + eps)
     x_hat *= _channel_row(inv_std, rows)
     np.multiply(x_hat, _channel_row(gamma.data, rows), out=out)
     out += _channel_row(beta.data, rows)
@@ -707,23 +701,19 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
 
     def backward(g):
         g = g.reshape(rows_shape)
-        need_g_xhat = _needs(gamma) or (training and needs_x)
-        g_xhat = np.multiply(g, x_hat) if need_g_xhat else None
+        g_xhat = np.multiply(g, x_hat) if _needs(gamma) or needs_x else None
         gg = _channel_sum(g_xhat, C) if _needs(gamma) else None
         gb = _channel_sum(g, C) if _needs(beta) else None
         gx = None
         if needs_x:
             coef = _channel_row(gamma.data * inv_std, g)
-            if training:
-                sum_g = gb if gb is not None else _channel_sum(g, C)
-                sum_g_xhat = gg if gg is not None else _channel_sum(g_xhat, C)
-                # gx = ((g - A) - x_hat * B) * coef, with x_hat * B in g_xhat's buffer
-                np.multiply(x_hat, _channel_row(sum_g_xhat / n, g), out=g_xhat)
-                gx = g - _channel_row(sum_g / n, g)
-                gx -= g_xhat
-                gx *= coef
-            else:
-                gx = g * coef
+            sum_g = gb if gb is not None else _channel_sum(g, C)
+            sum_g_xhat = gg if gg is not None else _channel_sum(g_xhat, C)
+            # gx = ((g - A) - x_hat * B) * coef, with x_hat * B in g_xhat's buffer
+            np.multiply(x_hat, _channel_row(sum_g_xhat / n, g), out=g_xhat)
+            gx = g - _channel_row(sum_g / n, g)
+            gx -= g_xhat
+            gx *= coef
             gx = gx.reshape(x_shape)
         return (gx, gg, gb)
 
@@ -745,7 +735,7 @@ def conv_bn(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
     unchanged.
     """
     conv = conv2d(x, weight, None, stride, padding)
-    norm = batch_norm2d(conv, gamma, beta, running_mean, running_var, True, momentum, eps)
+    norm = batch_norm2d(conv, gamma, beta, running_mean, running_var, momentum, eps)
     conv_backward, norm_backward = conv._backward, norm._backward
     data = norm.data
     parents = (x, weight, gamma, beta)

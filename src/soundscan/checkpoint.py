@@ -1,6 +1,6 @@
 """Binary container for checkpoints, prototype stores, and embeddings,
 `atomic_write`, which writes every artifact but the synthetic WAVs, and
-`check_output_path`, which commands call on those paths before their work.
+`check_outputs`, which commands call on those paths before their work.
 
 Layout (all integers little-endian):
 
@@ -32,14 +32,25 @@ VERSION = 1
 MAX_NDIM = 64   # numpy's limit on array dimensions
 
 
-def check_output_path(path) -> None:
-    """DataError naming `path` unless it could be written: its directory
-    exists and `path` is not itself a directory. Commands call it before
-    their work, so that a bad output path costs no run."""
-    if os.path.isdir(path):
-        raise DataError(f"cannot write {path}: is a directory")
-    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-        raise DataError(f"cannot write {path}: no such directory")
+def check_outputs(outputs, inputs=()) -> None:
+    """DataError naming the first output path that cannot be written (its
+    directory is missing, or it is a directory) or that names the same file,
+    by `os.path.realpath`, as an input or an earlier output, with both
+    options. `outputs` and `inputs` are (option, path) pairs; None paths are
+    skipped. Commands call it before their work, so that a bad output path
+    costs no run and overwrites nothing."""
+    named = {os.path.realpath(path): option for option, path in inputs if path is not None}
+    for option, path in outputs:
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise DataError(f"cannot write {path}: is a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise DataError(f"cannot write {path}: no such directory")
+        real = os.path.realpath(path)
+        if real in named:
+            raise DataError(f"cannot write {path}: {option} names the same file as {named[real]}")
+        named[real] = option
 
 
 @contextlib.contextmanager

@@ -104,6 +104,8 @@ def cmd_train(args) -> int:
     from .training import train  # deferred: heavy import
 
     cfg = _load_run_config(args)
+    checkpoint.check_outputs([("--out-checkpoint", args.out_checkpoint), ("--log", args.log)],
+                             [("--manifest", args.manifest), ("--config", args.config)])
     rows = data.load_manifest(args.manifest)
     train(rows, cfg, out_checkpoint=args.out_checkpoint, log_path=args.log)
     print(f"checkpoint written to {args.out_checkpoint}")
@@ -114,7 +116,9 @@ def cmd_embed(args) -> int:
     from .network import load_model
 
     _load_run_config(args)      # a bad --config or --set is refused, as elsewhere
-    checkpoint.check_output_path(args.out)
+    checkpoint.check_outputs([("--out", args.out)], [
+        ("--manifest", args.manifest), ("--checkpoint", args.checkpoint),
+        ("--config", args.config)])
     model, _ = load_model(args.checkpoint)
     rows = data.load_manifest(args.manifest)
     embeddings = scoring.embed_rows(model, rows)
@@ -128,8 +132,9 @@ def cmd_score(args) -> int:
     from .network import load_model
 
     cfg = _load_run_config(args)
-    for path in filter(None, (args.out, args.store)):
-        checkpoint.check_output_path(path)
+    checkpoint.check_outputs([("--out", args.out), ("--store", args.store)], [
+        ("--train-manifest", args.train_manifest), ("--test-manifest", args.test_manifest),
+        ("--checkpoint", args.checkpoint), ("--config", args.config)])
     train_rows = data.load_manifest(args.train_manifest)
     test_rows = data.load_manifest(args.test_manifest)
     model, _ = load_model(args.checkpoint)
@@ -180,8 +185,8 @@ def _read_scores(path) -> dict:
 
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
-    if args.out:
-        checkpoint.check_output_path(args.out)
+    checkpoint.check_outputs([("--out", args.out)], [
+        ("--scores", args.scores), ("--truth", args.truth), ("--config", args.config)])
     score_map = _read_scores(args.scores)
     truth = data.load_manifest(args.truth)
     report = metrics.evaluate(score_map, truth,

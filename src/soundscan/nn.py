@@ -113,8 +113,8 @@ class Linear(Module):
 
 
 class Conv2d(Module):
-    """A bias-free 2-D convolution: every one feeds a batch norm, whose shift
-    is the bias."""
+    """The weight and geometry of a bias-free 2-D convolution, which `conv_bn`
+    reads: every conv feeds a batch norm, whose shift is the bias."""
 
     def __init__(self, c_in, c_out, kernel, stride=(1, 1), padding=(0, 0), rng=None):
         super().__init__()
@@ -122,9 +122,6 @@ class Conv2d(Module):
         self.stride = stride
         self.padding = padding
         self.weight = Parameter(he_normal(rng, (c_out, c_in, kh, kw), c_in * kh * kw))
-
-    def forward(self, x):
-        return ad.conv2d(x, self.weight, None, self.stride, self.padding)
 
 
 class Conv1d(Module):
@@ -148,10 +145,6 @@ class BatchNorm2d(Module):
         self.register_buffer("running_mean", np.zeros(channels))
         self.register_buffer("running_var", np.ones(channels))
 
-    def forward(self, x):
-        return ad.batch_norm2d(x, self.gamma, self.beta, self.running_mean,
-                               self.running_var, self.training, self.momentum, self.eps)
-
 
 def conv_bn(conv: Conv2d, bn: BatchNorm2d, x, relu: bool = False, residual=None):
     """bn(conv(x)), plus `residual` when given, then a relu when `relu` is
@@ -159,30 +152,27 @@ def conv_bn(conv: Conv2d, bn: BatchNorm2d, x, relu: bool = False, residual=None)
 
     Training mode records the whole chain as one `ad.conv_bn` node, which
     normalizes by batch statistics and keeps no conv or norm output on the
-    tape. Eval mode runs one conv with the norm folded into it: weight
-    w·γ/√(var+ε), bias β − mean·γ/√(var+ε), both composed on the tape so
-    that gradients still reach w, γ and β; the add and the relu follow as
-    plain ops when they are recorded, and otherwise run in place on the
-    conv's output, with the same bytes and no temporaries.
+    tape. Eval mode is inference only: it folds the norm into the conv on
+    plain arrays, weight w·γ/√(var+ε) and bias β − mean·γ/√(var+ε), runs
+    one unrecorded conv, and adds and applies the relu in place on its
+    output. An eval-mode forward runs under `ad.no_grad()`; a recorded `x`
+    or `residual` is a ValueError.
     """
     if bn.training:
         return ad.conv_bn(x, conv.weight, bn.gamma, bn.beta, bn.running_mean,
                           bn.running_var, conv.stride, conv.padding, relu=relu,
                           residual=residual, momentum=bn.momentum, eps=bn.eps)
-    scale = bn.gamma * ad.Tensor(1.0 / np.sqrt(bn.running_var + bn.eps))
-    weight = conv.weight * scale.reshape(-1, 1, 1, 1)
-    bias = bn.beta - ad.Tensor(bn.running_mean) * scale
-    out = ad.conv2d(x, weight, bias, conv.stride, conv.padding)
-    if not ad.recorded((out,) if residual is None else (out, residual)):
-        data = out.data
-        if residual is not None:
-            data += residual.data
-        if relu:
-            data *= data > 0
-        return ad.Tensor(data)   # checks the result as the plain ops would
+    if ad.recorded((x,) if residual is None else (x, residual)):
+        raise ValueError("an eval-mode conv_bn records nothing: run it under ad.no_grad()")
+    scale = bn.gamma.data * (1.0 / np.sqrt(bn.running_var + bn.eps))
+    weight = conv.weight.data * scale.reshape(-1, 1, 1, 1)
+    bias = bn.beta.data - bn.running_mean * scale
+    data = ad.conv2d(x, ad.Tensor(weight), ad.Tensor(bias), conv.stride, conv.padding).data
     if residual is not None:
-        out = out + residual
-    return out.relu() if relu else out
+        data += residual.data
+    if relu:
+        data *= data > 0
+    return ad.Tensor(data)   # checks the result as the plain ops would
 
 
 class ResBlock2d(Module):

@@ -15,7 +15,7 @@ from . import autodiff as ad
 from . import nn
 from .autodiff import Adam, Parameter, Tensor
 from .config import RunConfig, config_text
-from .checkpoint import atomic_write, check_output_path, save_container
+from .checkpoint import atomic_write, check_outputs, save_container
 from .errors import ConfigError, DataError
 from .network import MultiScaleNet, features_for_batch, load_waves
 from .workers import pool
@@ -221,9 +221,9 @@ def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
 
     Writes one log line per epoch (epoch, mean loss, scale, seconds) to
     `log_stream` (default stdout) and optionally a CSV log; saves a
-    checkpoint container when `out_checkpoint` is given; a missing directory
-    for either output, or an output path that is a directory, is a DataError
-    before any WAV is read, as is an AdaCos initial scale of 0 (a ConfigError).
+    checkpoint container when `out_checkpoint` is given; an output that
+    `checkpoint.check_outputs` refuses is a DataError before any WAV is read,
+    as is an AdaCos initial scale of 0 (a ConfigError).
     The model's branch sub-graphs run in a `workers.pool`; at a given BLAS
     thread count the result is the same for every worker count.
 
@@ -235,8 +235,7 @@ def train(rows, run_cfg: RunConfig, out_checkpoint=None, log_path=None,
     """
     model_cfg, train_cfg = run_cfg.model, run_cfg.train
     run_cfg.validate(require_seed=True)
-    for path in filter(None, (out_checkpoint, log_path)):
-        check_output_path(path)
+    check_outputs([("out_checkpoint", out_checkpoint), ("log_path", log_path)])
     stream = sys.stdout if log_stream is None else log_stream
 
     train_rows = [r for r in rows if r.split == "train"]

@@ -111,7 +111,7 @@ def test_batch_norm_unit_stats_passthrough():
     t = Tensor(channels_last(x))
     gamma = Tensor(np.ones(2))
     beta = Tensor(np.zeros(2))
-    out = ad.batch_norm2d(t, gamma, beta, np.zeros(2), np.ones(2), training=True)
+    out = ad.batch_norm2d(t, gamma, beta, np.zeros(2), np.ones(2))
     np.testing.assert_allclose(out.data, channels_last(x), atol=1e-4)  # within the eps=1e-5 shrink
 
 
@@ -120,15 +120,8 @@ def test_batch_norm_beta_shifts_mean():
     x = Tensor(channels_last(rng.standard_normal((4, 3, 2, 2))))
     gamma = Tensor(np.ones(3))
     beta = Tensor(np.array([1.0, -2.0, 0.5]))
-    out = ad.batch_norm2d(x, gamma, beta, np.zeros(3), np.ones(3), training=True)
+    out = ad.batch_norm2d(x, gamma, beta, np.zeros(3), np.ones(3))
     np.testing.assert_allclose(out.data.mean(axis=(0, 1, 2)), beta.data, atol=1e-9)
-
-
-def test_batch_norm_eval_uses_running_stats():
-    x = Tensor(np.full((2, 2, 2, 1), 10.0))
-    out = ad.batch_norm2d(x, Tensor(np.ones(1)), Tensor(np.zeros(1)),
-                          np.array([10.0]), np.array([4.0]), training=False)
-    np.testing.assert_allclose(out.data, 0.0, atol=1e-9)
 
 
 def test_stats_pool_values():
@@ -391,8 +384,7 @@ def test_grad_batch_norm_train_mode():
     beta = leaf(rng, (3,))
 
     def build():
-        return (ad.batch_norm2d(x, gamma, beta, np.zeros(3), np.ones(3),
-                                training=True) ** 2).sum()
+        return (ad.batch_norm2d(x, gamma, beta, np.zeros(3), np.ones(3)) ** 2).sum()
 
     check_gradients(build, [x, gamma, beta])
 
@@ -711,7 +703,7 @@ def _conv_bn_run(case, fused):
                          relu=relu, residual=residual)
     else:
         out = ad.batch_norm2d(ad.conv2d(x, w, None, stride, padding), gamma, beta,
-                              running_mean, running_var, training=True)
+                              running_mean, running_var)
         if residual is not None:
             out = out + residual
         if relu:
@@ -876,13 +868,17 @@ def test_branches_match_one_serial_walk_bit_for_bit(many_cpus):
 
 
 def test_branch_buffers_update_in_branch_order_and_not_on_failure(many_cpus):
-    from soundscan import nn
-
     rng = np.random.default_rng(42)
     inputs = [Tensor(channels_last(rng.standard_normal((2, 3, 4, 5)) * s)) for s in (1, 9, 3)]
-    serial = nn.BatchNorm2d(3)
+    gamma, beta = Tensor(np.ones(3)), Tensor(np.zeros(3))
+
+    def norm(buffers):
+        """A branch that normalizes with the running `buffers` every call shares."""
+        return lambda x: ad.batch_norm2d(x, gamma, beta, *buffers)
+
+    serial = (np.zeros(3), np.ones(3))
     for x in inputs:
-        serial(x)
+        norm(serial)(x)
 
     class BranchFailure(Exception):
         pass
@@ -891,15 +887,16 @@ def test_branch_buffers_update_in_branch_order_and_not_on_failure(many_cpus):
         raise BranchFailure("one branch failed")
 
     for workers in (1, 2, 3):
-        bn = nn.BatchNorm2d(3)
+        buffers = (np.zeros(3), np.ones(3))
+        bn = norm(buffers)
         with pools.pool(workers):
             with pytest.raises(BranchFailure, match="one branch failed"):
                 ad.branches([(bn, inputs[0]), (fail, inputs[1]), (bn, inputs[2])])
-            assert np.array_equal(bn.running_mean, np.zeros(3))
-            assert np.array_equal(bn.running_var, np.ones(3))
+            assert np.array_equal(buffers[0], np.zeros(3))
+            assert np.array_equal(buffers[1], np.ones(3))
             ad.branches([(bn, x) for x in inputs])
-        assert np.array_equal(bn.running_mean, serial.running_mean)
-        assert np.array_equal(bn.running_var, serial.running_var)
+        assert np.array_equal(buffers[0], serial[0])
+        assert np.array_equal(buffers[1], serial[1])
 
 
 def test_second_backward_through_a_branch_node_raises():

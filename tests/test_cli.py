@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from soundscan.cli import main
-from soundscan.config import config_text
+from soundscan.config import config_text, micro_preset
 
 
 def run(capsys, *argv):
@@ -95,8 +95,6 @@ def test_synth_transient_on_clips_of_32_samples_or_fewer_is_exit_2(capsys, tmp_p
 
 
 def test_synth_transient_micro_corpus_is_exit_0(capsys, tmp_path):
-    from soundscan.config import micro_preset
-
     cfg = micro_preset(seed=1)
     cfg.synth.classes, cfg.synth.base_freqs = 2, (400.0, 700.0)
     cfg.synth.train_clips, cfg.synth.test_normal, cfg.synth.test_anomaly = 2, 1, 2
@@ -755,6 +753,51 @@ def test_train_output_in_a_missing_directory_is_exit_3_before_training(
     assert steps == []
     assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "l.csv").exists()
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+_SCORE = ["score", "--set", "seed=0", "--train-manifest", "manifest.csv",
+          "--test-manifest", "test.csv", "--checkpoint", "m.ckpt"]
+_EVAL = ["eval", "--scores", "scores.csv", "--truth", "manifest.csv"]
+
+
+@pytest.mark.parametrize("argv,first,second", [
+    pytest.param(["train", "--set", "seed=0", "--manifest", "manifest.csv",
+                  "--log", "m.ckpt", "--out-checkpoint", "m.ckpt"],
+                 "--log", "--out-checkpoint", id="train-log-checkpoint"),
+    pytest.param(["train", "--set", "seed=0", "--manifest", "manifest.csv",
+                  "--out-checkpoint", "./manifest.csv"],
+                 "--out-checkpoint", "--manifest", id="train-checkpoint-manifest"),
+    pytest.param(["embed", "--manifest", "manifest.csv", "--checkpoint", "m.ckpt",
+                  "--out", "m.ckpt"], "--out", "--checkpoint", id="embed-out-checkpoint"),
+    pytest.param(["embed", "--manifest", "manifest.csv", "--checkpoint", "m.ckpt",
+                  "--out", "alias/m.ckpt"], "--out", "--checkpoint",
+                 id="embed-out-checkpoint-through-a-directory-symlink"),
+    pytest.param(_SCORE + ["--out", "x", "--store", "x"], "--store", "--out",
+                 id="score-out-store"),
+    pytest.param(_SCORE + ["--out", "test.csv"], "--out", "--test-manifest",
+                 id="score-out-test-manifest"),
+    pytest.param(_SCORE + ["--out", "x", "--store", "m.ckpt"], "--store", "--checkpoint",
+                 id="score-store-checkpoint"),
+    pytest.param(_EVAL + ["--out", "scores.csv"], "--out", "--scores", id="eval-out-scores"),
+    pytest.param(_EVAL + ["--config", "run.cfg", "--out", "run.cfg"], "--out", "--config",
+                 id="eval-out-config"),
+])
+def test_an_output_naming_an_input_or_another_output_is_exit_3(capsys, tmp_path,
+                                                               monkeypatch, argv, first,
+                                                               second):
+    """An output path that names the same file as an input or as another
+    output, whatever its spelling, is refused before any work, and every
+    file keeps its bytes."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("manifest.csv", "test.csv", "m.ckpt", "scores.csv", "x"):
+        (tmp_path / name).write_text(f"the bytes of {name}\n")
+    (tmp_path / "run.cfg").write_text(config_text(micro_preset(0)))
+    (tmp_path / "alias").symlink_to(tmp_path, target_is_directory=True)
+    before = {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()}
+    code, _, err = run(capsys, *argv)
+    assert code == 3, err
+    assert f"{first} names the same file as {second}" in err
+    assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
 
 
 def test_eval_missing_score_names_file(capsys, tmp_path, tiny_corpus):

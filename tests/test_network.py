@@ -156,23 +156,23 @@ def test_default_model_matches_architecture_tables():
 def _give_norms_state(module, rng):
     """Running statistics and affine parameters far from the identity, so
     that folding them into the conv has something to get wrong."""
-    for name, child in module._modules.items():
-        if isinstance(child, nn.BatchNorm2d):
-            child.gamma.data = rng.uniform(0.5, 1.5, child.gamma.shape)
-            child.beta.data = rng.standard_normal(child.beta.shape)
-            child.running_mean[:] = rng.standard_normal(child.running_mean.shape)
-            child.running_var[:] = rng.uniform(0.5, 2.0, child.running_var.shape)
-        else:
-            _give_norms_state(child, rng)
+    if isinstance(module, nn.BatchNorm2d):
+        module.gamma.data = rng.uniform(0.5, 1.5, module.gamma.shape)
+        module.beta.data = rng.standard_normal(module.beta.shape)
+        module.running_mean[:] = rng.standard_normal(module.running_mean.shape)
+        module.running_var[:] = rng.uniform(0.5, 2.0, module.running_var.shape)
+    for child in module._modules.values():
+        _give_norms_state(child, rng)
 
 
 def _unfused(conv, bn, x, relu=False, residual=None):
-    out = ad.batch_norm2d(ad.conv2d(x, conv.weight, None, conv.stride, conv.padding),
-                          bn.gamma, bn.beta, bn.running_mean, bn.running_var,
-                          training=False, eps=bn.eps)
+    """The eval-mode chain on arrays: the conv with the raw weight, then the
+    norm by its running statistics, the add and the relu."""
+    y = ad.conv2d(x, conv.weight, None, conv.stride, conv.padding).data
+    out = (y - bn.running_mean) / np.sqrt(bn.running_var + bn.eps) * bn.gamma.data + bn.beta.data
     if residual is not None:
-        out = out + residual
-    return out.relu() if relu else out
+        out = out + residual.data
+    return Tensor(out * (out > 0) if relu else out)
 
 
 @pytest.mark.parametrize("c_in, c_out, stride", [(3, 3, 1), (2, 4, 2)])
@@ -208,25 +208,13 @@ def test_folded_stem_matches_unfused(monkeypatch):
     np.testing.assert_allclose(folded.data, expect.data, rtol=0, atol=1e-12)
 
 
-def test_folded_block_gradients_reach_weight_gamma_beta():
-    rng = np.random.default_rng(22)
-    block = nn.ResBlock2d(2, 3, 2, rng)
-    _give_norms_state(block, rng)
-    block.eval()
-    x = Tensor(channels_last(rng.standard_normal((2, 2, 5, 5))), requires_grad=True)
-    leaves = [x] + block.parameters()
-    check_gradients(lambda: (block(x) ** 2).sum(), leaves)
-    for name, p in block.named_parameters():
-        assert np.any(p.grad != 0), f"no gradient reached {name}"
-
-
 @pytest.mark.parametrize("relu", [False, True])
 @pytest.mark.parametrize("residual", [False, True])
 @pytest.mark.parametrize("bias", [False, True])
 def test_unrecorded_conv_bn_epilogue_is_the_plain_ops(bias, residual, relu):
-    # in place on the conv's output under no_grad, as taped ops when
-    # recorded; relu turns negatives into -0.0, and the residual cancels
-    # some outputs exactly, to +0.0, and adds -0.0 to others
+    # in place on the conv's output, with the bytes of the array ops; relu
+    # turns negatives into -0.0, and the residual cancels some outputs
+    # exactly, to +0.0, and adds -0.0 to others
     rng = np.random.default_rng(25)
     conv, bn = nn.Conv2d(3, 4, (3, 3), (1, 1), (1, 1), rng), nn.BatchNorm2d(4)
     if bias:
@@ -234,20 +222,41 @@ def test_unrecorded_conv_bn_epilogue_is_the_plain_ops(bias, residual, relu):
     bn.eval()
     x = Tensor(channels_last(rng.standard_normal((2, 3, 6, 5))))
     r = None
-    if residual:
-        with ad.no_grad():
-            plain = nn.conv_bn(conv, bn, x).data
-        r = np.where(rng.uniform(size=plain.shape) < 0.3, -plain, rng.standard_normal(plain.shape))
-        r[rng.uniform(size=plain.shape) < 0.2] = -0.0
-        r = Tensor(r)
-    taped = nn.conv_bn(conv, bn, x, relu=relu, residual=r)
-    assert taped._backward is not None
     with ad.no_grad():
+        plain = nn.conv_bn(conv, bn, x).data
+        if residual:
+            r = np.where(rng.uniform(size=plain.shape) < 0.3, -plain,
+                         rng.standard_normal(plain.shape))
+            r[rng.uniform(size=plain.shape) < 0.2] = -0.0
+            r = Tensor(r)
         out = nn.conv_bn(conv, bn, x, relu=relu, residual=r)
     assert out._backward is None
-    assert out.data.tobytes() == taped.data.tobytes()
+    expect = plain if r is None else plain + r.data
+    if relu:
+        expect = expect * (expect > 0)
+    assert out.data.tobytes() == expect.tobytes()
     zeros = out.data[out.data == 0]
     assert np.signbit(zeros).any() == relu and (~np.signbit(zeros)).any() == residual
+
+
+@pytest.mark.parametrize("recorded", ["x", "residual"])
+def test_eval_conv_bn_refuses_a_recorded_input(recorded):
+    rng = np.random.default_rng(27)
+    conv, bn = nn.Conv2d(3, 4, (3, 3), (1, 1), (1, 1), rng), nn.BatchNorm2d(4)
+    _give_norms_state(bn, rng)
+    bn.eval()
+    x = channels_last(rng.standard_normal((2, 3, 6, 5)))
+    r = rng.standard_normal((2, 6, 5, 4))
+    expect = nn.conv_bn(conv, bn, Tensor(x), relu=True, residual=Tensor(r))
+    assert expect._backward is None     # no input needs a gradient: nothing to refuse
+    inputs = {name: Tensor(value, requires_grad=name == recorded)
+              for name, value in (("x", x), ("residual", r))}
+    with pytest.raises(ValueError, match=r"ad\.no_grad\(\)"):
+        nn.conv_bn(conv, bn, inputs["x"], relu=True, residual=inputs["residual"])
+    with ad.no_grad():
+        out = nn.conv_bn(conv, bn, inputs["x"], relu=True, residual=inputs["residual"])
+    assert out._backward is None
+    assert out.data.tobytes() == expect.data.tobytes()
 
 
 def test_unrecorded_conv_bn_epilogue_is_checked():

@@ -335,6 +335,17 @@ def test_training_refuses_a_batch_beyond_physical_memory(tiny_run_cfg, tmp_path,
         train(rows, tiny_run_cfg, log_stream=io.StringIO())
 
 
+def test_training_refuses_two_outputs_naming_one_file(tiny_run_cfg, tmp_path):
+    # the WAVs do not exist: the check must come before any is read
+    rows = [row(str(tmp_path / f"{t}{i}.wav"), t, "id_00")
+            for t in ("fan", "pump") for i in range(3)]
+    (tmp_path / "m.ckpt").write_bytes(b"kept")
+    with pytest.raises(DataError, match="log_path names the same file as out_checkpoint"):
+        train(rows, tiny_run_cfg, out_checkpoint=tmp_path / "m.ckpt",
+              log_path=tmp_path / "." / "m.ckpt", log_stream=io.StringIO())
+    assert (tmp_path / "m.ckpt").read_bytes() == b"kept"
+
+
 def test_training_without_a_seed_is_config_error(tiny_run_cfg, tmp_path):
     import copy
 
