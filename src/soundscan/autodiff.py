@@ -13,25 +13,26 @@ normalized input. Batch norm is training mode only; in eval mode
 `nn.conv_bn` folds it into the conv on plain arrays. A training-mode
 conv -> batch norm (-> add) (-> relu) chain is one ``conv_bn`` node: it
 keeps its input, the norm's normalized input and its own output, and no
-conv or norm output, which no backward reads. conv2d keeps no im2col
-block, which would be kh*kw times the input's size. A stride-1 conv whose
-padding is below its kernel backpropagates through one gather of the
-padded output gradient: that block times the flipped kernel is the input
-gradient, and the input times it is the weight gradient. Other convs
-re-gather the block from the input for the weight gradient and scatter the
-column gradient back onto the input; an unpadded 1x1 conv, whose windows
-never overlap, slices its input and assigns its input gradient through
-the same stride.
+conv or norm output, which no backward reads.
 
-A conv forward that is not recorded (grad mode off, or no input needs a
-gradient) holds no kh*kw block either, and no padded copy of its input. It
-works in tiles of whole images sized for a core's cache: a tile's columns
-fit CONV_TILE_BYTES, a quarter of a 2 MiB L2, unless that leaves it under
-CONV_TILE_CELLS output cells. Each tile's images are copied into a
-zero-bordered region of a buffer that the thread reuses, gathered into
-columns in the same buffer and multiplied, with the bytes of the
-whole-block product. A pointwise conv, and a recorded conv, whose backward
-re-gathers the whole block anyway, keep the single product.
+conv2d holds no im2col block, which would be kh*kw times the input's
+size, on the tape or while it runs, and no padded copy of its input. Its
+forward and each direction of its backward work in tiles of whole images
+sized for a core's cache: a tile's columns fit CONV_TILE_BYTES, a quarter
+of a 2 MiB L2, unless that leaves it under CONV_TILE_CELLS output cells.
+Each tile's images are copied into a zero-bordered region of a buffer that
+the thread lends to one tile loop at a time, gathered into columns in the
+same buffer and multiplied, so that each output row and each input-gradient
+row has the bytes of the whole-block product. A stride-1 conv whose padding
+is below its kernel backpropagates through tiles of the padded output
+gradient: a tile times the flipped kernel is its images' input gradient,
+and the input times it is their share of the weight gradient. Other convs
+re-gather the input tile by tile for the weight gradient and scatter each
+tile's column gradient back onto its images. The weight gradient is summed
+over the tiles, so it may round unlike one whole-block product in its last
+bits. An unpadded 1x1 conv, whose windows never overlap, slices its input
+into one product, and a strided one assigns its input gradient through the
+same stride.
 
 max_pool2d, recorded or not, takes a running maximum over the kh*kw
 shifted strided views of its padded input, in window order. Its backward
@@ -72,7 +73,7 @@ _seq_counter = itertools.count()
 _grad_enabled = True
 _checked = False
 _branch_state = threading.local()   # .updates: buffer updates queued by a running branch
-_tile_state = threading.local()     # .buf: the tile buffer of this thread's unrecorded convs
+_tile_state = threading.local()     # .buf: the tile buffer this thread lends its conv tile loops
 
 
 def set_checked(flag: bool) -> None:
@@ -404,7 +405,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return _record(data, parents, backward)
 
 
-CONV_TILE_BYTES = 512 << 10   # the column block an unrecorded conv gathers at a time
+CONV_TILE_BYTES = 512 << 10   # the column block a conv gathers at a time
 # OpenBLAS multiplies an (M, K) @ (K, N).T product of at most 1200 output
 # cells, M*N, in its small-matrix kernel, which rounds unlike its large one
 # (measured for K >= 36): a tile of more cells rounds like the whole block
@@ -467,21 +468,64 @@ def _padded(x: np.ndarray, ph: int, pw: int, fill: float) -> np.ndarray:
     return xp
 
 
-def _tile_buffer(size: int) -> np.ndarray:
-    """A flat buffer of `size` doubles that this thread keeps for its next
-    unrecorded conv: a fresh one per conv would have the allocator hand
-    megabytes back to the system and fault them in again, conv after conv."""
+@contextmanager
+def _tile_buffer(size: int):
+    """A flat buffer of `size` doubles for one tile loop, taken from this
+    thread and handed back when the loop ends: a fresh one per conv would have
+    the allocator hand megabytes back to the system and fault them in again,
+    conv after conv. While one loop holds the buffer, another loop on the
+    thread gets a buffer of its own."""
     buf = getattr(_tile_state, "buf", None)
+    _tile_state.buf = None
     if buf is None or buf.size < size:
-        buf = _tile_state.buf = np.empty(size)
-    return buf[:size]
+        buf = np.empty(size)
+    yield buf[:size]
+    _tile_state.buf = buf
 
 
 def _tile_images(P: int, K: int, N: int) -> int:
-    """Images per tile of an unrecorded conv with P positions, K columns and
-    N output channels: as many as fit their column blocks in CONV_TILE_BYTES,
-    and at least CONV_TILE_CELLS output cells, at least one."""
+    """Images per tile of a conv with P positions, K columns and N output
+    channels: as many as fit their column blocks in CONV_TILE_BYTES, and at
+    least CONV_TILE_CELLS output cells, at least one."""
     return max(1, CONV_TILE_BYTES // (P * K * 8), -(-CONV_TILE_CELLS // (P * N)))
+
+
+def _image_tiles(B: int, per_tile: int) -> list:
+    """(b0, b1) bounds of tiles of `per_tile` images out of B; the last tile
+    also takes the remainder, so no tile is smaller than the others."""
+    starts = list(range(0, B - per_tile + 1, per_tile)) or [0]
+    return list(zip(starts, starts[1:] + [B]))
+
+
+def _tiles(x: np.ndarray, ph: int, pw: int, idx: np.ndarray, per_tile: int):
+    """(b0, b1, cols) per tile of whole images of x: cols is the tile's
+    im2col block of x padded by ph rows and pw columns of zeros,
+    ((b1 - b0)*P, kh*kw*C), in the thread's tile buffer until the next tile.
+
+    The buffer holds at most twice a tile. A padded input is copied tile by
+    tile into a zero-bordered region of that buffer, never whole.
+    `mode="clip"` lets `np.take` write into the buffer directly, where
+    "raise" buffers its output; the index is always in range.
+    """
+    B, H, W, C = x.shape
+    Hp, Wp = H + 2 * ph, W + 2 * pw
+    P, K = idx.shape[0], idx.shape[1] * C
+    bounds = _image_tiles(B, per_tile)
+    largest = B - bounds[-1][0]
+    padded = bool(ph or pw)
+    with _tile_buffer(largest * (P * K + padded * Hp * Wp * C)) as buf:
+        cols = buf[:largest * P * K]
+        if padded:
+            region = buf[largest * P * K:].reshape(largest, Hp, Wp, C)
+            region.fill(0.0)              # the border; each tile fills the rest
+        for b0, b1 in bounds:
+            src = x[b0:b1]
+            if padded:
+                src = region[:b1 - b0]
+                src[:, ph:ph + H, pw:pw + W] = x[b0:b1]
+            tile = cols[:(b1 - b0) * P * K].reshape(b1 - b0, P, idx.shape[1], C)
+            np.take(src.reshape(b1 - b0, Hp * Wp, C), idx, axis=1, out=tile, mode="clip")
+            yield b0, b1, tile.reshape(-1, K)
 
 
 def _tiled_product(x: np.ndarray, ph: int, pw: int, idx: np.ndarray,
@@ -489,36 +533,14 @@ def _tiled_product(x: np.ndarray, ph: int, pw: int, idx: np.ndarray,
     """im2col(x padded by ph rows and pw columns of zeros) @ w_t, (B*P, C_out),
     gathered and multiplied in tiles of whole images.
 
-    The last tile also takes the remainder, so no tile is smaller than the
-    others and the thread's tile buffer, which every tile reuses, holds at
-    most twice a tile. A padded input is copied tile by tile into a
-    zero-bordered region of that buffer, never whole. `mode="clip"` lets
-    `np.take` write into the buffer directly, where "raise" buffers its
-    output; the index is always in range. Each output row is the same row
-    product as in the whole-block product, since a tile of at least
-    CONV_TILE_CELLS output cells stays on OpenBLAS's large-matrix kernel.
+    Each output row is the same row product as in the whole-block product,
+    since a tile of at least CONV_TILE_CELLS output cells stays on
+    OpenBLAS's large-matrix kernel.
     """
-    B, H, W, C = x.shape
-    Hp, Wp = H + 2 * ph, W + 2 * pw
-    P, K = idx.shape[0], idx.shape[1] * C
-    per_tile = _tile_images(P, K, w_t.shape[1])
-    starts = list(range(0, B - per_tile + 1, per_tile)) or [0]
-    largest = B - starts[-1]
-    padded = bool(ph or pw)
-    buf = _tile_buffer(largest * (P * K + padded * Hp * Wp * C))
-    cols = buf[:largest * P * K]
-    if padded:
-        region = buf[largest * P * K:].reshape(largest, Hp, Wp, C)
-        region.fill(0.0)                  # the border; each tile fills the rest
-    out = np.empty((B * P, w_t.shape[1]))
-    for b0, b1 in zip(starts, starts[1:] + [B]):
-        src = x[b0:b1]
-        if padded:
-            src = region[:b1 - b0]
-            src[:, ph:ph + H, pw:pw + W] = x[b0:b1]
-        tile = cols[:(b1 - b0) * P * K].reshape(b1 - b0, P, idx.shape[1], C)
-        np.take(src.reshape(b1 - b0, Hp * Wp, C), idx, axis=1, out=tile, mode="clip")
-        np.matmul(tile.reshape(-1, K), w_t, out=out[b0 * P:b1 * P])
+    P, K = idx.shape[0], idx.shape[1] * x.shape[3]
+    out = np.empty((x.shape[0] * P, w_t.shape[1]))
+    for b0, b1, cols in _tiles(x, ph, pw, idx, _tile_images(P, K, w_t.shape[1])):
+        np.matmul(cols, w_t, out=out[b0 * P:b1 * P])
     return out
 
 
@@ -545,18 +567,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     # an unpadded 1x1 conv's windows are single cells that never overlap
     pointwise = (kh, kw) == (1, 1) and not (ph or pw)
 
-    def im2col():
-        if pointwise:
-            return x.data[:, ::sh, ::sw].reshape(B * P, K)
-        # each spatial index copies one C-long run: columns are (kh, kw, C)
-        xp = _padded(x.data, ph, pw, 0.0)
-        return np.take(xp.reshape(B, Hp * Wp, C), idx, axis=1).reshape(B * P, K)
+    def cells():
+        return x.data[:, ::sh, ::sw].reshape(B * P, K)
 
     parents = (x, weight, bias) if bias is not None else (x, weight)
     w_mat = weight.data.transpose(0, 2, 3, 1).reshape(c_out, K)
-    if pointwise or recorded(parents):
-        # a recorded conv's backward re-gathers the whole block anyway
-        out = im2col() @ w_mat.T                           # (B*P, C_out)
+    if pointwise:
+        out = cells() @ w_mat.T                            # (B*P, C_out)
     else:
         out = _tiled_product(x.data, ph, pw, idx, w_mat.T)
     if bias is not None:
@@ -567,36 +584,54 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     def backward_gathered(g):
         # stride 1: the input gradient is a stride-1 conv of the gradient,
         # padded by (kh-1-ph, kw-1-pw), with the flipped kernel; the same
-        # gathered block gives the weight gradient against the unpadded x
-        qh, qw = kh - 1 - ph, kw - 1 - pw
-        Hg, Wg = H + kh - 1, W + kw - 1
-        g_idx = _conv2d_index(Hg, Wg, kh, kw, 1, 1)[0]
-        col = np.take(_padded(g, qh, qw, 0.0).reshape(B, Hg * Wg, c_out), g_idx, axis=1)
-        col = col.reshape(B * H * W, kh * kw * c_out)       # columns (kh', kw', C_out)
-        gx = gw = None
-        if _needs(x):
-            w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(C, -1)
-            gx = (col @ w_flip.T).reshape(B, H, W, C)
-        if _needs(weight):
-            gw_flip = (x.data.reshape(B * H * W, C).T @ col).reshape(C, kh, kw, c_out)
-            gw = gw_flip[:, ::-1, ::-1].transpose(3, 0, 1, 2)
-        return gx, gw
+        # gathered tiles give the weight gradient against the unpadded x
+        HW, Kg = H * W, kh * kw * c_out
+        g_idx = _conv2d_index(H + kh - 1, W + kw - 1, kh, kw, 1, 1)[0]
+        gx = np.empty((B * HW, C)) if _needs(x) else None
+        w_flip = weight.data[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(C, Kg)
+        x_rows = x.data.reshape(B * HW, C)
+        gw_flip = None
+        for b0, b1, col in _tiles(g, kh - 1 - ph, kw - 1 - pw, g_idx,
+                                  _tile_images(HW, Kg, C)):
+            rows = slice(b0 * HW, b1 * HW)                 # col: (kh', kw', C_out) columns
+            if gx is not None:
+                np.matmul(col, w_flip.T, out=gx[rows])
+            if _needs(weight):
+                part = x_rows[rows].T @ col
+                gw_flip = part if gw_flip is None else gw_flip + part
+        gw = None
+        if gw_flip is not None:
+            gw = gw_flip.reshape(C, kh, kw, c_out)[:, ::-1, ::-1].transpose(3, 0, 1, 2)
+        return None if gx is None else gx.reshape(B, H, W, C), gw
 
     def backward_scattered(g_mat):
-        gw = None
+        gw = gx = None
+        if pointwise:
+            if _needs(weight):
+                gw = (g_mat.T @ cells()).reshape(c_out, 1, 1, C).transpose(0, 3, 1, 2)
+            if _needs(x):
+                # each input cell takes at most one value: a strided assignment
+                gx = np.zeros(x.data.shape)
+                gx[:, ::sh, ::sw] = (g_mat @ w_mat).reshape(B, h_out, w_out, C)
+            return gx, gw
+        per_tile = _tile_images(P, K, c_out)
         if _needs(weight):
-            # re-gathered, not kept: the block is kh*kw times the input
-            gw = (g_mat.T @ im2col()).reshape(c_out, kh, kw, C).transpose(0, 3, 1, 2)
-        gx = None
-        if _needs(x) and pointwise:
-            # each input cell takes at most one value: a strided assignment
-            gx = np.zeros(x.data.shape)
-            gx[:, ::sh, ::sw] = (g_mat @ w_mat).reshape(B, h_out, w_out, C)
-        elif _needs(x):
-            g_col = (g_mat @ w_mat).reshape(B, P * K)
+            # re-gathered tile by tile, not kept: the block is kh*kw times the input
+            for b0, b1, cols in _tiles(x.data, ph, pw, idx, per_tile):
+                part = g_mat[b0 * P:b1 * P].T @ cols
+                gw = part if gw is None else gw + part
+            gw = gw.reshape(c_out, kh, kw, C).transpose(0, 3, 1, 2)
+        if _needs(x):
             scatter = _conv2d_scatter_index(C, Hp, Wp, kh, kw, sh, sw)
-            acc = _scatter_rows(g_col, scatter, Hp * Wp * C).reshape(B, Hp, Wp, C)
-            gx = acc[:, ph:Hp - ph or None, pw:Wp - pw or None]
+            acc = np.empty((B, Hp * Wp * C))
+            bounds = _image_tiles(B, per_tile)
+            with _tile_buffer((B - bounds[-1][0]) * P * K) as buf:
+                for b0, b1 in bounds:
+                    g_col = buf[:(b1 - b0) * P * K].reshape((b1 - b0) * P, K)
+                    np.matmul(g_mat[b0 * P:b1 * P], w_mat, out=g_col)
+                    acc[b0:b1] = _scatter_rows(g_col.reshape(b1 - b0, P * K), scatter,
+                                               Hp * Wp * C)
+            gx = acc.reshape(B, Hp, Wp, C)[:, ph:Hp - ph or None, pw:Wp - pw or None]
         return gx, gw
 
     # the gradient's padding, kh-1-ph and kw-1-pw, must not be negative

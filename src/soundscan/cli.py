@@ -89,6 +89,13 @@ def _load_run_config(args) -> config.RunConfig:
     return cfg
 
 
+def _listed_wavs(option, rows) -> list:
+    """(label, path) input pairs for `checkpoint.check_outputs`: the WAVs
+    that the manifest given as `option` lists. A command checks them once
+    the manifest is loaded, before it decodes any WAV."""
+    return [(f"a WAV listed in {option}", row.path) for row in rows]
+
+
 def cmd_synth(args) -> int:
     cfg = _load_run_config(args)
     synth_cfg = data.SynthConfig(
@@ -104,9 +111,10 @@ def cmd_train(args) -> int:
     from .training import train  # deferred: heavy import
 
     cfg = _load_run_config(args)
-    checkpoint.check_outputs([("--out-checkpoint", args.out_checkpoint), ("--log", args.log)],
-                             [("--manifest", args.manifest), ("--config", args.config)])
+    outputs = [("--out-checkpoint", args.out_checkpoint), ("--log", args.log)]
+    checkpoint.check_outputs(outputs, [("--manifest", args.manifest), ("--config", args.config)])
     rows = data.load_manifest(args.manifest)
+    checkpoint.check_outputs(outputs, _listed_wavs("--manifest", rows))
     train(rows, cfg, out_checkpoint=args.out_checkpoint, log_path=args.log)
     print(f"checkpoint written to {args.out_checkpoint}")
     return 0
@@ -116,11 +124,13 @@ def cmd_embed(args) -> int:
     from .network import load_model
 
     _load_run_config(args)      # a bad --config or --set is refused, as elsewhere
-    checkpoint.check_outputs([("--out", args.out)], [
+    outputs = [("--out", args.out)]
+    checkpoint.check_outputs(outputs, [
         ("--manifest", args.manifest), ("--checkpoint", args.checkpoint),
         ("--config", args.config)])
-    model, _ = load_model(args.checkpoint)
     rows = data.load_manifest(args.manifest)
+    checkpoint.check_outputs(outputs, _listed_wavs("--manifest", rows))
+    model, _ = load_model(args.checkpoint)
     embeddings = scoring.embed_rows(model, rows)
     arrays = {f"emb/{row.path}": emb for row, emb in zip(rows, embeddings)}
     checkpoint.save_container(args.out, arrays, f"embed_dim={model.embed_dim}\n")
@@ -132,11 +142,14 @@ def cmd_score(args) -> int:
     from .network import load_model
 
     cfg = _load_run_config(args)
-    checkpoint.check_outputs([("--out", args.out), ("--store", args.store)], [
+    outputs = [("--out", args.out), ("--store", args.store)]
+    checkpoint.check_outputs(outputs, [
         ("--train-manifest", args.train_manifest), ("--test-manifest", args.test_manifest),
         ("--checkpoint", args.checkpoint), ("--config", args.config)])
     train_rows = data.load_manifest(args.train_manifest)
     test_rows = data.load_manifest(args.test_manifest)
+    checkpoint.check_outputs(outputs, _listed_wavs("--train-manifest", train_rows)
+                             + _listed_wavs("--test-manifest", test_rows))
     model, _ = load_model(args.checkpoint)
     store = scoring.cluster_prototypes(
         train_rows, model, cfg.scoring.scoring_mode,

@@ -1,8 +1,10 @@
 """The functions of `src/soundscan` that the pipeline's commands never enter.
 
 Runs the fixed-seed micro chain of `chain_digests.py` with `--threads 2`,
-then `embed` on its corpus and checkpoint and `scan-analyze` at the
-preset's spectrogram size, with a profile hook on every thread, and prints
+then `embed` on its corpus and checkpoint, `embed` on a manifest of one
+24-bit PCM copy of a corpus WAV (written with the stdlib `wave` module) and
+`scan-analyze` at the preset's spectrogram size, with its default scan
+steps and with `scan_mode=counts`, with a profile hook on every thread, and prints
 as JSON each module-level function and class method of `src/soundscan`
 that no call entered, with its line count:
 
@@ -19,6 +21,7 @@ only at import counts as entered. BLAS is held to one thread first, so that
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -29,6 +32,7 @@ import pathlib
 import sys
 import tempfile
 import threading
+import wave
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "soundscan"
 
@@ -58,22 +62,43 @@ def defined_functions(module) -> dict:
             if fn.__code__.co_filename == module.__file__}
 
 
+def write_int24_copy(src, dst) -> None:
+    """A 24-bit PCM copy of the 16-bit PCM WAV `src`: each sample shifted
+    left by 8 bits, so that it decodes to the same values."""
+    with wave.open(str(src), "rb") as reader:
+        params = reader.getparams()
+        frames = reader.readframes(params.nframes)
+    with wave.open(str(dst), "wb") as writer:
+        writer.setparams(params._replace(sampwidth=3))
+        writer.writeframes(b"".join(b"\0" + frames[i:i + 2] for i in range(0, len(frames), 2)))
+
+
 def run_commands(workdir) -> None:
-    """The chain, then `embed` and `scan-analyze`, in `workdir`."""
+    """The chain, then `embed` (on the corpus and on a 24-bit copy of one
+    of its WAVs) and `scan-analyze` (by steps and by counts), in `workdir`."""
     from chain_digests import run_chain
 
     from soundscan.cli import main
     from soundscan.config import micro_preset
+    from soundscan.data import load_manifest, save_manifest
 
     run_chain(workdir, 2)
     model = micro_preset(5).model
-    steps = [["embed", "--threads", "2", "--manifest", os.path.join("corpus", "manifest.csv"),
+    manifest = os.path.join("corpus", "manifest.csv")
+    analyze = ["scan-analyze", "--config", "run.cfg", "--F", str(model.freq_bins),
+               "--T", str(model.frames)]
+    steps = [["embed", "--threads", "2", "--manifest", manifest,
               "--checkpoint", "m.ckpt", "--out", "emb.bin"],
-             ["scan-analyze", "--config", "run.cfg", "--F", str(model.freq_bins),
-              "--T", str(model.frames)]]
+             ["embed", "--threads", "2", "--manifest", "int24.csv",
+              "--checkpoint", "m.ckpt", "--out", "emb24.bin"],
+             analyze,
+             analyze + ["--set", "scan_mode=counts", "--set", "n_f=4", "--set", "n_t=2"]]
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
+        row = load_manifest(manifest)[0]
+        write_int24_copy(row.path, "int24.wav")
+        save_manifest([dataclasses.replace(row, path="int24.wav")], "int24.csv")
         for argv in steps:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)

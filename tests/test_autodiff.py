@@ -477,11 +477,50 @@ def test_conv2d_tape_keeps_no_im2col_block():
     assert x.grad.shape == x.shape and w.grad.shape == w.shape
 
 
-# -- unrecorded forwards ------------------------------------------------------
+# -- tiled convolutions -------------------------------------------------------
 
 def _tile_images(P, K):
     """Images per tile of an unrecorded conv with P positions and K columns."""
     return max(1, ad.CONV_TILE_BYTES // (P * K * 8))
+
+
+def _whole_block(x, kh, kw, stride, padding):
+    """The im2col block of x, gathered whole by `np.take` from its padded
+    copy, and the gather index: the reference the tiles must equal."""
+    B, H, W, C = x.shape
+    (sh, sw), (ph, pw) = stride, padding
+    xp = np.pad(x, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
+    idx = ad._conv2d_index(H + 2 * ph, W + 2 * pw, kh, kw, sh, sw)[0]
+    return np.take(xp.reshape(B, -1, C), idx, axis=1).reshape(B * idx.shape[0], -1), idx
+
+
+def _reference_conv(x, w, g, stride, padding):
+    """Output, input gradient and weight gradient of a conv as whole-block
+    numpy products: the output as block @ w_mat.T; the input gradient of a
+    stride-1 conv as the padded gradient's block times the flipped kernel,
+    of a strided one by scattering g_mat @ w_mat onto the padded grid in
+    column order; the weight gradient as g_mat.T @ block."""
+    B, H, W, C = x.shape
+    c_out, _, kh, kw = w.shape
+    (sh, sw), (ph, pw) = stride, padding
+    block, idx = _whole_block(x, kh, kw, stride, padding)
+    w_mat = w.transpose(0, 2, 3, 1).reshape(c_out, -1)
+    out = (block @ w_mat.T).reshape(g.shape)
+    g_mat = g.reshape(-1, c_out)
+    if (sh, sw) == (1, 1):
+        col, _ = _whole_block(g, kh, kw, (1, 1), (kh - 1 - ph, kw - 1 - pw))
+        w_flip = w[:, :, ::-1, ::-1].transpose(1, 2, 3, 0).reshape(C, -1)
+        gx = (col @ w_flip.T).reshape(x.shape)
+    else:
+        Hp, Wp = H + 2 * ph, W + 2 * pw
+        flat = (idx[:, :, None] * C + np.arange(C)).reshape(-1)
+        g_col = (g_mat @ w_mat).reshape(B, -1)
+        acc = np.zeros((B, Hp * Wp * C))
+        for b in range(B):
+            np.add.at(acc[b], flat, g_col[b])
+        gx = acc.reshape(B, Hp, Wp, C)[:, ph:ph + H, pw:pw + W]
+    gw = (g_mat.T @ block).reshape(c_out, kh, kw, C).transpose(0, 3, 1, 2)
+    return out, gx, gw
 
 
 @pytest.mark.parametrize("c_in", [1, 16])
@@ -489,8 +528,7 @@ def _tile_images(P, K):
 @pytest.mark.parametrize("pad", [0, 1])
 def test_unrecorded_conv2d_tiles_equal_the_whole_block_product(c_in, stride, pad,
                                                                monkeypatch):
-    # a batch of three tiles plus a remainder, which the last tile takes;
-    # the recorded conv, whose backward needs the whole block, is the reference
+    # a batch of three tiles plus a remainder, which the last tile takes
     tiled, tiled_product = [], ad._tiled_product
     monkeypatch.setattr(ad, "_tiled_product",
                         lambda *args: tiled.append(1) or tiled_product(*args))
@@ -504,14 +542,90 @@ def test_unrecorded_conv2d_tiles_equal_the_whole_block_product(c_in, stride, pad
     w = Tensor(rng.standard_normal((8, c_in, 3, 3)))
     b = Tensor(rng.standard_normal(8))
     args = ((stride, stride), (pad, pad))
-    whole = ad.conv2d(Tensor(x, requires_grad=True), w, b, *args)
-    assert not tiled
+    block, _ = _whole_block(x, 3, 3, *args)
+    whole = (block @ w.data.transpose(0, 2, 3, 1).reshape(8, -1).T + b.data).reshape(
+        B, h_out, h_out, 8)
     with ad.no_grad():
         out = ad.conv2d(Tensor(x, requires_grad=True), w, b, *args)
-    assert out.data.tobytes() == whole.data.tobytes()
+    assert out.data.tobytes() == whole.tobytes()
     out = ad.conv2d(Tensor(x), w, b, *args)         # no input needs a gradient
-    assert out.data.tobytes() == whole.data.tobytes()
+    assert out.data.tobytes() == whole.tobytes()
     assert len(tiled) == 2
+
+
+def _recorded_conv_case(c_in, stride, pad, monkeypatch):
+    """x, w, g and (x.grad, w.grad, output) of a recorded 3x3 conv whose
+    forward and backward each run over at least three tiles."""
+    loops, tiles = [], ad._tiles
+    monkeypatch.setattr(ad, "_tiles", lambda x, ph, pw, idx, per_tile:
+                        loops.append((x.shape[0], per_tile)) or tiles(x, ph, pw, idx, per_tile))
+    H = W = 16
+    c_out = 8
+    h_out = (H + 2 * pad - 3) // stride + 1
+    forward = ad._tile_images(h_out * h_out, 9 * c_in, c_out)
+    backward = ad._tile_images(H * W, 9 * c_out, c_in) if stride == 1 else forward
+    B = 3 * max(forward, backward) + 1
+    rng = np.random.default_rng(c_in * 100 + stride * 10 + pad)
+    x = Tensor(rng.standard_normal((B, H, W, c_in)), requires_grad=True)
+    w = Tensor(rng.standard_normal((c_out, c_in, 3, 3)), requires_grad=True)
+    out = ad.conv2d(x, w, stride=(stride, stride), padding=(pad, pad))
+    g = rng.standard_normal(out.shape)
+    (out * Tensor(g)).sum().backward()
+    assert len(loops) == 2 and all(n // per_tile >= 3 for n, per_tile in loops), loops
+    return x.data, w.data, g, (x.grad, w.grad, out.data)
+
+
+@pytest.mark.parametrize("c_in", [1, 16])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+def test_recorded_conv2d_tiles_keep_the_output_and_input_gradient_bytes(c_in, stride, pad,
+                                                                        monkeypatch):
+    # each tile of the forward and of the input gradient keeps at least
+    # CONV_TILE_CELLS output cells, and a strided conv scatters whole images
+    x, w, g, (gx, _, out) = _recorded_conv_case(c_in, stride, pad, monkeypatch)
+    ref_out, ref_gx, _ = _reference_conv(x, w, g, (stride, stride), (pad, pad))
+    assert out.tobytes() == ref_out.tobytes()
+    assert np.ascontiguousarray(gx).tobytes() == np.ascontiguousarray(ref_gx).tobytes()
+
+
+@pytest.mark.parametrize("c_in", [1, 16])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+def test_recorded_conv2d_weight_gradient_sums_tiles_to_the_whole_product(c_in, stride, pad,
+                                                                         monkeypatch):
+    # summed tile by tile, the weight gradient may round unlike the one
+    # whole-block product, in its last bits only
+    x, w, g, (_, gw, _) = _recorded_conv_case(c_in, stride, pad, monkeypatch)
+    _, _, ref_gw = _reference_conv(x, w, g, (stride, stride), (pad, pad))
+    assert np.max(np.abs(gw - ref_gw)) <= 1e-12 * np.max(np.abs(ref_gw))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_recorded_conv2d_holds_no_whole_block(monkeypatch, stride):
+    # the whole im2col block is 9 (stride 1) or 2.25 (stride 2) times the
+    # input here, and a strided backward's column gradient is as large;
+    # forward and backward together hold at most two tile budgets beside the
+    # input, the output and the gradients, the thread's tile buffer included
+    import threading
+    import tracemalloc
+
+    B, H, W, C = 128, 16, 16, 16
+    rng = np.random.default_rng(25 + stride)
+    x = Tensor(rng.standard_normal((B, H, W, C)), requires_grad=True)
+    w = Tensor(rng.standard_normal((16, C, 3, 3)), requires_grad=True)
+    args = ((stride, stride), (1, 1))
+    g = rng.standard_normal(ad.conv2d(x, w, None, *args).shape)   # builds the indices
+    monkeypatch.setattr(ad, "_tile_state", threading.local())
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = ad.conv2d(x, w, None, *args)
+        gx, gw = out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    held = x.data.nbytes + out.data.nbytes + g.nbytes + gx.nbytes + gw.nbytes
+    assert peak < held + 2 * ad.CONV_TILE_BYTES, (peak, held)
 
 
 def test_unrecorded_conv2d_holds_no_whole_block(monkeypatch):
@@ -551,7 +665,10 @@ def test_unrecorded_padded_conv_holds_no_padded_copy(monkeypatch):
     rng = np.random.default_rng(23)
     x = Tensor(rng.standard_normal((B, H, W, C)))
     w = Tensor(rng.standard_normal((16, C, 3, 3)))
-    whole = ad.conv2d(Tensor(x.data, requires_grad=True), w, padding=(1, 1))
+    block, _ = _whole_block(x.data, 3, 3, (1, 1), (1, 1))
+    whole = block @ w.data.transpose(0, 2, 3, 1).reshape(16, -1).T
+    del block
+    ad.conv2d(x, w, padding=(1, 1))                 # builds the cached gather index
     monkeypatch.setattr(ad, "_tile_state", threading.local())
     tracemalloc.start()
     try:
@@ -561,7 +678,7 @@ def test_unrecorded_padded_conv_holds_no_padded_copy(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < out.data.nbytes + 2 * ad.CONV_TILE_BYTES, peak
-    assert out.data.tobytes() == whole.data.tobytes()
+    assert out.data.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("cells, equal", [(1, False), (ad.CONV_TILE_CELLS, True)])
@@ -577,9 +694,10 @@ def test_tile_cell_floor_keeps_the_whole_block_rounding(monkeypatch, cells, equa
     rng = np.random.default_rng(24)
     x = rng.standard_normal((B, L, C))
     w = Tensor(rng.standard_normal((32, C, k)))
-    whole = ad.conv1d(Tensor(x, requires_grad=True), w, stride=stride)
+    block, _ = _whole_block(x.reshape(B, 1, L, C), 1, k, (1, stride), (0, 0))
+    whole = block @ w.data.transpose(0, 2, 1).reshape(32, K).T
     tiled = ad.conv1d(Tensor(x), w, stride=stride)
-    assert (tiled.data.tobytes() == whole.data.tobytes()) is equal
+    assert (tiled.data.tobytes() == whole.tobytes()) is equal
 
 
 def _first_argmax_pool(x, kernel, stride, padding):

@@ -800,6 +800,42 @@ def test_an_output_naming_an_input_or_another_output_is_exit_3(capsys, tmp_path,
     assert {path: path.read_bytes() for path in tmp_path.iterdir() if path.is_file()} == before
 
 
+@pytest.mark.parametrize("argv,output,manifest", [
+    pytest.param(["train", "--set", "seed=0", "--manifest", "manifest.csv",
+                  "--out-checkpoint", "clips/../clips/train.wav"],
+                 "--out-checkpoint", "--manifest", id="train"),
+    pytest.param(["embed", "--manifest", "manifest.csv", "--checkpoint", "m.ckpt",
+                  "--out", "./clips/train.wav"], "--out", "--manifest", id="embed"),
+    pytest.param(_SCORE + ["--out", "x", "--store", "clips/test.wav"], "--store",
+                 "--test-manifest", id="score"),
+])
+def test_an_output_naming_a_listed_wav_is_exit_3(capsys, tmp_path, tiny_corpus,
+                                                 tiny_checkpoint, monkeypatch, argv, output,
+                                                 manifest):
+    """An output path that names a WAV which a manifest of the command lists
+    is refused before any work, and the WAV keeps its bytes."""
+    import shutil
+    from dataclasses import replace
+
+    from soundscan.data import save_manifest
+
+    rows, _ = tiny_corpus
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "clips").mkdir()
+    for split, manifest_name in (("train", "manifest.csv"), ("test", "test.csv")):
+        row = next(r for r in rows if r.split == split and r.label == "normal")
+        shutil.copyfile(row.path, tmp_path / "clips" / f"{split}.wav")
+        save_manifest([replace(row, path=f"clips/{split}.wav")],
+                      tmp_path / manifest_name)
+    shutil.copyfile(tiny_checkpoint[0], tmp_path / "m.ckpt")
+    before = {path: path.read_bytes() for path in (tmp_path / "clips").iterdir()}
+    code, _, err = run(capsys, *argv)
+    assert code == 3, err
+    assert f"{output} names the same file as a WAV listed in {manifest}" in err
+    assert {path: path.read_bytes() for path in (tmp_path / "clips").iterdir()} == before
+    assert not (tmp_path / "x").exists()
+
+
 def test_eval_missing_score_names_file(capsys, tmp_path, tiny_corpus):
     rows, root = tiny_corpus
     scores_csv = tmp_path / "partial.csv"
