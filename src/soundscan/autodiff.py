@@ -9,11 +9,18 @@ throughout.
 
 The tape keeps, per op, its input and output tensors plus the arrays its
 backward reads that it cannot cheaply rebuild, for example batch norm's
-normalized input. Batch norm is training mode only; in eval mode
+normalized input x_hat. Batch norm is training mode only; in eval mode
 `nn.conv_bn` folds it into the conv on plain arrays. A training-mode
 conv -> batch norm (-> add) (-> relu) chain is one ``conv_bn`` node: it
-keeps its input, the norm's normalized input and its own output, and no
-conv or norm output, which no backward reads.
+keeps its input and its own output, and no conv or norm output, which no
+backward reads. A node whose conv is wide keeps x_hat as well. A narrow
+one, at most RECOMPUTE_COLUMNS gathered columns per output cell (a 3x3
+conv on one channel, a 1x1 conv on up to 9), keeps only the per-channel
+mean and inverse std: its backward runs the conv's product on the kept
+input again and rebuilds x_hat by the forward's steps, so the bytes do not
+change. A node handed its residual's array (a block's projection
+shortcut) writes its output there. stats_pool keeps its input and the
+per-channel statistics; its backward centres the input again.
 
 conv2d holds no im2col block, which would be kh*kw times the input's
 size, on the tape or while it runs, and no padded copy of its input. Its
@@ -410,6 +417,14 @@ CONV_TILE_BYTES = 512 << 10   # the column block a conv gathers at a time
 # cells, M*N, in its small-matrix kernel, which rounds unlike its large one
 # (measured for K >= 36): a tile of more cells rounds like the whole block
 CONV_TILE_CELLS = 1201
+# A training conv_bn whose conv gathers at most this many columns per output
+# cell, kh*kw*C_in, rebuilds batch norm's x_hat in backward instead of
+# keeping it. In a 16-clip micro training step (2 vCPUs) these convs hold
+# 14 of the 34 MB of x_hat and rebuild it at 0.66 ms per MB, 14-22 % of
+# each one's forward and backward; the wider convs would take 2.4 ms per MB.
+# Rebuilding every x_hat cut train_micro's peak RSS by 32 MB and slowed a
+# one-thread step by 13-16 %; rebuilding these cuts it by 21 MB for about 2 %.
+RECOMPUTE_COLUMNS = 9
 
 
 def _scatter_rows(values: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
@@ -544,6 +559,20 @@ def _tiled_product(x: np.ndarray, ph: int, pw: int, idx: np.ndarray,
     return out
 
 
+def _conv_rows(x: np.ndarray, weight: np.ndarray, stride, padding) -> np.ndarray:
+    """The (B*P, C_out) product of a bias-free conv of a (B, H, W, C_in)
+    array with a (C_out, C_in, kh, kw) weight: the one forward product, which
+    conv2d runs and conv_bn runs again when it rebuilds x_hat."""
+    B, H, W, C = x.shape
+    c_out, _, kh, kw = weight.shape
+    (sh, sw), (ph, pw) = stride, padding
+    w_t = weight.transpose(0, 2, 3, 1).reshape(c_out, kh * kw * C).T
+    if (kh, kw) == (1, 1) and not (ph or pw):
+        return x[:, ::sh, ::sw].reshape(-1, C) @ w_t
+    idx = _conv2d_index(H + 2 * ph, W + 2 * pw, kh, kw, sh, sw)[0]
+    return _tiled_product(x, ph, pw, idx, w_t)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride=(1, 1), padding=(0, 0)) -> Tensor:
     """Batched 2-D cross-correlation, channels-last.
@@ -572,10 +601,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     parents = (x, weight, bias) if bias is not None else (x, weight)
     w_mat = weight.data.transpose(0, 2, 3, 1).reshape(c_out, K)
-    if pointwise:
-        out = cells() @ w_mat.T                            # (B*P, C_out)
-    else:
-        out = _tiled_product(x.data, ph, pw, idx, w_mat.T)
+    out = _conv_rows(x.data, weight.data, stride, padding)
     if bias is not None:
         rows = out.reshape(B, P * c_out)
         rows += _channel_row(bias.data, rows)
@@ -710,11 +736,16 @@ def max_pool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                  running_mean: np.ndarray, running_var: np.ndarray,
-                 momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+                 momentum: float = 0.1, eps: float = 1e-5, *, rebuild=None) -> Tensor:
     """Per-channel normalization of a (B, H, W, C) tensor over (B, H, W), in
     training mode only: by the batch statistics, which it folds into the
     running buffers in place (inside a branch, at the branch node's join).
-    In eval mode `nn.conv_bn` folds the running statistics into the conv."""
+    In eval mode `nn.conv_bn` folds the running statistics into the conv.
+
+    Backward holds the normalized input x_hat. Given `rebuild`, a function
+    that returns x's values again in a fresh array, it holds the per-channel
+    mean and inverse std instead and rebuilds x_hat by the forward's own
+    steps, `- mean` and then `* inv_std`, so the bytes do not change."""
     C = x.data.shape[-1]
     rows = x.data.reshape(x.data.shape[0], -1)
     n = rows.size // C
@@ -731,11 +762,22 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     np.multiply(x_hat, _channel_row(gamma.data, rows), out=out)
     out += _channel_row(beta.data, rows)
     data = out.reshape(x.shape)
-    # backward holds x_hat and shapes, not the input: a fused conv_bn drops it
+    # backward holds x_hat, or what rebuilds it, and shapes, not the input:
+    # a fused conv_bn drops it
     rows_shape, x_shape, needs_x = rows.shape, x.shape, _needs(x)
+    kept = x_hat if rebuild is None else None
+
+    def normalized():
+        if rebuild is None:
+            return kept
+        again = rebuild().reshape(rows_shape)
+        again -= _channel_row(mean, again)
+        again *= _channel_row(inv_std, again)
+        return again
 
     def backward(g):
         g = g.reshape(rows_shape)
+        x_hat = normalized()
         g_xhat = np.multiply(g, x_hat) if _needs(gamma) or needs_x else None
         gg = _channel_sum(g_xhat, C) if _needs(gamma) else None
         gb = _channel_sum(g, C) if _needs(beta) else None
@@ -758,19 +800,32 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
 def conv_bn(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
             running_mean: np.ndarray, running_var: np.ndarray, stride=(1, 1),
             padding=(0, 0), relu: bool = False, residual: Tensor | None = None,
-            momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+            momentum: float = 0.1, eps: float = 1e-5, *,
+            owns_residual: bool = False) -> Tensor:
     """relu(batch_norm2d(conv2d(x, weight)) + residual) in training mode,
     recorded as one tape node; the add and the relu are each optional.
 
     The chain runs through `conv2d` and `batch_norm2d` and their backward
     closures are kept, but not the intermediate tensors, so the tape holds
-    the norm's x_hat and this node's output and no conv or norm output.
+    this node's input and output and no conv or norm output. A wide conv
+    keeps the norm's x_hat too. A narrow one, at most RECOMPUTE_COLUMNS
+    columns per output cell, keeps the per-channel mean and inverse std
+    instead: its backward runs the conv's product on the input again and
+    rebuilds x_hat from it by the forward's steps, the same bytes.
     Backward rebuilds the relu mask as `out > 0`, exact since
     out = pre * (pre > 0), and hands the masked gradient to the residual
     unchanged.
+
+    With `owns_residual` the caller hands over the residual's array, which
+    no one reads again: the output is written into it, not into a new array.
     """
+    _, c_in, kh, kw = weight.shape
+    rebuild = None
+    if kh * kw * c_in <= RECOMPUTE_COLUMNS:
+        rebuild = functools.partial(_conv_rows, x.data, weight.data, stride, padding)
     conv = conv2d(x, weight, None, stride, padding)
-    norm = batch_norm2d(conv, gamma, beta, running_mean, running_var, momentum, eps)
+    norm = batch_norm2d(conv, gamma, beta, running_mean, running_var, momentum, eps,
+                        rebuild=rebuild)
     conv_backward, norm_backward = conv._backward, norm._backward
     data = norm.data
     parents = (x, weight, gamma, beta)
@@ -778,7 +833,12 @@ def conv_bn(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
         if residual.shape != data.shape:
             raise ValueError(f"conv_bn residual shape {residual.shape} differs "
                              f"from the output's {data.shape}")
-        data += residual.data
+        if owns_residual:
+            # addition commutes in IEEE arithmetic: the bytes of data + residual
+            residual.data += data
+            data = residual.data
+        else:
+            data += residual.data
         parents += (residual,)
     if relu:
         data *= data > 0
@@ -804,7 +864,8 @@ def stats_pool(x: Tensor, eps: float = 1e-5) -> Tensor:
 
     x: (B, ..., C) -> (B, 2C): means first, then stds. The variance is
     floored at eps inside the square root so constant channels stay
-    differentiable.
+    differentiable. The tape keeps x and the per-channel statistics, not
+    the centred input: backward takes `x - mean` again, the forward's op.
     """
     B, C = x.data.shape[0], x.data.shape[-1]
     flat = x.data.reshape(B, -1, C)
@@ -812,8 +873,7 @@ def stats_pool(x: Tensor, eps: float = 1e-5) -> Tensor:
     if n < 1:
         raise ValueError("stats_pool requires at least one pooled position")
     mean = flat.mean(axis=1)
-    centered = flat - mean[:, None, :]
-    var = (centered ** 2).mean(axis=1)
+    var = ((flat - mean[:, None, :]) ** 2).mean(axis=1)
     clipped = np.maximum(var, eps)
     std = np.sqrt(clipped)
     data = np.concatenate([mean, std], axis=1)
@@ -823,9 +883,12 @@ def stats_pool(x: Tensor, eps: float = 1e-5) -> Tensor:
             return (None,)
         g_mean = g[:, :C]
         g_std = g[:, C:]
+        flat = x.data.reshape(B, -1, C)
         gx = np.broadcast_to(g_mean[:, None, :] / n, flat.shape).copy()
         active = (var > eps).astype(np.float64)
-        gx += (g_std * active / (n * std))[:, None, :] * centered
+        centered = flat - mean[:, None, :]            # scaled in place
+        centered *= (g_std * active / (n * std))[:, None, :]
+        gx += centered
         return (gx.reshape(x.shape),)
 
     return _record(data, (x,), backward)

@@ -146,22 +146,25 @@ class BatchNorm2d(Module):
         self.register_buffer("running_var", np.ones(channels))
 
 
-def conv_bn(conv: Conv2d, bn: BatchNorm2d, x, relu: bool = False, residual=None):
+def conv_bn(conv: Conv2d, bn: BatchNorm2d, x, relu: bool = False, residual=None, *,
+            owns_residual: bool = False):
     """bn(conv(x)), plus `residual` when given, then a relu when `relu` is
     set.
 
     Training mode records the whole chain as one `ad.conv_bn` node, which
     normalizes by batch statistics and keeps no conv or norm output on the
-    tape. Eval mode is inference only: it folds the norm into the conv on
-    plain arrays, weight w·γ/√(var+ε) and bias β − mean·γ/√(var+ε), runs
-    one unrecorded conv, and adds and applies the relu in place on its
-    output. An eval-mode forward runs under `ad.no_grad()`; a recorded `x`
+    tape; with `owns_residual` it writes its output into the residual's
+    array, which the caller hands over. Eval mode is inference only: it
+    folds the norm into the conv on plain arrays, weight w·γ/√(var+ε) and
+    bias β − mean·γ/√(var+ε), runs one unrecorded conv, and adds and
+    applies the relu in place on its output. An eval-mode forward runs under `ad.no_grad()`; a recorded `x`
     or `residual` is a ValueError.
     """
     if bn.training:
         return ad.conv_bn(x, conv.weight, bn.gamma, bn.beta, bn.running_mean,
                           bn.running_var, conv.stride, conv.padding, relu=relu,
-                          residual=residual, momentum=bn.momentum, eps=bn.eps)
+                          residual=residual, momentum=bn.momentum, eps=bn.eps,
+                          owns_residual=owns_residual)
     if ad.recorded((x,) if residual is None else (x, residual)):
         raise ValueError("an eval-mode conv_bn records nothing: run it under ad.no_grad()")
     scale = bn.gamma.data * (1.0 / np.sqrt(bn.running_var + bn.eps))
@@ -194,8 +197,14 @@ class ResBlock2d(Module):
 
     def forward(self, x):
         h = conv_bn(self.conv1, self.bn1, x, relu=True)
-        shortcut = conv_bn(self.proj, self.proj_bn, x) if self.proj is not None else x
-        return conv_bn(self.conv2, self.bn2, h, relu=True, residual=shortcut)
+        if self.proj is None:
+            # the block input, which conv1's backward reads: never written
+            return conv_bn(self.conv2, self.bn2, h, relu=True, residual=x)
+        # the projection's fresh output, which no backward reads, becomes the
+        # block's output
+        shortcut = conv_bn(self.proj, self.proj_bn, x)
+        return conv_bn(self.conv2, self.bn2, h, relu=True, residual=shortcut,
+                       owns_residual=True)
 
 
 class AxisGate(Module):

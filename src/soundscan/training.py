@@ -186,7 +186,7 @@ def check_batch_fits(model: MultiScaleNet, batch_clips: int) -> None:
     The float64 patch stacks of one batch, batch_clips x sum_k patch_cells_k x 8
     bytes, are a strict lower bound on a training step's memory: the forward
     and backward passes hold them and much more besides. On the micro preset
-    the tape of one training forward holds 5.3 MB per clip (85 MB for a
+    the tape of one training forward holds 3.7 MB per clip (60 MB for a
     16-clip batch, traced with tracemalloc), against 0.18 MB of patch stacks.
     The corpus does not count: `train` holds one batch of waveforms at a
     time, whatever the length of the train split.

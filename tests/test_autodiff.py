@@ -791,8 +791,10 @@ def test_recorded_max_pool_tape_keeps_no_windows():
 # -- fused conv -> norm (-> add) -> relu -------------------------------------------
 
 # x shape (B, C_in, H, W), weight shape, stride, padding, relu, residual:
-# None, "leaf" (its own input) or "input" (the conv's input, an identity
-# shortcut)
+# None, "leaf" (its own input), "owned" (its own input, handed over with
+# owns_residual) or "input" (the conv's input, an identity shortcut). The
+# 1x1 and one-channel 3x3 convs gather at most ad.RECOMPUTE_COLUMNS columns
+# and rebuild x_hat in backward; the others keep it.
 CONV_BN_CASES = {
     "3x3_s1_relu_residual": ((3, 4, 6, 5), (4, 4, 3, 3), (1, 1), (1, 1), True, "leaf"),
     "3x3_s1_relu_identity": ((3, 4, 6, 5), (4, 4, 3, 3), (1, 1), (1, 1), True, "input"),
@@ -800,6 +802,9 @@ CONV_BN_CASES = {
     "1x1_s2_projection": ((3, 2, 7, 6), (4, 2, 1, 1), (2, 2), (0, 0), False, None),
     "7x7_s2_stem": ((2, 1, 13, 11), (3, 1, 7, 7), (2, 2), (3, 3), True, None),
     "3x3_s1_residual_no_relu": ((3, 4, 6, 5), (4, 4, 3, 3), (1, 1), (1, 1), False, "leaf"),
+    "1ch_3x3_s2_relu": ((3, 1, 9, 8), (4, 1, 3, 3), (2, 2), (1, 1), True, None),
+    "1ch_1x1_s2_projection": ((3, 1, 9, 8), (4, 1, 1, 1), (2, 2), (0, 0), False, None),
+    "3x3_s1_relu_owned_residual": ((3, 4, 6, 5), (4, 4, 3, 3), (1, 1), (1, 1), True, "owned"),
 }
 
 
@@ -814,11 +819,12 @@ def _conv_bn_run(case, fused):
     beta = leaf(rng, (w_shape[0],))
     running_mean, running_var = rng.standard_normal(w_shape[0]), rng.uniform(0.5, 2.0, w_shape[0])
     out_shape = ad.conv2d(x, w, None, stride, padding).shape
-    residual = {None: None, "input": x, "leaf": leaf(rng, out_shape)}[res_kind]
+    drawn = leaf(rng, out_shape)                       # drawn in every case
+    residual = {None: None, "input": x}.get(res_kind, drawn)
     weights = Tensor(rng.standard_normal(out_shape))   # an uneven output gradient
     if fused:
         out = ad.conv_bn(x, w, gamma, beta, running_mean, running_var, stride, padding,
-                         relu=relu, residual=residual)
+                         relu=relu, residual=residual, owns_residual=res_kind == "owned")
     else:
         out = ad.batch_norm2d(ad.conv2d(x, w, None, stride, padding), gamma, beta,
                               running_mean, running_var)
@@ -828,7 +834,7 @@ def _conv_bn_run(case, fused):
             out = out.relu()
     (out * weights).sum().backward()
     grads = [t.grad for t in (x, w, gamma, beta)]
-    if res_kind == "leaf":
+    if res_kind in ("leaf", "owned"):
         grads.append(residual.grad)
     return out.data, grads, (running_mean, running_var)
 
@@ -870,23 +876,19 @@ def test_conv_bn_refuses_a_residual_of_another_shape():
                    padding=(1, 1), residual=Tensor(np.zeros((2, 4, 4, 1))))
 
 
-def test_res_block_tape_holds_x_hat_and_output_per_conv_bn():
-    # A training-mode block with a projection runs three conv_bn chains,
-    # each with a (B, H, W, C_out) output. The tape may hold, per chain, the
-    # norm's x_hat and the chain's output, plus the block input; the slack
-    # of half an output covers the per-channel statistics, closures and
-    # tensor objects. Keeping each conv and norm output, each relu output
-    # and the add output, as an op-by-op chain does, holds 12 outputs.
+def _block_tape(c_in, stride):
+    """(bytes a training-mode ResBlock2d(c_in, 8, stride) holds after its
+    forward on a (16, 16, 16, c_in) input, the input, the output), with
+    every parameter's gradient checked after a backward."""
     import tracemalloc
 
     from soundscan import nn
 
     rng = np.random.default_rng(33)
-    block = nn.ResBlock2d(2, 8, 1, rng)
+    block = nn.ResBlock2d(c_in, 8, stride, rng)
     assert block.proj is not None and block.training
-    x = Tensor(rng.standard_normal((16, 16, 16, 2)))
-    with ad.no_grad():
-        block(x)                                 # builds the cached gather indices
+    x = Tensor(rng.standard_normal((16, 16, 16, c_in)))
+    block(x).sum().backward()        # builds the cached gather indices and tile buffer
 
     tracemalloc.start()
     try:
@@ -895,11 +897,71 @@ def test_res_block_tape_holds_x_hat_and_output_per_conv_bn():
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    bound = 3 * 2 * out.data.nbytes + x.data.nbytes + out.data.nbytes // 2
-    assert held <= bound, (held, bound)
-
     out.sum().backward()
     assert all(p.grad is not None for p in block.parameters())
+    return held, x, out
+
+
+def test_res_block_tape_holds_x_hat_and_output_per_conv_bn():
+    # A training-mode block with a projection runs three conv_bn chains,
+    # each with a (B, H, W, C_out) output. Here conv1 (18 columns) keeps its
+    # x_hat and output; the 1x1 projection (2 columns) rebuilds its x_hat
+    # and its output array becomes the block's; conv2 keeps its x_hat. That
+    # is 4 outputs, plus the block input; the slack of half an output covers
+    # the per-channel statistics, closures and tensor objects. Keeping every
+    # x_hat and a fresh block output holds 6; keeping each conv and norm
+    # output, each relu output and the add output, as an op-by-op chain
+    # does, holds 12.
+    held, x, out = _block_tape(2, 1)
+    bound = 4 * out.data.nbytes + x.data.nbytes + out.data.nbytes // 2
+    assert held <= bound, (held, bound)
+
+
+def test_one_channel_res_block_tape_rebuilds_both_x_hats_of_its_input():
+    # conv1 (3x3 on one channel, 9 columns) and the projection (1 column)
+    # rebuild x_hat from the block input: 3 outputs held, conv1's and
+    # conv2's outputs and conv2's x_hat
+    held, x, out = _block_tape(1, 2)
+    bound = 3 * out.data.nbytes + x.data.nbytes + out.data.nbytes // 2
+    assert held <= bound, (held, bound)
+
+
+def test_identity_shortcut_block_leaves_its_input_unchanged():
+    # the identity shortcut is the block input, which conv1's backward
+    # reads: the block adds into a fresh array, not into it
+    from soundscan import nn
+
+    rng = np.random.default_rng(35)
+    block = nn.ResBlock2d(4, 4, 1, rng)
+    assert block.proj is None and block.training
+    x = Tensor(rng.standard_normal((3, 6, 5, 4)), requires_grad=True)
+    before = x.data.copy()
+    out = block(x)
+    assert not np.shares_memory(out.data, x.data)
+    assert np.array_equal(x.data, before)
+    (out * Tensor(rng.standard_normal(out.shape))).sum().backward()
+    assert np.array_equal(x.data, before)
+    assert x.grad is not None
+
+
+def test_stats_pool_gradient_is_the_reference_formula_byte_for_byte():
+    # backward rebuilds the centred input, which the forward no longer keeps
+    rng = np.random.default_rng(34)
+    data = rng.standard_normal((3, 5, 4, 6))
+    data[1, :, :, 2] = 0.25                  # under eps: its std passes no gradient
+    x = Tensor(data, requires_grad=True)
+    g = rng.standard_normal((3, 12))
+    (ad.stats_pool(x) * Tensor(g)).sum().backward()
+
+    eps, flat = 1e-5, data.reshape(3, -1, 6)
+    n = flat.shape[1]
+    mean = flat.mean(axis=1)
+    centered = flat - mean[:, None, :]
+    var = (centered ** 2).mean(axis=1)
+    std = np.sqrt(np.maximum(var, eps))
+    expect = np.broadcast_to(g[:, None, :6] / n, flat.shape).copy()
+    expect += (g[:, 6:] * (var > eps).astype(np.float64) / (n * std))[:, None, :] * centered
+    assert np.array_equal(x.grad, expect.reshape(data.shape))
 
 
 def test_gather_index_cache_safe_across_threads():
