@@ -425,6 +425,8 @@ CONV_TILE_CELLS = 1201
 # Rebuilding every x_hat cut train_micro's peak RSS by 32 MB and slowed a
 # one-thread step by 13-16 %; rebuilding these cuts it by 21 MB for about 2 %.
 RECOMPUTE_COLUMNS = 9
+BN_MOMENTUM, BN_EPS = 0.1, 1e-5   # batch norm's running-statistics momentum, variance floor
+STATS_POOL_EPS = 1e-5             # the floor on the variance that stats_pool pools
 
 
 def _scatter_rows(values: np.ndarray, idx: np.ndarray, size: int) -> np.ndarray:
@@ -453,11 +455,15 @@ def _channel_row(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.tile(v, rows.shape[1] // v.size)
 
 
+def conv_out(n: int, k: int, s: int, p: int) -> int:
+    """Output length of a conv or pool (kernel k, stride s, padding p) on n."""
+    return (n + 2 * p - k) // s + 1
+
+
 @functools.lru_cache(maxsize=256)
 def _conv2d_index(H, W, kh, kw, sh, sw):
     """Flat spatial gather index (positions, kh*kw) into an H*W grid."""
-    h_out = (H - kh) // sh + 1
-    w_out = (W - kw) // sw + 1
+    h_out, w_out = conv_out(H, kh, sh, 0), conv_out(W, kw, sw, 0)
     cell = np.repeat(np.arange(kh) * W, kw) + np.tile(np.arange(kw), kh)
     origin = (np.repeat(np.arange(h_out) * sh * W, w_out)
               + np.tile(np.arange(w_out) * sw, h_out))
@@ -472,13 +478,12 @@ def _conv2d_scatter_index(C, H, W, kh, kw, sh, sw):
     return (idx[:, :, None] * C + np.arange(C)).reshape(idx.shape[0], -1)
 
 
-def _padded(x: np.ndarray, ph: int, pw: int, fill: float) -> np.ndarray:
-    """(B, H, W, C) with a fill-valued border of ph rows and pw columns."""
+def _padded(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """(B, H, W, C) with a -inf border of ph rows and pw columns."""
     if not (ph or pw):
         return x
     B, H, W, C = x.shape
-    shape = (B, H + 2 * ph, W + 2 * pw, C)
-    xp = np.full(shape, fill) if fill else np.zeros(shape)
+    xp = np.full((B, H + 2 * ph, W + 2 * pw, C), -np.inf)
     xp[:, ph:ph + H, pw:pw + W] = x
     return xp
 
@@ -703,7 +708,7 @@ def max_pool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
     B, H, W, C = x.data.shape
     if H + 2 * ph < kh or W + 2 * pw < kw:
         raise ValueError("max_pool2d kernel larger than padded input")
-    h_out, w_out = (H + 2 * ph - kh) // sh + 1, (W + 2 * pw - kw) // sw + 1
+    h_out, w_out = conv_out(H, kh, sh, ph), conv_out(W, kw, sw, pw)
 
     def views(a):
         # the kh*kw shifted strided views of a padded array, in window order
@@ -713,14 +718,14 @@ def max_pool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
     # a running maximum in window order: the order in which the windows' max
     # meets its signed-zero ties
     data = None
-    for view in views(_padded(x.data, ph, pw, -np.inf)):
+    for view in views(_padded(x.data, ph, pw)):
         data = view.copy() if data is None else np.maximum(data, view, out=data)
 
     def backward(g):
         # each window's first maximal cell, by its offset in window order
         arg = np.zeros(data.shape, dtype=np.min_scalar_type(kh * kw - 1))
         claimed = np.zeros(data.shape, dtype=bool)
-        for n, view in enumerate(views(_padded(x.data, ph, pw, -np.inf))):
+        for n, view in enumerate(views(_padded(x.data, ph, pw))):
             hit = np.equal(view, data) & ~claimed
             np.copyto(arg, n, where=hit)
             claimed |= hit
@@ -735,8 +740,8 @@ def max_pool2d(x: Tensor, kernel, stride=None, padding=(0, 0)) -> Tensor:
 
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
-                 running_mean: np.ndarray, running_var: np.ndarray,
-                 momentum: float = 0.1, eps: float = 1e-5, *, rebuild=None) -> Tensor:
+                 running_mean: np.ndarray, running_var: np.ndarray, *,
+                 rebuild=None) -> Tensor:
     """Per-channel normalization of a (B, H, W, C) tensor over (B, H, W), in
     training mode only: by the batch statistics, which it folds into the
     running buffers in place (inside a branch, at the branch node's join).
@@ -756,8 +761,8 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     out = np.multiply(x_hat, x_hat)
     var = _channel_sum(out, C) / n
     _update_buffers(functools.partial(_fold_statistics, running_mean, running_var,
-                                      mean, var, momentum))
-    inv_std = 1.0 / np.sqrt(var + eps)
+                                      mean, var))
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     x_hat *= _channel_row(inv_std, rows)
     np.multiply(x_hat, _channel_row(gamma.data, rows), out=out)
     out += _channel_row(beta.data, rows)
@@ -799,8 +804,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor,
 
 def conv_bn(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
             running_mean: np.ndarray, running_var: np.ndarray, stride=(1, 1),
-            padding=(0, 0), relu: bool = False, residual: Tensor | None = None,
-            momentum: float = 0.1, eps: float = 1e-5, *,
+            padding=(0, 0), relu: bool = False, residual: Tensor | None = None, *,
             owns_residual: bool = False) -> Tensor:
     """relu(batch_norm2d(conv2d(x, weight)) + residual) in training mode,
     recorded as one tape node; the add and the relu are each optional.
@@ -824,8 +828,7 @@ def conv_bn(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
     if kh * kw * c_in <= RECOMPUTE_COLUMNS:
         rebuild = functools.partial(_conv_rows, x.data, weight.data, stride, padding)
     conv = conv2d(x, weight, None, stride, padding)
-    norm = batch_norm2d(conv, gamma, beta, running_mean, running_var, momentum, eps,
-                        rebuild=rebuild)
+    norm = batch_norm2d(conv, gamma, beta, running_mean, running_var, rebuild=rebuild)
     conv_backward, norm_backward = conv._backward, norm._backward
     data = norm.data
     parents = (x, weight, gamma, beta)
@@ -858,12 +861,12 @@ def conv_bn(x: Tensor, weight: Tensor, gamma: Tensor, beta: Tensor,
     return _record(data, parents, backward)
 
 
-def stats_pool(x: Tensor, eps: float = 1e-5) -> Tensor:
+def stats_pool(x: Tensor) -> Tensor:
     """Channel-wise mean and standard deviation over every axis between the
     first and the last.
 
     x: (B, ..., C) -> (B, 2C): means first, then stds. The variance is
-    floored at eps inside the square root so constant channels stay
+    floored at STATS_POOL_EPS inside the square root so constant channels stay
     differentiable. The tape keeps x and the per-channel statistics, not
     the centred input: backward takes `x - mean` again, the forward's op.
     """
@@ -874,7 +877,7 @@ def stats_pool(x: Tensor, eps: float = 1e-5) -> Tensor:
         raise ValueError("stats_pool requires at least one pooled position")
     mean = flat.mean(axis=1)
     var = ((flat - mean[:, None, :]) ** 2).mean(axis=1)
-    clipped = np.maximum(var, eps)
+    clipped = np.maximum(var, STATS_POOL_EPS)
     std = np.sqrt(clipped)
     data = np.concatenate([mean, std], axis=1)
 
@@ -885,7 +888,7 @@ def stats_pool(x: Tensor, eps: float = 1e-5) -> Tensor:
         g_std = g[:, C:]
         flat = x.data.reshape(B, -1, C)
         gx = np.broadcast_to(g_mean[:, None, :] / n, flat.shape).copy()
-        active = (var > eps).astype(np.float64)
+        active = (var > STATS_POOL_EPS).astype(np.float64)
         centered = flat - mean[:, None, :]            # scaled in place
         centered *= (g_std * active / (n * std))[:, None, :]
         gx += centered
@@ -966,11 +969,11 @@ def _summed(walks) -> dict:
 
 # -- independent sub-graphs -------------------------------------------------------
 
-def _fold_statistics(running_mean, running_var, mean, var, momentum) -> None:
-    running_mean *= (1.0 - momentum)
-    running_mean += momentum * mean
-    running_var *= (1.0 - momentum)
-    running_var += momentum * var
+def _fold_statistics(running_mean, running_var, mean, var) -> None:
+    running_mean *= (1.0 - BN_MOMENTUM)
+    running_mean += BN_MOMENTUM * mean
+    running_var *= (1.0 - BN_MOMENTUM)
+    running_var += BN_MOMENTUM * var
 
 
 def _update_buffers(update) -> None:
@@ -1060,20 +1063,18 @@ def branches(calls) -> list:
 class Adam:
     """Bias-corrected Adam over a fixed parameter list."""
 
-    def __init__(self, params, lr: float = 0.001, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr: float = 0.001):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
@@ -1084,7 +1085,7 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * np.square(g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -3,6 +3,9 @@
 Subcommands: synth, train, embed, score, eval, scan-analyze. Every run
 requires a seed (config file or --set seed=N). Exit codes: 0 ok, 2 config
 error, 3 data error, 4 runtime error.
+
+Each subparser declares its files by option dest (`outputs`, `inputs`,
+`manifests`); `main` checks them and loads the manifests for every command.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ def _add_common(parser, needs_seed=True):
                              "workers and the K-Means restart workers (default: "
                              "one per usable core while BLAS is held to one "
                              "thread) and, with threadpoolctl, the BLAS threads")
-    parser.set_defaults(needs_seed=needs_seed)
+    parser.set_defaults(needs_seed=needs_seed, outputs=(), inputs=(), manifests=())
 
 
 def _build_parser():
@@ -38,18 +41,22 @@ def _build_parser():
     p = sub.add_parser("synth", help="write a synthetic labeled corpus")
     _add_common(p)
     p.add_argument("--out", required=True, help="output corpus directory")
+    p.set_defaults(run=cmd_synth)
 
     p = sub.add_parser("train", help="train an embedding model")
     _add_common(p)
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-checkpoint", required=True)
     p.add_argument("--log", help="CSV log path (epoch,mean_loss,adacos_scale,seconds)")
+    p.set_defaults(run=cmd_train, outputs=("out_checkpoint", "log"), manifests=("manifest",))
 
     p = sub.add_parser("embed", help="write embeddings for manifest clips")
     _add_common(p, needs_seed=False)
     p.add_argument("--manifest", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(run=cmd_embed, outputs=("out",), inputs=("checkpoint",),
+                   manifests=("manifest",))
 
     p = sub.add_parser("score", help="build prototypes and score test clips")
     _add_common(p, needs_seed=True)
@@ -58,6 +65,8 @@ def _build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="score CSV path")
     p.add_argument("--store", help="also persist the prototype store here")
+    p.set_defaults(run=cmd_score, outputs=("out", "store"), inputs=("checkpoint",),
+                   manifests=("train_manifest", "test_manifest"))
 
     p = sub.add_parser("eval", help="AUC / pAUC report from scores and truth")
     _add_common(p, needs_seed=False)
@@ -68,11 +77,13 @@ def _build_parser():
     p.add_argument("--aggregate", choices=metrics.AGGREGATE_KINDS,
                    help="override the config's aggregate kind")
     p.add_argument("--out", help="report CSV path (default stdout only)")
+    p.set_defaults(run=cmd_eval, outputs=("out",), inputs=("scores",), manifests=("truth",))
 
     p = sub.add_parser("scan-analyze", help="per-kernel scan geometry table")
     _add_common(p, needs_seed=False)
     p.add_argument("--F", type=int, required=True, help="spectrogram frequency bins")
     p.add_argument("--T", type=int, required=True, help="spectrogram frames")
+    p.set_defaults(run=cmd_scan_analyze)
     return parser
 
 
@@ -89,15 +100,26 @@ def _load_run_config(args) -> config.RunConfig:
     return cfg
 
 
-def _listed_wavs(option, rows) -> list:
-    """(label, path) input pairs for `checkpoint.check_outputs`: the WAVs
-    that the manifest given as `option` lists. A command checks them once
-    the manifest is loaded, before it decodes any WAV."""
-    return [(f"a WAV listed in {option}", row.path) for row in rows]
+def _option(dest) -> str:
+    return "--" + dest.replace("_", "-")
 
 
-def cmd_synth(args) -> int:
-    cfg = _load_run_config(args)
+def _load_files(args) -> dict:
+    """The rows of each manifest of the command, by option dest. Its output
+    paths are checked by `checkpoint.check_outputs` against its input paths
+    (--config is an input of every command) before any manifest is parsed,
+    and against every WAV that a manifest lists before any WAV is decoded,
+    so a bad output costs no work and overwrites nothing."""
+    outputs = [(_option(dest), getattr(args, dest)) for dest in args.outputs]
+    checkpoint.check_outputs(outputs, [(_option(dest), getattr(args, dest))
+                                       for dest in (*args.manifests, *args.inputs, "config")])
+    rows = {dest: data.load_manifest(getattr(args, dest)) for dest in args.manifests}
+    checkpoint.check_outputs(outputs, [(f"a WAV listed in {_option(dest)}", row.path)
+                                       for dest in args.manifests for row in rows[dest]])
+    return rows
+
+
+def cmd_synth(args, cfg, manifests) -> int:
     synth_cfg = data.SynthConfig(
         **vars(cfg.synth), duration_seconds=cfg.model.clip_seconds,
         sample_rate=cfg.model.sample_rate, seed=cfg.model.seed)
@@ -107,29 +129,18 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def cmd_train(args, cfg, manifests) -> int:
     from .training import train  # deferred: heavy import
 
-    cfg = _load_run_config(args)
-    outputs = [("--out-checkpoint", args.out_checkpoint), ("--log", args.log)]
-    checkpoint.check_outputs(outputs, [("--manifest", args.manifest), ("--config", args.config)])
-    rows = data.load_manifest(args.manifest)
-    checkpoint.check_outputs(outputs, _listed_wavs("--manifest", rows))
-    train(rows, cfg, out_checkpoint=args.out_checkpoint, log_path=args.log)
+    train(manifests["manifest"], cfg, out_checkpoint=args.out_checkpoint, log_path=args.log)
     print(f"checkpoint written to {args.out_checkpoint}")
     return 0
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args, cfg, manifests) -> int:
     from .network import load_model
 
-    _load_run_config(args)      # a bad --config or --set is refused, as elsewhere
-    outputs = [("--out", args.out)]
-    checkpoint.check_outputs(outputs, [
-        ("--manifest", args.manifest), ("--checkpoint", args.checkpoint),
-        ("--config", args.config)])
-    rows = data.load_manifest(args.manifest)
-    checkpoint.check_outputs(outputs, _listed_wavs("--manifest", rows))
+    rows = manifests["manifest"]
     model, _ = load_model(args.checkpoint)
     embeddings = scoring.embed_rows(model, rows)
     arrays = {f"emb/{row.path}": emb for row, emb in zip(rows, embeddings)}
@@ -138,25 +149,16 @@ def cmd_embed(args) -> int:
     return 0
 
 
-def cmd_score(args) -> int:
+def cmd_score(args, cfg, manifests) -> int:
     from .network import load_model
 
-    cfg = _load_run_config(args)
-    outputs = [("--out", args.out), ("--store", args.store)]
-    checkpoint.check_outputs(outputs, [
-        ("--train-manifest", args.train_manifest), ("--test-manifest", args.test_manifest),
-        ("--checkpoint", args.checkpoint), ("--config", args.config)])
-    train_rows = data.load_manifest(args.train_manifest)
-    test_rows = data.load_manifest(args.test_manifest)
-    checkpoint.check_outputs(outputs, _listed_wavs("--train-manifest", train_rows)
-                             + _listed_wavs("--test-manifest", test_rows))
     model, _ = load_model(args.checkpoint)
     store = scoring.cluster_prototypes(
-        train_rows, model, cfg.scoring.scoring_mode,
+        manifests["train_manifest"], model, cfg.scoring.scoring_mode,
         cfg.scoring.prototypes, cfg.model.seed)
     if args.store:
         store.save(args.store, config.config_text(cfg))
-    scores, unknown = scoring.score_test_rows(test_rows, store, model)
+    scores, unknown = scoring.score_test_rows(manifests["test_manifest"], store, model)
     with checkpoint.atomic_write(args.out) as fh:
         fh.write("filename,score\n")
         for path, value in scores:
@@ -196,13 +198,8 @@ def _read_scores(path) -> dict:
     return out
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_run_config(args)
-    checkpoint.check_outputs([("--out", args.out)], [
-        ("--scores", args.scores), ("--truth", args.truth), ("--config", args.config)])
-    score_map = _read_scores(args.scores)
-    truth = data.load_manifest(args.truth)
-    report = metrics.evaluate(score_map, truth,
+def cmd_eval(args, cfg, manifests) -> int:
+    report = metrics.evaluate(_read_scores(args.scores), manifests["truth"],
                               grouping=args.grouping or cfg.scoring.scoring_mode,
                               kind=args.aggregate or cfg.scoring.aggregate)
     lines = ["group,auc,pauc"]
@@ -226,8 +223,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_scan_analyze(args) -> int:
-    cfg = _load_run_config(args)
+def cmd_scan_analyze(args, cfg, manifests) -> int:
     if args.F < 1 or args.T < 1:
         raise ConfigError(f"--F and --T must be >= 1, got {args.F} and {args.T}")
     m = cfg.model
@@ -247,23 +243,15 @@ def cmd_scan_analyze(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "synth": cmd_synth,
-    "train": cmd_train,
-    "embed": cmd_embed,
-    "score": cmd_score,
-    "eval": cmd_eval,
-    "scan-analyze": cmd_scan_analyze,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        cfg = _load_run_config(args)
+        manifests = _load_files(args)
         with contextlib.nullcontext() if args.threads is None else workers.cap(args.threads):
-            return _COMMANDS[args.command](args)
+            return args.run(args, cfg, manifests)
     except ConfigError as exc:
         print(f"soundscan: error: config: {exc}", file=sys.stderr)
         return 2

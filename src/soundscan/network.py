@@ -26,8 +26,8 @@ from .errors import CheckpointError, ConfigError, DataError
 from .scanning import scan_array, usable_kernels
 
 
-def conv_out(n: int, k: int, s: int, p: int) -> int:
-    return (n + 2 * p - k) // s + 1
+# the stem max pool's kernel, stride and padding
+STEM_POOL = (3, 3), (2, 2), (1, 1)
 
 
 class SpectrogramEncoder(nn.Module):
@@ -39,8 +39,8 @@ class SpectrogramEncoder(nn.Module):
         self.se_in = nn.MultiAxisSE(1, F, T, reduction, rng)
         self.stem = nn.Conv2d(1, stem_channels, (7, 7), (2, 2), (3, 3), rng)
         self.stem_bn = nn.BatchNorm2d(stem_channels)
-        h, w = conv_out(F, 7, 2, 3), conv_out(T, 7, 2, 3)
-        h, w = conv_out(h, 3, 2, 1), conv_out(w, 3, 2, 1)  # stem max pool
+        h, w = ad.conv_out(F, 7, 2, 3), ad.conv_out(T, 7, 2, 3)
+        h, w = (ad.conv_out(n, k, s, p) for n, k, s, p in zip((h, w), *STEM_POOL))
         self.se_stem = nn.MultiAxisSE(stem_channels, h, w, reduction, rng)
 
         blocks = []
@@ -49,7 +49,7 @@ class SpectrogramEncoder(nn.Module):
             stride = 1 if stage == 0 else 2
             blocks.append(nn.ResBlock2d(c_prev, c, stride, rng))
             if stride == 2:
-                h, w = conv_out(h, 3, 2, 1), conv_out(w, 3, 2, 1)
+                h, w = ad.conv_out(h, 3, 2, 1), ad.conv_out(w, 3, 2, 1)
             blocks.append(nn.MultiAxisSE(c, h, w, reduction, rng))
             blocks.append(nn.ResBlock2d(c, c, 1, rng))
             c_prev = c
@@ -60,7 +60,7 @@ class SpectrogramEncoder(nn.Module):
     def forward(self, x: Tensor) -> Tensor:
         x = self.se_in(x)
         x = nn.conv_bn(self.stem, self.stem_bn, x, relu=True)
-        x = ad.max_pool2d(x, (3, 3), (2, 2), (1, 1))
+        x = ad.max_pool2d(x, *STEM_POOL)
         x = self.se_stem(x)
         x = self.blocks(x)
         x = ad.max_pool2d(x, self.final_hw)
@@ -137,7 +137,7 @@ class SpectrumEncoder(nn.Module):
                     f"spectrum length {length} shorter than conv kernel {k}; "
                     "adjust spectrum_kernels/strides for this clip length")
             convs.append(nn.Conv1d(c_prev, c, k, s, rng))
-            length = (length - k) // s + 1
+            length = ad.conv_out(length, k, s, 0)
             c_prev = c
         self.convs = nn.Sequential(*convs)
         self.flat_dim = c_prev * length

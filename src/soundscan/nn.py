@@ -136,10 +136,10 @@ class Conv1d(Module):
 
 
 class BatchNorm2d(Module):
-    def __init__(self, channels, momentum=0.1, eps=1e-5):
+    """The affine parameters and running statistics that `conv_bn` reads."""
+
+    def __init__(self, channels):
         super().__init__()
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = Parameter(np.ones(channels))
         self.beta = Parameter(np.zeros(channels))
         self.register_buffer("running_mean", np.zeros(channels))
@@ -163,11 +163,10 @@ def conv_bn(conv: Conv2d, bn: BatchNorm2d, x, relu: bool = False, residual=None,
     if bn.training:
         return ad.conv_bn(x, conv.weight, bn.gamma, bn.beta, bn.running_mean,
                           bn.running_var, conv.stride, conv.padding, relu=relu,
-                          residual=residual, momentum=bn.momentum, eps=bn.eps,
-                          owns_residual=owns_residual)
+                          residual=residual, owns_residual=owns_residual)
     if ad.recorded((x,) if residual is None else (x, residual)):
         raise ValueError("an eval-mode conv_bn records nothing: run it under ad.no_grad()")
-    scale = bn.gamma.data * (1.0 / np.sqrt(bn.running_var + bn.eps))
+    scale = bn.gamma.data * (1.0 / np.sqrt(bn.running_var + ad.BN_EPS))
     weight = conv.weight.data * scale.reshape(-1, 1, 1, 1)
     bias = bn.beta.data - bn.running_mean * scale
     data = ad.conv2d(x, ad.Tensor(weight), ad.Tensor(bias), conv.stride, conv.padding).data

@@ -808,6 +808,8 @@ def test_an_output_naming_an_input_or_another_output_is_exit_3(capsys, tmp_path,
                   "--out", "./clips/train.wav"], "--out", "--manifest", id="embed"),
     pytest.param(_SCORE + ["--out", "x", "--store", "clips/test.wav"], "--store",
                  "--test-manifest", id="score"),
+    pytest.param(["eval", "--scores", "scores.csv", "--truth", "truth.csv",
+                  "--out", "clips/test.wav"], "--out", "--truth", id="eval"),
 ])
 def test_an_output_naming_a_listed_wav_is_exit_3(capsys, tmp_path, tiny_corpus,
                                                  tiny_checkpoint, monkeypatch, argv, output,
@@ -827,6 +829,12 @@ def test_an_output_naming_a_listed_wav_is_exit_3(capsys, tmp_path, tiny_corpus,
         shutil.copyfile(row.path, tmp_path / "clips" / f"{split}.wav")
         save_manifest([replace(row, path=f"clips/{split}.wav")],
                       tmp_path / manifest_name)
+    # a truth manifest, ten normals and an anomaly, and scores that eval reports on
+    truth = [replace(row, path=f"clips/{name}.wav") for name in ["test", *"abcdefghi"]]
+    truth.append(replace(row, path="clips/anomaly.wav", label="anomaly"))
+    save_manifest(truth, tmp_path / "truth.csv")
+    (tmp_path / "scores.csv").write_text("filename,score\n" + "".join(
+        f"{r.path},{0.1 * i:.6f}\n" for i, r in enumerate(truth)))
     shutil.copyfile(tiny_checkpoint[0], tmp_path / "m.ckpt")
     before = {path: path.read_bytes() for path in (tmp_path / "clips").iterdir()}
     code, _, err = run(capsys, *argv)
@@ -834,6 +842,30 @@ def test_an_output_naming_a_listed_wav_is_exit_3(capsys, tmp_path, tiny_corpus,
     assert f"{output} names the same file as a WAV listed in {manifest}" in err
     assert {path: path.read_bytes() for path in (tmp_path / "clips").iterdir()} == before
     assert not (tmp_path / "x").exists()
+
+
+# option dests that name no file, for every command and per command
+_NOT_PATHS = {"*": {"overrides", "threads"}, "eval": {"grouping", "aggregate"},
+              "scan-analyze": {"F", "T"}, "synth": {"out"}}     # synth's --out is a directory
+
+
+def test_every_path_option_is_declared_as_a_file_of_its_command():
+    """Each option of each command is an output, an input or a manifest
+    that its subparser declares, or --config, or a listed option that names
+    no file: a new path option fails here until its command declares it."""
+    import argparse
+
+    from soundscan.cli import _build_parser
+
+    sub = next(action for action in _build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        files = [dest for kind in ("outputs", "inputs", "manifests")
+                 for dest in parser.get_default(kind)]
+        dests = {action.dest for action in parser._actions if action.dest != "help"}
+        assert len(files) == len(set(files)) and set(files) <= dests, name
+        others = dests - set(files) - {"config"}
+        assert others <= _NOT_PATHS["*"] | _NOT_PATHS.get(name, set()), (name, others)
 
 
 def test_eval_missing_score_names_file(capsys, tmp_path, tiny_corpus):

@@ -170,7 +170,7 @@ def _unfused(conv, bn, x, relu=False, residual=None, *, owns_residual=False):
     norm by its running statistics, the add and the relu. It takes
     `nn.conv_bn`'s signature; the residual's hand-over changes no value."""
     y = ad.conv2d(x, conv.weight, None, conv.stride, conv.padding).data
-    out = (y - bn.running_mean) / np.sqrt(bn.running_var + bn.eps) * bn.gamma.data + bn.beta.data
+    out = (y - bn.running_mean) / np.sqrt(bn.running_var + ad.BN_EPS) * bn.gamma.data + bn.beta.data
     if residual is not None:
         out = out + residual.data
     return Tensor(out * (out > 0) if relu else out)
