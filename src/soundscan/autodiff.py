@@ -413,6 +413,15 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 
 CONV_TILE_BYTES = 512 << 10   # the column block a conv gathers at a time
+# An eval-mode patch pass scans, encodes and pools a tile of whole clips at a
+# time whose block1 output fits this many bytes (network.PatchEncoder.clip_tile):
+# 5, 10 and 16 clips for the micro preset's 32x16, 32x8 and 16x8 boxes (a
+# 16-clip chunk runs the 32x8 pass as one tile: the last takes the remainder).
+# On infer_micro (2 vCPUs, medians of 3 seeds) fixed tiles of 2, 4 and 8 clips
+# read 64.5, 65.0 and 70.1 MB peak RSS at 163, 150 and 128 ms per embed
+# command, this budget 68.9 MB at 137 ms, and whole chunks 88.2 MB: tiles of
+# 2 clips cost a fifth more time for 4 MB less.
+CLIP_TILE_BYTES = 1 << 20
 # OpenBLAS multiplies an (M, K) @ (K, N).T product of at most 1200 output
 # cells, M*N, in its small-matrix kernel, which rounds unlike its large one
 # (measured for K >= 36): a tile of more cells rounds like the whole block
@@ -510,9 +519,10 @@ def _tile_images(P: int, K: int, N: int) -> int:
     return max(1, CONV_TILE_BYTES // (P * K * 8), -(-CONV_TILE_CELLS // (P * N)))
 
 
-def _image_tiles(B: int, per_tile: int) -> list:
-    """(b0, b1) bounds of tiles of `per_tile` images out of B; the last tile
-    also takes the remainder, so no tile is smaller than the others."""
+def image_tiles(B: int, per_tile: int) -> list:
+    """(b0, b1) bounds of tiles of `per_tile` images (or clips) out of B; the
+    last tile also takes the remainder, so no tile is smaller than the
+    others, and `per_tile` >= B gives one tile."""
     starts = list(range(0, B - per_tile + 1, per_tile)) or [0]
     return list(zip(starts, starts[1:] + [B]))
 
@@ -530,7 +540,7 @@ def _tiles(x: np.ndarray, ph: int, pw: int, idx: np.ndarray, per_tile: int):
     B, H, W, C = x.shape
     Hp, Wp = H + 2 * ph, W + 2 * pw
     P, K = idx.shape[0], idx.shape[1] * C
-    bounds = _image_tiles(B, per_tile)
+    bounds = image_tiles(B, per_tile)
     largest = B - bounds[-1][0]
     padded = bool(ph or pw)
     with _tile_buffer(largest * (P * K + padded * Hp * Wp * C)) as buf:
@@ -655,7 +665,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         if _needs(x):
             scatter = _conv2d_scatter_index(C, Hp, Wp, kh, kw, sh, sw)
             acc = np.empty((B, Hp * Wp * C))
-            bounds = _image_tiles(B, per_tile)
+            bounds = image_tiles(B, per_tile)
             with _tile_buffer((B - bounds[-1][0]) * P * K) as buf:
                 for b0, b1 in bounds:
                     g_col = buf[:(b1 - b0) * P * K].reshape((b1 - b0) * P, K)
@@ -1006,14 +1016,15 @@ def _run_branch(fn, x, queue):
 
 
 def branches(calls) -> list:
-    """[fn(x) for fn, x in calls], each an independent sub-graph, recorded as
-    one tape node.
+    """[fn(x) for fn, x, ... in calls], each an independent sub-graph,
+    recorded as one tape node.
 
-    A branch may reach tensors from outside only through leaves: parameters
-    and constant inputs. The branches run through `workers.run_jobs`,
-    costed by input size: on the threads of the `workers.pool` that the
-    calling thread opened, and inline in order without one or inside
-    another job (another branch, an embedding chunk). Running-buffer
+    A call is (fn, x), costed by the size of x, or (fn, x, cost). A branch
+    may reach tensors from outside only through leaves: parameters and
+    constant inputs. The branches run through `workers.run_jobs`, split by
+    those costs: on the threads of the `workers.pool` that the calling
+    thread opened, and inline in order without one or inside another job
+    (another branch, an embedding chunk). Running-buffer
     updates made inside a branch are applied at the join in branch order,
     and none when a branch raises, so results do not depend on the thread
     count. Backward walks each branch's graph with the walk that
@@ -1025,12 +1036,12 @@ def branches(calls) -> list:
     branch first, and within a branch latest op first: the order of one
     walk over the branches built one after another.
     """
-    calls = list(calls)
+    calls = [call if len(call) == 3 else (*call, call[1].size) for call in calls]
     start = next(_seq_counter)
     queues = [[] for _ in calls]
-    costs = [x.size for _, x in calls]
+    costs = [cost for _, _, cost in calls]
     outs = run_jobs([functools.partial(_run_branch, fn, x, queue)
-                     for (fn, x), queue in zip(calls, queues)], costs)
+                     for (fn, x, _), queue in zip(calls, queues)], costs)
     for queue in queues:
         for update in queue:
             _update_buffers(update)

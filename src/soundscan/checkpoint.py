@@ -104,16 +104,18 @@ def save_container(path, arrays: dict, config_echo: str = "") -> None:
             fh.write(arr.tobytes())
 
 
-def load_container(path):
+def load_container(path, keep=None):
     """Returns (arrays: dict[str, ndarray], config_echo: str).
 
     Each array is read straight from the file into its own float64 array, so
-    the load holds the arrays and no second copy of the file.
+    the load holds the arrays and no second copy of the file. `keep`, when
+    given, is a predicate on array names: the arrays it rejects are sought
+    past and left out, unread, so their values are not checked.
 
     Raises CheckpointError for a missing file, a foreign or other-version
     header, and a container that is cut short, carries bytes past its last
     array, holds text that is not UTF-8, gives an array more than 64
-    dimensions, or holds a NaN or an infinity in an array.
+    dimensions, or holds a NaN or an infinity in an array it returns.
     """
     try:
         fh = open(path, "rb")
@@ -129,16 +131,20 @@ def load_container(path):
             raise CheckpointError(f"{path}: container version {version}, expected {VERSION}")
         pos = 8
 
-        def take(size: int, into=None):
-            """The file's next `size` bytes, read into `into` when given."""
+        def advance(size: int) -> None:
+            """Claim the file's next `size` bytes: truncated if they are not there."""
             nonlocal pos
             if pos + size > file_size:
                 raise CheckpointError(f"{path}: truncated container ({size} bytes wanted "
                                       f"at offset {pos}, {file_size} in the file)")
+            pos += size
+
+        def take(size: int, into=None):
+            """The file's next `size` bytes, read into `into` when given."""
+            advance(size)
             buf = bytearray(size) if into is None else into
             if size and fh.readinto(buf) != size:    # the file shrank meanwhile
                 raise CheckpointError(f"{path}: truncated container")
-            pos += size
             return buf
 
         def number(fmt: str):
@@ -176,6 +182,10 @@ def load_container(path):
                         f"{path}: array {name!r} is larger than numpy allows" if empty else
                         f"{path}: truncated container (array {name!r} holds more than the "
                         f"{limit} values left)")
+            if keep is not None and not keep(name):
+                advance(0 if empty else 8 * size)
+                fh.seek(pos)
+                continue
             data = take(0 if empty else 8 * size, np.empty(shape, dtype="<f8"))
             if not np.isfinite(data).all():
                 raise CheckpointError(f"{path}: array {name!r} holds NaN or infinity")

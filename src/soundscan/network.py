@@ -1,18 +1,27 @@
 """The full embedding network: two spectrogram branches plus a spectrum branch.
 
 Branch one encodes the whole spectrogram with a gated residual stack; branch
-two scans the spectrogram along one scan plan per kernel box and pushes every
-patch stack through one weight-shared patch encoder; branch three encodes the
-utterance-level spectrum with strided 1-D convolutions. The three
-embeddings are concatenated and L2-normalized. The two encoders and the
-patch passes are independent sub-graphs, recorded as one `ad.branches`
-node so that training can run them on several threads.
+two scans the spectrogram along one scan plan per kernel box and pushes the
+patches through one weight-shared patch encoder, which pools each clip's
+patch activations into statistics; branch three encodes the utterance-level
+spectrum with strided 1-D convolutions. The three embeddings are
+concatenated and L2-normalized. The two encoders and the patch passes are
+independent sub-graphs, recorded as one `ad.branches` node so that training
+can run them on several threads.
+
+A training patch pass scans and encodes the whole batch at once, since batch
+norm's statistics span it. An eval patch pass has no coupling between clips:
+it scans, encodes and pools one tile of whole clips at a time, so it holds
+one tile's patches and trunk activations, never the batch's, and gives the
+same bytes (`PatchEncoder.clip_tile`).
 
 `load_waves` and `features_for_batch` are the one feature path that both
 training and embedding take from WAV files to the model's inputs.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -68,11 +77,15 @@ class SpectrogramEncoder(nn.Module):
 
 
 class PatchEncoder(nn.Module):
-    """Weight-shared encoder mapping any (N, h, w) patch stack to one embedding.
+    """Weight-shared encoder: a (B, N, h, w) patch stack, N patches of each
+    of B clips, to per-clip statistics, and those to one embedding per clip.
 
-    Patches run through the residual stack as independent 1-channel images,
-    a (B*N, h, w, 1) view of the (B, N, h, w) stack; statistics pooling
-    over all patches and spatial positions absorbs the varying N, h, w.
+    The forward runs the patches through the residual stack as independent
+    1-channel images, a (B*N, h, w, 1) view of the stack, and pools each
+    clip's statistics over all its patches and spatial positions, which
+    absorbs the varying N, h, w; `head` maps the (B, 2C) statistics to the
+    embeddings. No clip's statistics depend on another clip's patches in
+    eval mode, so an eval patch pass may pool its batch in tiles of clips.
     """
 
     def __init__(self, channels, embed_dim, hidden_dim, rng):
@@ -86,17 +99,36 @@ class PatchEncoder(nn.Module):
         self.out_channels = c3
 
     def forward(self, stack: Tensor) -> Tensor:
+        """(B, 2C) per-clip means and stds of block3's output."""
         B, N, h, w = stack.shape
         x = stack.reshape(B * N, h, w, 1)
         x = self.block3(self.block2(self.block1(x)))
-        x = ad.stats_pool(x.reshape(B, -1, self.out_channels))
-        return self.fc2(self.fc1(x).relu())
+        return ad.stats_pool(x.reshape(B, -1, self.out_channels))
+
+    def head(self, stats: Tensor) -> Tensor:
+        """(B, embed_dim) embeddings of (B, 2C) statistics."""
+        return self.fc2(self.fc1(stats).relu())
+
+    def clip_tile(self, plan) -> int:
+        """Clips per tile of an eval patch pass along `plan`: as many as keep
+        block1's output within ad.CLIP_TILE_BYTES, and at least enough that
+        every trunk conv has ad.CONV_TILE_CELLS output cells, so that each
+        conv row keeps its bytes; at least one."""
+        h, w, cells = plan.box.h, plan.box.w, []
+        for block in (self.block1, self.block2, self.block3):
+            conv = block.conv1
+            c_out, _, kh, kw = conv.weight.shape
+            h = ad.conv_out(h, kh, conv.stride[0], conv.padding[0])
+            w = ad.conv_out(w, kw, conv.stride[1], conv.padding[1])
+            cells.append(plan.patch_count * h * w * c_out)
+        return max(1, ad.CLIP_TILE_BYTES // (8 * cells[0]),
+                   -(-ad.CONV_TILE_CELLS // min(cells)))
 
 
 class MultiScaleBranch(nn.Module):
     """Scan a (B, F, T) spectrogram batch along each of the K scan plans,
-    encode every patch stack with the shared patch encoder, concatenate the
-    K per-scale embeddings and refine to one."""
+    encode the patches with the shared patch encoder, concatenate the K
+    per-scale embeddings and refine to one."""
 
     def __init__(self, plans, channels, embed_dim, hidden_dim, rng):
         super().__init__()
@@ -104,10 +136,28 @@ class MultiScaleBranch(nn.Module):
         self.encoder = PatchEncoder(channels, embed_dim, hidden_dim, rng)
         self.merge = nn.Linear(len(self.plans) * embed_dim, embed_dim, rng)
 
+    def encode(self, plan, spec_batch: np.ndarray) -> Tensor:
+        """The patch encoder's (B, embed_dim) embeddings of `spec_batch`
+        scanned along `plan`.
+
+        Training scans and pools the whole batch in one tile, since batch
+        norm's statistics span it. Eval scans and pools tiles of
+        `encoder.clip_tile(plan)` whole clips, the last tile taking the
+        remainder; the tiles' statistics are joined and the head runs once
+        over all B rows.
+        """
+        B = len(spec_batch)
+        per_tile = B if self.training else self.encoder.clip_tile(plan)
+        pooled = [self.encoder(Tensor(scan_array(spec_batch[b0:b1], plan.box.h, plan.box.w,
+                                                 plan.f_positions, plan.t_positions)))
+                  for b0, b1 in ad.image_tiles(B, per_tile)]
+        return self.encoder.head(pooled[0] if len(pooled) == 1 else ad.concat(pooled))
+
     def passes(self, spec_batch: np.ndarray) -> list:
-        """(patch encoder, patch stack) per scan plan: one `ad.branches` call each."""
-        return [(self.encoder, Tensor(scan_array(spec_batch, p.box.h, p.box.w,
-                                                 p.f_positions, p.t_positions)))
+        """(scan and encode, spectrogram batch, cost) per scan plan: one
+        `ad.branches` call each, costed by the cells of its batch's patch
+        stack."""
+        return [(functools.partial(self.encode, p), spec_batch, len(spec_batch) * p.patch_cells)
                 for p in self.plans]
 
     def join(self, embeddings) -> Tensor:
@@ -229,8 +279,12 @@ def features_for_batch(waves: np.ndarray, cfg: ModelConfig):
 
 
 def load_model(path) -> tuple[MultiScaleNet, RunConfig]:
-    """Rebuild a model from a checkpoint container and its config echo."""
-    arrays, echo = load_container(path)
+    """Rebuild a model from a checkpoint container and its config echo.
+
+    Checkpoints store the joint training state: only the model's arrays
+    are read, and the optimizer's and the loss head's are sought past."""
+    arrays, echo = load_container(
+        path, keep=lambda name: name.startswith(("param/model.", "buffer/model.")))
     # the echo is part of the file: an empty or unparsable one is a bad file
     if not echo.strip():
         raise CheckpointError(f"{path}: checkpoint carries no config echo")
@@ -239,13 +293,8 @@ def load_model(path) -> tuple[MultiScaleNet, RunConfig]:
         model = MultiScaleNet(run_cfg.model)
     except ConfigError as exc:
         raise CheckpointError(f"{path}: config echo is not a valid run config: {exc}") from None
-    # checkpoints store the joint training state; keep the model subtree
-    state = {}
-    for key, value in arrays.items():
-        for kind in ("param/", "buffer/"):
-            prefix = kind + "model."
-            if key.startswith(prefix):
-                state[kind + key[len(prefix):]] = value
+    # "param/model.<name>" -> "param/<name>", and likewise for buffers
+    state = {key.replace("model.", "", 1): value for key, value in arrays.items()}
     try:
         model.load_state_dict(state)
     except (KeyError, ValueError) as exc:

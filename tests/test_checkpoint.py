@@ -95,6 +95,28 @@ def test_container_cut_at_any_byte_rejected(tmp_path):
             load_container(path)
 
 
+def test_skipped_arrays_are_size_checked_but_not_read(tmp_path):
+    """Arrays that `keep` rejects are sought past: a cut anywhere and a
+    trailing byte are still rejected, a NaN in a skipped array is not seen,
+    and one in a kept array is."""
+    raw = _small_container(tmp_path / "full.bin")
+    keep_b = {"keep": lambda name: name == "b"}
+    arrays, echo = load_container(tmp_path / "full.bin", **keep_b)
+    assert list(arrays) == ["b"] and arrays["b"] == 2.5 and echo == "seed=1\n"
+    path = tmp_path / "cut.bin"
+    for size in range(len(raw)):
+        path.write_bytes(raw[:size])
+        with pytest.raises(CheckpointError):
+            load_container(path, **keep_b)
+    path.write_bytes(raw + b"\x00")
+    with pytest.raises(CheckpointError, match="trailing"):
+        load_container(path, **keep_b)
+    save_container(path, {"a": np.array([np.nan]), "b": np.array(1.0)})
+    assert list(load_container(path, **keep_b)[0]) == ["b"]
+    with pytest.raises(CheckpointError, match="'a' holds NaN or infinity"):
+        load_container(path, keep=lambda name: name == "a")
+
+
 def test_non_utf8_config_echo_rejected(tmp_path):
     path = tmp_path / "u.bin"
     raw = bytearray(_small_container(path))

@@ -470,6 +470,30 @@ def test_truncated_checkpoint_is_exit_3(capsys, tmp_path, tiny_corpus, tiny_chec
     assert not (tmp_path / "e.bin").exists()
 
 
+@pytest.mark.parametrize("skipped", ["adam/", "param/head."])
+def test_checkpoint_cut_inside_a_skipped_array_is_exit_3(capsys, tmp_path, tiny_corpus,
+                                                         tiny_checkpoint, skipped):
+    """`load_model` seeks past the optimizer's and the loss head's arrays,
+    but a file cut inside one of them is still a truncated container."""
+    from soundscan.checkpoint import load_container, save_container
+
+    _, root = tiny_corpus
+    ckpt, _ = tiny_checkpoint
+    arrays, echo = load_container(ckpt)
+    names = sorted(arrays)
+    last = max(i for i, name in enumerate(names) if name.startswith(skipped))
+    # the container up to that array ends where the array ends in the full file
+    head = tmp_path / "head.ckpt"
+    save_container(head, {name: arrays[name] for name in names[:last + 1]}, echo)
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(ckpt.read_bytes()[:head.stat().st_size - 8])
+    code, _, err = run(capsys, "embed", "--manifest", str(root / "manifest.csv"),
+                       "--checkpoint", str(cut), "--out", str(tmp_path / "e.bin"))
+    assert code == 3
+    assert "truncated" in err
+    assert not (tmp_path / "e.bin").exists()
+
+
 @pytest.mark.parametrize("command", ["embed", "score"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_checkpoint_array_is_exit_3(capsys, tmp_path, tiny_corpus,

@@ -309,7 +309,7 @@ def test_patch_encoder_output_dim_shape_invariant():
     rng = np.random.default_rng(4)
     enc = PatchEncoder((2, 4, 4), 16, 32, rng).eval()
     for shape in ((1, 3, 16, 8), (2, 7, 32, 16), (1, 1, 8, 8)):
-        out = enc(Tensor(rng.uniform(0, 1, shape)))
+        out = enc.head(enc(Tensor(rng.uniform(0, 1, shape))))
         assert out.shape == (shape[0], 16)
 
 
@@ -317,8 +317,8 @@ def test_patch_encoder_identical_patches_match_single():
     rng = np.random.default_rng(5)
     enc = PatchEncoder((2, 4, 4), 16, 32, rng).eval()
     patch = rng.uniform(0, 1, (16, 8))
-    single = enc(Tensor(patch[None, None]))
-    repeated = enc(Tensor(np.tile(patch[None, None], (1, 5, 1, 1))))
+    single = enc.head(enc(Tensor(patch[None, None])))
+    repeated = enc.head(enc(Tensor(np.tile(patch[None, None], (1, 5, 1, 1)))))
     np.testing.assert_allclose(repeated.data, single.data, atol=1e-12)
 
 
@@ -327,7 +327,7 @@ def test_patch_encoder_gradient_through_stats_pool():
     enc = PatchEncoder((2, 2, 2), 4, 8, rng)
     x = Tensor(rng.uniform(0.1, 1, (1, 2, 8, 8)), requires_grad=True)
     leaves = [x] + enc.parameters()
-    check_gradients(lambda: (enc(x) ** 2).sum(), leaves, tol=2e-3)
+    check_gradients(lambda: (enc.head(enc(x)) ** 2).sum(), leaves, tol=2e-3)
 
 
 # -- multi-scale branch ---------------------------------------------------------------
@@ -341,7 +341,7 @@ def test_single_kernel_branch_is_encoder_plus_linear():
     p = plans[0]
     stack = Tensor(scan_array(spec[0], p.box.h, p.box.w, p.f_positions, p.t_positions)[None])
     with ad.no_grad():
-        emb = model.patch_branch.encoder(stack)
+        emb = model.patch_branch.encoder.head(model.patch_branch.encoder(stack))
         merged = model.patch_branch.merge(emb).relu()
         full = model.patch_branch(spec)
     np.testing.assert_array_equal(full.data, merged.data)
@@ -496,6 +496,80 @@ def test_micro_training_forward_tape_stays_under_64_mib():
         tracemalloc.stop()
     out.sum().backward()
     assert held < 64 << 20, held / 2 ** 20
+
+
+def test_micro_eval_forward_peaks_under_6_mb():
+    # One 16-clip eval forward of the micro preset peaks at 5.8 MB, traced
+    # with tracemalloc: each patch pass holds one tile of clips, and the
+    # 32x8 pass's 10-clip tile, which takes the remainder, sets the peak.
+    # Scanning and encoding each pass's whole batch peaked at 12.7 MB.
+    import tracemalloc
+
+    cfg = micro_preset(0).model
+    model = MultiScaleNet(cfg).eval()
+    waves = np.random.default_rng(0).standard_normal((16, cfg.clip_samples)) * 0.1
+    specs, spectra = features_for_batch(waves, cfg)
+    with ad.no_grad():
+        model(specs, spectra)    # builds the gather indices and tile buffer
+        tracemalloc.start()
+        try:
+            model(specs, spectra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 6e6, peak / 1e6
+
+
+@pytest.mark.parametrize("rows", [1, 7, 16])
+@pytest.mark.parametrize("preset", ["micro", "tiny"])
+def test_eval_clip_tiles_keep_the_embedding_bytes(monkeypatch, preset, rows):
+    """One tile of the whole batch, the default tiles and the smallest tiles
+    that the CONV_TILE_CELLS floor allows give the same bytes."""
+    cfg = micro_preset(0).model if preset == "micro" else tiny_cfg()
+    model = MultiScaleNet(cfg).eval()
+    waves = np.random.default_rng(rows).standard_normal((rows, cfg.clip_samples)) * 0.1
+    features = features_for_batch(waves, cfg)
+    scans = []
+
+    def spy(*args):
+        scans.append(args[0].shape[0])
+        return scan_array(*args)
+
+    monkeypatch.setattr(network, "scan_array", spy)
+    outs = []
+    for budget in (1 << 62, ad.CLIP_TILE_BYTES, 0):
+        monkeypatch.setattr(ad, "CLIP_TILE_BYTES", budget)
+        scans.clear()
+        with ad.no_grad():
+            outs.append(model(*features).data)
+    assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[0], outs[2])
+    # the smallest tiles scan every clip once, and micro's one clip at a time
+    assert sum(scans) == rows * len(model.patch_branch.plans)
+    if rows == 16 and preset == "micro":
+        assert len(scans) == 16 * len(model.patch_branch.plans)
+
+
+@pytest.mark.parametrize("preset", ["micro", "tiny"])
+def test_every_trunk_conv_of_a_clip_tile_has_the_cell_floor(monkeypatch, preset):
+    cfg = micro_preset(0).model if preset == "micro" else tiny_cfg()
+    model = MultiScaleNet(cfg).eval()
+    encoder, conv2d, cells = model.patch_branch.encoder, ad.conv2d, []
+
+    def spy(*args, **kwargs):
+        out = conv2d(*args, **kwargs)
+        cells.append(out.size)
+        return out
+
+    monkeypatch.setattr(ad, "conv2d", spy)
+    for budget in (ad.CLIP_TILE_BYTES, 0):
+        monkeypatch.setattr(ad, "CLIP_TILE_BYTES", budget)
+        for plan in model.patch_branch.plans:
+            stack = np.zeros((encoder.clip_tile(plan), plan.patch_count, plan.box.h, plan.box.w))
+            with ad.no_grad():
+                encoder(Tensor(stack))
+    # conv1, projection and conv2 of block1 and block2, conv1 and conv2 of block3
+    assert len(cells) == 2 * 8 * len(model.patch_branch.plans)
+    assert min(cells) >= ad.CONV_TILE_CELLS
 
 
 def test_forward_unit_norm_and_determinism():
